@@ -12,9 +12,10 @@ Exit codes, kept distinct so scripts can branch on failure class:
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
-import io
 import json
+import operator
 import sys
 from pathlib import Path
 
@@ -114,9 +115,9 @@ def _schema(args: argparse.Namespace) -> ColumnSchema:
 
 
 def _binned_stats(path: str, nbins: int, schema: ColumnSchema):
-    obs = load_dataset(path, schema)
-    spec = quantile_bin(obs, nbins)
-    return obs, spec, compute_bin_stats(obs, spec)
+    data = load_dataset(path, schema)
+    spec = quantile_bin(data, nbins)
+    return data, spec, compute_bin_stats(data, spec)
 
 
 def _require_overlap(stats) -> None:
@@ -201,33 +202,26 @@ def cmd_apply(args: argparse.Namespace) -> int:
     settings = _resolve(args)
     seed = int(settings["seed"])
     plan = _read_plan(args.plan)
-    obs = load_dataset(args.input, _schema(args))
+    data = load_dataset(args.input, _schema(args))
     mode = args.mode or "expected"
     if mode == "stochastic":
-        bins = apply_stochastic(plan, obs, seed)
-        mids = np.asarray(plan.spec.midpoints)
-        scores = mids[bins]
-    elif mode == "interpolated":
-        scores = apply_interpolated(plan, obs, seed)
+        bins = apply_stochastic(plan, data, seed)
+        # each new score is its bin's midpoint, so format each midpoint once
+        mids = [repr(m) for m in plan.spec.midpoints.tolist()]
+        new_scores = map(mids.__getitem__, bins.tolist())
+    elif mode in ("interpolated", "expected"):
+        scores = (apply_interpolated(plan, data, seed) if mode == "interpolated"
+                  else apply_expected_score(plan, data))
         bins = plan.spec.assign(scores)
-    elif mode == "expected":
-        scores = apply_expected_score(plan, obs)
-        bins = plan.spec.assign(scores)
+        new_scores = map(repr, scores.tolist())
     else:
         raise CliError(2, f"unknown apply mode {mode!r}")
 
-    with open(args.input, newline="") as fh:
-        rows = [r for r in csv.reader(fh) if r and not r[0].startswith("#")]
-    header, body = rows[0], rows[1:]
-    if len(body) != len(obs):
-        raise CliError(6, f"{args.input} changed while being applied")
-    buf = io.StringIO()
-    buf.write(f"# seed={seed}\n")
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header + ["new_score", "new_bin"])
-    for row, s, b in zip(body, scores, bins):
-        writer.writerow(row + [repr(float(s)), str(int(b))])
-    _write(args.output, buf.getvalue())
+    with open(args.output, "w") if args.output else contextlib.nullcontext(sys.stdout) as fh:
+        fh.write(f"# seed={seed}\n")
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(data.header + ["new_score", "new_bin"])
+        writer.writerows(map(operator.add, data.records, zip(new_scores, bins.tolist())))
     return 0
 
 
@@ -236,9 +230,9 @@ def cmd_audit(args: argparse.Namespace) -> int:
     k = int(settings["eval_bins"])
     if k < 2:
         raise CliError(2, f"eval_bins must be at least 2, got {k}")
-    obs = load_dataset(args.input, _schema(args))
+    data = load_dataset(args.input, _schema(args))
     spec = BinSpec(edges=tuple(np.linspace(0.0, 1.0, k + 1)))
-    stats = compute_bin_stats(obs, spec)
+    stats = compute_bin_stats(data, spec)
     _write(args.output, audit_stats(stats).to_json())
     return 0
 

@@ -6,14 +6,14 @@ import csv
 import io
 import json
 from dataclasses import dataclass, field
+from itertools import repeat
 from pathlib import Path
-from typing import Iterable, Sequence
 
 import numpy as np
 
 __all__ = [
-    "Observation",
     "ColumnSchema",
+    "Dataset",
     "BinSpec",
     "BinStats",
     "OverlapReport",
@@ -48,18 +48,35 @@ class BinningError(ValueError):
 
 
 @dataclass(frozen=True)
-class Observation:
-    score: float
-    label: int
-    group: int
-
-
-@dataclass(frozen=True)
 class ColumnSchema:
     score: str = "score"
     label: str = "label"
     group: str = "group"
     delimiter: str = ","
+
+
+@dataclass(eq=False)
+class Dataset:
+    """Validated rows as column arrays in file order: float ``score``, 0/1
+    ``label`` and dense ``group`` ids 1..G. ``header`` and ``records`` are
+    the parsed CSV fields that ``apply`` writes back; a dataset built from
+    arrays has neither."""
+
+    score: np.ndarray
+    label: np.ndarray
+    group: np.ndarray
+    header: list[str] = field(default_factory=list)
+    records: list[tuple[str, ...]] = field(default_factory=list)
+
+    def __post_init__(self):
+        self.score = np.asarray(self.score, dtype=float)
+        self.label = np.asarray(self.label, dtype=np.int64)
+        self.group = np.asarray(self.group, dtype=np.int64)
+        if not self.score.shape == self.label.shape == self.group.shape == (len(self),):
+            raise ValueError("score, label and group must be 1-d and of one length")
+
+    def __len__(self) -> int:
+        return len(self.score)
 
 
 def _group_sort_key(raw_labels: set[str]):
@@ -69,51 +86,67 @@ def _group_sort_key(raw_labels: set[str]):
         return sorted(raw_labels)
 
 
+def _row_problem(score, label, group) -> str | None:
+    """What is wrong with one row's raw fields, checked in this order, or None."""
+    try:
+        value = float(score)
+    except (TypeError, ValueError):
+        return f"score {score!r} is not a number"
+    if not 0.0 <= value <= 1.0:
+        return f"score {value} outside [0, 1]"
+    if (label or "").strip() not in ("0", "1"):
+        return f"label {label!r} is not binary"
+    if not (group or "").strip():
+        return "empty group"
+    return None
+
+
 def load_dataset(
     source: str | Path | io.TextIOBase,
     schema: ColumnSchema = ColumnSchema(),
-) -> list[Observation]:
-    """Parse delimiter-separated text into validated observations.
+) -> Dataset:
+    """Parse delimiter-separated text into validated column arrays.
 
     Row order is preserved. Group labels may be arbitrary tokens; they are
     remapped to dense ids 1..G (numeric sort when all tokens parse as
     numbers, lexicographic otherwise). Lines starting with ``#`` are
-    treated as comments and skipped.
+    treated as comments and skipped, and so are blank rows. A short row
+    reads its missing fields as None; the first bad row raises.
     """
     if isinstance(source, (str, Path)):
         with open(source, newline="") as fh:
             return load_dataset(fh, schema)
 
     filtered = (line for line in source if not line.startswith("#"))
-    reader = csv.DictReader(filtered, delimiter=schema.delimiter)
-    if reader.fieldnames is None:
+    reader = csv.reader(filtered, delimiter=schema.delimiter)
+    header = next(reader, None)
+    if header is None:
         raise SchemaError("empty input: no header row")
-    for col in (schema.score, schema.label, schema.group):
-        if col not in reader.fieldnames:
-            raise SchemaError(
-                f"missing column {col!r}; available: {list(reader.fieldnames)}"
-            )
-
-    raw: list[tuple[float, int, str]] = []
-    for i, rec in enumerate(reader):
-        try:
-            score = float(rec[schema.score])
-        except (TypeError, ValueError):
-            raise RowValidationError(i, f"score {rec.get(schema.score)!r} is not a number")
-        if not 0.0 <= score <= 1.0:
-            raise RowValidationError(i, f"score {score} outside [0, 1]")
-        label_tok = (rec[schema.label] or "").strip()
-        if label_tok not in ("0", "1"):
-            raise RowValidationError(i, f"label {rec.get(schema.label)!r} is not binary")
-        group_tok = (rec[schema.group] or "").strip()
-        if not group_tok:
-            raise RowValidationError(i, "empty group")
-        raw.append((score, int(label_tok), group_tok))
-
-    mapping = {tok: gid for gid, tok in enumerate(_group_sort_key({r[2] for r in raw}), start=1)}
-    if len(mapping) < 2:
-        raise SchemaError(f"need at least 2 groups, found {len(mapping)}")
-    return [Observation(s, y, mapping[tok]) for s, y, tok in raw]
+    names = (schema.score, schema.label, schema.group)
+    for col in names:
+        if col not in header:
+            raise SchemaError(f"missing column {col!r}; available: {header}")
+    # tuples of strings drop out of the garbage collector's scans; lists would not
+    records = list(map(tuple, filter(None, reader)))
+    # a column name that repeats in the header reads its last copy
+    columns = [len(header) - 1 - header[::-1].index(col) for col in names]
+    score_tok, label_tok, group_tok = (
+        [r[j].strip() if j < len(r) else "" for r in records] for j in columns)
+    try:
+        score = np.fromiter(map(float, score_tok), dtype=float, count=len(records))
+    except ValueError:  # some score is no number: the row checks below find it
+        score = np.full(len(records), np.nan)
+    label = np.fromiter(map({"0": 0, "1": 1}.get, label_tok, repeat(-1)), np.int64, len(records))
+    groups = _group_sort_key(set(group_tok) - {""})
+    gid = {tok: k for k, tok in enumerate(groups, start=1)}
+    group = np.fromiter(map(gid.get, group_tok, repeat(0)), np.int64, len(records))
+    for i in np.flatnonzero(~((score >= 0.0) & (score <= 1.0)) | (label < 0) | (group == 0)):
+        problem = _row_problem(*(records[i][j] if j < len(records[i]) else None for j in columns))
+        if problem:
+            raise RowValidationError(int(i), problem)
+    if len(groups) < 2:
+        raise SchemaError(f"need at least 2 groups, found {len(groups)}")
+    return Dataset(score, label, group, header=header, records=records)
 
 
 @dataclass(frozen=True)
@@ -151,7 +184,7 @@ class BinSpec:
         return np.clip(idx, 0, self.nbins - 1)
 
 
-def quantile_bin(observations: Sequence[Observation], nbins: int) -> BinSpec:
+def quantile_bin(data: Dataset, nbins: int) -> BinSpec:
     """Quantile-discretize scores into ``nbins`` bins over [0, 1].
 
     Interior edges are the empirical quantiles at k/nbins. Duplicate edges
@@ -161,7 +194,7 @@ def quantile_bin(observations: Sequence[Observation], nbins: int) -> BinSpec:
     """
     if nbins < 2:
         raise BinningError(f"nbins must be >= 2, got {nbins}", achievable=nbins)
-    scores = np.array([o.score for o in observations], dtype=float)
+    scores = data.score
     if scores.size == 0:
         raise BinningError("no observations", achievable=0)
     distinct = np.unique(scores).size
@@ -278,18 +311,13 @@ class BinStats:
         return cls(n=n, npos=npos, midpoints=np.array(doc["midpoints"]), edges=edges)
 
 
-def compute_bin_stats(observations: Iterable[Observation], spec: BinSpec) -> BinStats:
-    obs = list(observations)
-    ngroups = max(o.group for o in obs) if obs else 0
-    n = np.zeros((ngroups, spec.nbins))
-    npos = np.zeros((ngroups, spec.nbins))
-    if obs:
-        scores = np.array([o.score for o in obs])
-        bins = spec.assign(scores)
-        for o, b in zip(obs, bins):
-            n[o.group - 1, b] += 1
-            npos[o.group - 1, b] += o.label
-    return BinStats(n=n, npos=npos, midpoints=spec.midpoints, edges=spec.edges)
+def compute_bin_stats(data: Dataset, spec: BinSpec) -> BinStats:
+    ngroups, nbins = int(data.group.max(initial=0)), spec.nbins
+    cell = (data.group - 1) * nbins + spec.assign(data.score)
+    n = np.bincount(cell, minlength=ngroups * nbins).reshape(ngroups, nbins)
+    npos = np.bincount(cell, weights=data.label, minlength=ngroups * nbins)
+    return BinStats(n=n, npos=npos.reshape(ngroups, nbins), midpoints=spec.midpoints,
+                    edges=spec.edges)
 
 
 @dataclass(frozen=True)

@@ -4,11 +4,10 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Sequence
 
 import numpy as np
 
-from .data import BinSpec, BinStats, Observation
+from .data import BinSpec, BinStats, Dataset
 from .model import FairnessModel, plan_matrices
 
 __all__ = [
@@ -124,33 +123,35 @@ def extract_plan(
     return TransitionPlan(edges=model.stats.edges, groups=raw / sums[:, :, None])
 
 
-def _assignments(plan: TransitionPlan, observations: Sequence[Observation]):
-    scores = np.array([o.score for o in observations], dtype=float)
-    groups = np.array([o.group for o in observations], dtype=int)
-    if observations and (groups.min() < 1 or groups.max() > plan.ngroups):
+def _assignments(plan: TransitionPlan, data: Dataset):
+    scores, groups = data.score, data.group
+    if len(data) and (groups.min() < 1 or groups.max() > plan.ngroups):
         bad = groups[(groups < 1) | (groups > plan.ngroups)][0]
         raise PlanError(f"group {bad} not covered by a {plan.ngroups}-group plan")
-    if observations and (scores.min() < plan.edges[0] or scores.max() > plan.edges[-1]):
+    if len(data) and (scores.min() < plan.edges[0] or scores.max() > plan.edges[-1]):
         raise PlanError("scores fall outside the plan's bin edges")
-    bins = plan.spec.assign(scores) if len(scores) else np.zeros(0, int)
-    return scores, groups, bins
+    return scores, groups, plan.spec.assign(scores)
 
 
 def _draw_bins(
     plan: TransitionPlan, groups: np.ndarray, bins: np.ndarray, seed: int | None
 ) -> np.ndarray:
-    rng = np.random.default_rng(seed)
-    u = rng.random(len(groups))
-    cums = np.cumsum(plan.groups, axis=2)[groups - 1, bins]  # (N, B)
-    dest = (cums <= u[:, None]).sum(axis=1)
+    """Per row, how many entries of its cumulative plan row lie at or below a
+    uniform draw. Entries are non-negative, so each cumulative row is sorted
+    and a binary search per (group, source bin) cell finds that count."""
+    u = np.random.default_rng(seed).random(len(groups))
+    cums = np.cumsum(plan.groups, axis=2).reshape(-1, plan.nbins)
+    cell = (groups - 1) * plan.nbins + bins
+    cuts = np.cumsum(np.bincount(cell, minlength=len(cums)))[:-1]
+    dest = np.empty(len(groups), dtype=np.intp)
+    for c, rows in enumerate(np.split(np.argsort(cell), cuts)):
+        dest[rows] = np.searchsorted(cums[c], u[rows], side="right")
     return np.minimum(dest, plan.nbins - 1)
 
 
-def apply_stochastic(
-    plan: TransitionPlan, observations: Sequence[Observation], seed: int | None = None
-) -> np.ndarray:
-    """Draw each observation's new bin from its source-bin plan row."""
-    _, groups, bins = _assignments(plan, observations)
+def apply_stochastic(plan: TransitionPlan, data: Dataset, seed: int | None = None) -> np.ndarray:
+    """Draw each row's new bin from its source-bin plan row."""
+    _, groups, bins = _assignments(plan, data)
     return _draw_bins(plan, groups, bins, seed)
 
 
@@ -161,29 +162,22 @@ def _interpolate(plan: TransitionPlan, scores, src_bins, dst_bins) -> np.ndarray
     return bl + (scores - al) / (au - al) * (bu - bl)
 
 
-def apply_interpolated(
-    plan: TransitionPlan, observations: Sequence[Observation], seed: int | None = None
-) -> np.ndarray:
+def apply_interpolated(plan: TransitionPlan, data: Dataset, seed: int | None = None) -> np.ndarray:
     """Draw new bins, then carry each score's within-bin position across."""
-    scores, groups, bins = _assignments(plan, observations)
+    scores, groups, bins = _assignments(plan, data)
     dest = _draw_bins(plan, groups, bins, seed)
     return _interpolate(plan, scores, bins, dest)
 
 
-def apply_expected_score(
-    plan: TransitionPlan, observations: Sequence[Observation]
-) -> np.ndarray:
-    """Deterministic map: plan-weighted average of interpolated destinations."""
-    scores, groups, bins = _assignments(plan, observations)
-    if len(scores) == 0:
-        return np.zeros(0)
+def apply_expected_score(plan: TransitionPlan, data: Dataset) -> np.ndarray:
+    """Deterministic map: plan-weighted average of interpolated destinations,
+    (P @ lo) + f * (P @ width) for a score at fraction f of its source bin."""
+    scores, groups, bins = _assignments(plan, data)
     e = np.asarray(plan.edges)
-    frac = (scores - e[bins]) / (e[bins + 1] - e[bins])
-    dest_lo = e[:-1][None, :]
-    dest_w = (e[1:] - e[:-1])[None, :]
-    landed = dest_lo + frac[:, None] * dest_w  # (N, B): score if sent to each bin
-    rows = plan.groups[groups - 1, bins]  # (N, B)
-    return (rows * landed).sum(axis=1)
+    lo, width = e[:-1], np.diff(e)
+    frac = (scores - lo[bins]) / width[bins]
+    g = groups - 1
+    return (plan.groups @ lo)[g, bins] + frac * (plan.groups @ width)[g, bins]
 
 
 def expected_assignment_stats(plan: TransitionPlan, stats: BinStats) -> BinStats:

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import numpy as np
 
-from fairbins.data import BinSpec, Observation, compute_bin_stats, load_dataset
+from fairbins.data import BinSpec, Dataset, compute_bin_stats, load_dataset
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -16,7 +16,7 @@ def tiny_stats():
     return compute_bin_stats(obs, BinSpec(edges=(0.0, 0.5, 1.0)))
 
 
-def biased_synthetic(seed: int = 20240822, n: int = 5000) -> list[Observation]:
+def biased_synthetic(seed: int = 20240822, n: int = 5000) -> Dataset:
     """Two-group beta scores with a deliberate gap in base rate and separation.
 
     Calibrated so the identity plan breaks all three fairness tolerances at
@@ -24,7 +24,7 @@ def biased_synthetic(seed: int = 20240822, n: int = 5000) -> list[Observation]:
     lower base rate, and its scores separate slightly worse.
     """
     rng = np.random.default_rng(seed)
-    obs = []
+    score, label, group = [], [], []
     for _ in range(n):
         g = 1 if rng.random() < 0.6 else 2
         if g == 1:
@@ -33,8 +33,10 @@ def biased_synthetic(seed: int = 20240822, n: int = 5000) -> list[Observation]:
         else:
             y = int(rng.random() < 0.40)
             s = rng.beta(4.4, 2.25) if y else rng.beta(2.12, 4.45)
-        obs.append(Observation(score=float(s), label=y, group=g))
-    return obs
+        score.append(float(s))
+        label.append(y)
+        group.append(g)
+    return Dataset(score, label, group)
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 from pathlib import Path
 
@@ -254,3 +255,50 @@ def test_pipeline_runs_are_byte_identical(tmp_path):
         blobs.append(tuple(p.read_bytes() for p in
                            ((d / "plan.json"), out, audit, front)))
     assert blobs[0] == blobs[1]
+
+
+# Bytes that `apply` wrote before its data path moved to column arrays; a
+# stochastic or interpolated output must not change by a single byte.
+PINNED_PLAN = TransitionPlan(
+    edges=(0.0, 0.25, 0.5, 0.75, 1.0),
+    groups=np.array([
+        [[0.5, 0.5, 0.0, 0.0], [0.0, 0.7, 0.3, 0.0],
+         [0.0, 0.2, 0.6, 0.2], [0.0, 0.0, 0.0, 1.0]],
+        [[1.0, 0.0, 0.0, 0.0], [0.25, 0.25, 0.25, 0.25],
+         [0.0, 0.0, 0.1, 0.9], [0.0, 0.4, 0.0, 0.6]],
+    ]),
+)
+PINNED_SHA256 = {
+    "stochastic": "5ac4fcb7d7dad78c3819b35e8dcd0e863b0f07984d4479aa6b4c4ff8cfd6a299",
+    "interpolated": "929b2cbbdd97d5b02224c518923b03b0c814f36a55c5ffa6ea1393f2f57392fe",
+}
+
+
+@pytest.mark.parametrize("mode", sorted(PINNED_SHA256))
+def test_apply_random_modes_write_pinned_bytes(mode, tmp_path):
+    plan = tmp_path / "plan.json"
+    plan.write_text(PINNED_PLAN.to_json())
+    out = tmp_path / "out.csv"
+    assert main(["apply", TINY, "--plan", str(plan), "--mode", mode, "--seed", "2024",
+                 "--output", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == PINNED_SHA256[mode]
+
+
+def test_apply_rewrites_each_record_and_appends_two_fields(tmp_path):
+    source = tmp_path / "in.csv"
+    source.write_bytes(
+        b'# scored by model v3\r\nscore,label,group,note\r\n0.1,0,"x,y",first\r\n\r\n'
+        b'0.6,1,z,"say ""hi"""\r\n0.35,1,"x,y",\r\n0.9,0,z,"two\nlines"\r\n'
+    )
+    plan = tmp_path / "plan.json"
+    plan.write_text(TransitionPlan(
+        edges=(0.0, 0.5, 1.0),
+        groups=np.array([[[0.25, 0.75], [0.5, 0.5]], [[0.0, 1.0], [0.9, 0.1]]]),
+    ).to_json())
+    out = tmp_path / "out.csv"
+    assert main(["apply", str(source), "--plan", str(plan), "--mode", "stochastic",
+                 "--seed", "3", "--output", str(out)]) == 0
+    assert out.read_bytes() == (
+        b'# seed=3\nscore,label,group,note,new_score,new_bin\n0.1,0,"x,y",first,0.25,0\n'
+        b'0.6,1,z,"say ""hi""",0.25,0\n0.35,1,"x,y",,0.75,1\n0.9,0,z,"two\nlines",0.25,0\n'
+    )

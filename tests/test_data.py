@@ -15,7 +15,7 @@ from fairbins.data import (
     BinStats,
     BinningError,
     ColumnSchema,
-    Observation,
+    Dataset,
     RowValidationError,
     SchemaError,
     compute_bin_stats,
@@ -34,8 +34,8 @@ def tiny():
 
 def test_load_tiny_shape(tiny):
     assert len(tiny) == 40
-    assert {o.group for o in tiny} == {1, 2}
-    assert all(0.0 <= o.score <= 1.0 for o in tiny)
+    assert set(tiny.group.tolist()) == {1, 2}
+    assert all(0.0 <= s <= 1.0 for s in tiny.score)
 
 
 def test_tiny_tallies_match_hand_counts(tiny):
@@ -51,7 +51,7 @@ def test_tiny_tallies_match_hand_counts(tiny):
 def test_comment_lines_skipped():
     text = "# seed=7\nscore,label,group\n0.2,0,a\n0.8,1,b\n"
     obs = load_dataset(io.StringIO(text))
-    assert [o.group for o in obs] == [1, 2]
+    assert obs.group.tolist() == [1, 2]
 
 
 def test_missing_column_reports_available():
@@ -65,7 +65,8 @@ def test_custom_schema_and_delimiter():
     obs = load_dataset(
         io.StringIO(text), ColumnSchema(score="p", label="y", group="sex", delimiter=";")
     )
-    assert [(o.score, o.label, o.group) for o in obs] == [(0.3, 1, 1), (0.6, 0, 2)]
+    assert list(zip(obs.score.tolist(), obs.label.tolist(), obs.group.tolist())) == [
+        (0.3, 1, 1), (0.6, 0, 2)]
 
 
 def test_bad_rows_identified():
@@ -86,7 +87,7 @@ def test_numeric_groups_sort_numerically():
     text = "score,label,group\n0.1,0,10\n0.2,0,2\n0.3,1,10\n"
     obs = load_dataset(io.StringIO(text))
     # 2 < 10 numerically, so "2" becomes group 1
-    assert [o.group for o in obs] == [2, 1, 2]
+    assert obs.group.tolist() == [2, 1, 2]
 
 
 def test_binspec_assignment_half_open():
@@ -113,7 +114,7 @@ def test_quantile_bin_tiny(tiny):
 
 
 def test_quantile_bin_too_few_distinct():
-    obs = [Observation(0.2, 0, 1), Observation(0.2, 1, 2), Observation(0.8, 1, 1)]
+    obs = Dataset(score=[0.2, 0.2, 0.8], label=[0, 1, 1], group=[1, 2, 1])
     with pytest.raises(BinningError) as e:
         quantile_bin(obs, 5)
     assert e.value.achievable == 2
@@ -121,12 +122,13 @@ def test_quantile_bin_too_few_distinct():
 
 def test_quantile_bin_collapses_ties():
     # heavy mass at one value forces duplicate quantile edges
-    obs = [Observation(0.4, 0, 1)] * 30 + [
-        Observation(s, 1, 2) for s in (0.1, 0.2, 0.7, 0.8, 0.9)
-    ]
+    obs = Dataset(
+        score=[0.4] * 30 + [0.1, 0.2, 0.7, 0.8, 0.9], label=[0] * 30 + [1] * 5,
+        group=[1] * 30 + [2] * 5,
+    )
     spec = quantile_bin(obs, 5)
     assert spec.nbins >= 2
-    counts = np.bincount(spec.assign([o.score for o in obs]), minlength=spec.nbins)
+    counts = np.bincount(spec.assign(obs.score), minlength=spec.nbins)
     assert (counts > 0).all()
 
 
@@ -169,7 +171,8 @@ def test_overlap_report(tiny):
     nbins=st.integers(min_value=2, max_value=8),
 )
 def test_quantile_bin_partitions_all_scores(scores, nbins):
-    obs = [Observation(s, 0, 1 + (i % 2)) for i, s in enumerate(scores)]
+    obs = Dataset(score=scores, label=[0] * len(scores),
+                  group=[1 + (i % 2) for i in range(len(scores))])
     try:
         spec = quantile_bin(obs, nbins)
     except BinningError:
@@ -179,3 +182,91 @@ def test_quantile_bin_partitions_all_scores(scores, nbins):
     counts = np.bincount(idx, minlength=spec.nbins)
     assert counts.sum() == len(scores)
     assert (counts > 0).all()
+
+
+# Each input's outcome, a (scores, labels, groups) triple or the error, was
+# recorded from the earlier row-at-a-time loader, whose behaviour this keeps.
+PARITY_CASES = {
+    "earlier_of_two_bad_rows": (
+        "score,label,group\n0.2,0,a\n0.3,1,\nx,0,b\n",
+        (RowValidationError, "row 1: empty group"),
+    ),
+    "score_error_before_label_error": (
+        "score,label,group\n0.2,0,a\nabc,2,b\n",
+        (RowValidationError, "row 1: score 'abc' is not a number"),
+    ),
+    "padded_label_and_group": (
+        "score,label,group\n0.2, 1 , a \n0.4,0 ,b\n0.6,  0,a\n",
+        ([0.2, 0.4, 0.6], [1, 0, 0], [1, 2, 1]),
+    ),
+    "nan_score": (
+        "score,label,group\n0.2,0,a\nnan,0,b\n",
+        (RowValidationError, "row 1: score nan outside [0, 1]"),
+    ),
+    "inf_score": (
+        "score,label,group\n0.2,0,a\ninf,0,b\n",
+        (RowValidationError, "row 1: score inf outside [0, 1]"),
+    ),
+    "short_row_missing_group": (
+        "score,label,group\n0.2,0,a\n0.3,1\n",
+        (RowValidationError, "row 1: empty group"),
+    ),
+    "short_row_missing_label": (
+        "score,label,group\n0.2,0,a\n0.3\n",
+        (RowValidationError, "row 1: label None is not binary"),
+    ),
+    "blank_lines": (
+        "score,label,group\n\n0.2,0,a\n\n0.8,1,b\n",
+        ([0.2, 0.8], [0, 1], [1, 2]),
+    ),
+    "blank_lines_do_not_count_as_rows": (
+        "score,label,group\n\n0.2,0,a\n\n0.8,5,b\n",
+        (RowValidationError, "row 1: label '5' is not binary"),
+    ),
+    "crlf_line_endings": (
+        "score,label,group\r\n0.2,0,a\r\n0.8,1,b\r\n",
+        ([0.2, 0.8], [0, 1], [1, 2]),
+    ),
+    "quoted_group_with_delimiter": (
+        'score,label,group\n0.2,0,"x,y"\n0.8,1,z\n0.5,1,"x,y"\n',
+        ([0.2, 0.8, 0.5], [0, 1, 1], [1, 2, 1]),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PARITY_CASES))
+def test_loader_matches_row_at_a_time_behaviour(name, tmp_path):
+    text, want = PARITY_CASES[name]
+    path = tmp_path / "in.csv"
+    path.write_bytes(text.encode())
+    if isinstance(want[0], type):
+        with pytest.raises(want[0]) as e:
+            load_dataset(path)
+        assert str(e.value) == want[1]
+    else:
+        data = load_dataset(path)
+        assert (data.score.tolist(), data.label.tolist(), data.group.tolist()) == want
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    rows=st.lists(
+        st.tuples(
+            st.floats(min_value=0.0, max_value=1.0, allow_nan=False),
+            st.integers(min_value=0, max_value=1),
+            st.integers(min_value=1, max_value=4),
+        ),
+        min_size=1, max_size=120,
+    ),
+    nbins=st.integers(min_value=2, max_value=6),
+)
+def test_bin_stats_equal_a_row_by_row_tally(rows, nbins):
+    score, label, group = (list(col) for col in zip(*rows))
+    spec = BinSpec(edges=tuple(np.linspace(0.0, 1.0, nbins + 1)))
+    stats = compute_bin_stats(Dataset(score, label, group), spec)
+    n = np.zeros((max(group), nbins))
+    npos = np.zeros((max(group), nbins))
+    for s, y, g, b in zip(score, label, group, spec.assign(score)):
+        n[g - 1, b] += 1
+        npos[g - 1, b] += y
+    assert np.array_equal(stats.n, n) and np.array_equal(stats.npos, npos)

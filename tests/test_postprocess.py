@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fairbins.data import BinStats, Observation
+from fairbins.data import BinStats, Dataset
 
 from .conftest import tiny_stats
 from fairbins.model import ModelConfig, build_model, identity_plan
@@ -15,6 +15,7 @@ from fairbins.postprocess import (
     MetricsError,
     PlanError,
     TransitionPlan,
+    _draw_bins,
     apply_expected_score,
     apply_interpolated,
     apply_stochastic,
@@ -123,14 +124,14 @@ def test_interpolation_carries_relative_position():
     # force every draw from bin 1 into bin 3
     plan.groups[0] = 0.0
     plan.groups[0, :, 3] = 1.0
-    obs = [Observation(score=0.25, label=0, group=1)]
+    obs = Dataset(score=[0.25], label=[0], group=[1])
     out = apply_interpolated(plan, obs, seed=7)
     assert out[0] == pytest.approx(0.65, abs=1e-12)
 
 
 def test_expected_score_is_plan_weighted_interpolation():
     plan = two_bin_plan()
-    obs = [Observation(score=0.25, label=0, group=1)]
+    obs = Dataset(score=[0.25], label=[0], group=[1])
     # halfway through bin 0: destinations land at 0.25 and 0.75
     want = 0.8 * 0.25 + 0.2 * 0.75
     out = apply_expected_score(plan, obs)
@@ -144,15 +145,15 @@ def test_stochastic_draws_follow_row_frequencies():
         edges=(0.0, 0.5, 1.0),
         groups=np.array([[[0.3, 0.7], [0.0, 1.0]], [[1.0, 0.0], [0.0, 1.0]]]),
     )
-    obs = [Observation(score=0.25, label=0, group=1)] * 100_000
+    obs = Dataset(score=[0.25] * 100_000, label=[0] * 100_000, group=[1] * 100_000)
     dest = apply_stochastic(plan, obs, seed=11)
     assert abs(dest.mean() - 0.7) < 0.01
 
 
 def test_same_seed_reproduces_different_seed_varies():
     plan = two_bin_plan()
-    obs = [Observation(score=s, label=0, group=1 + (i % 2)) for i, s in
-           enumerate(np.linspace(0.0, 0.99, 500))]
+    obs = Dataset(score=np.linspace(0.0, 0.99, 500), label=np.zeros(500),
+                  group=1 + np.arange(500) % 2)
     a = apply_stochastic(plan, obs, seed=3)
     b = apply_stochastic(plan, obs, seed=3)
     c = apply_stochastic(plan, obs, seed=4)
@@ -162,7 +163,8 @@ def test_same_seed_reproduces_different_seed_varies():
 
 def test_interpolated_scores_land_in_drawn_bins():
     plan = two_bin_plan()
-    obs = [Observation(score=s, label=0, group=2) for s in np.linspace(0.0, 0.99, 200)]
+    obs = Dataset(score=np.linspace(0.0, 0.99, 200), label=np.zeros(200),
+                  group=np.full(200, 2))
     bins = apply_stochastic(plan, obs, seed=5)
     scores = apply_interpolated(plan, obs, seed=5)
     assert plan.spec.assign(scores).tolist() == bins.tolist()
@@ -170,7 +172,7 @@ def test_interpolated_scores_land_in_drawn_bins():
 
 def test_unknown_group_is_rejected():
     with pytest.raises(PlanError, match="group 3"):
-        apply_stochastic(two_bin_plan(), [Observation(score=0.5, label=0, group=3)], seed=0)
+        apply_stochastic(two_bin_plan(), Dataset(score=[0.5], label=[0], group=[3]), seed=0)
 
 
 def test_extract_plan_cleans_roundoff():
@@ -256,7 +258,70 @@ def test_random_plans_conserve_and_stay_monotone(seed):
 
     # expected-score map never leaves [0, 1] and is monotone within a source bin
     lo, hi = 0.31 / B, 0.44 / B  # both inside bin 0
-    obs = [Observation(score=lo, label=0, group=1), Observation(score=hi, label=0, group=1)]
+    obs = Dataset(score=[lo, hi], label=[0, 0], group=[1, 1])
     s = apply_expected_score(plan, obs)
     assert 0.0 <= s[0] <= 1.0 and 0.0 <= s[1] <= 1.0
     assert s[0] <= s[1] + 1e-12
+
+
+@st.composite
+def plans_with_zeros(draw, max_groups=3, max_bins=6):
+    """Row-stochastic plans on random edges whose rows carry zero entries."""
+    G = draw(st.integers(1, max_groups))
+    B = draw(st.integers(2, max_bins))
+    cuts = draw(st.lists(st.floats(0.01, 0.99), min_size=B - 1, max_size=B - 1,
+                         unique=True))
+    weights = np.array(draw(st.lists(st.sampled_from([0.0, 0.0, 0.1, 0.25, 1 / 3, 0.7, 1.0]),
+                                     min_size=G * B * B, max_size=G * B * B)))
+    weights = weights.reshape(G, B, B)
+    empty = weights.sum(axis=2) == 0.0
+    weights[empty, 0] = 1.0
+    return TransitionPlan(edges=(0.0, *sorted(cuts), 1.0),
+                          groups=weights / weights.sum(axis=2, keepdims=True))
+
+
+def rows_for(draw, plan: TransitionPlan, n: int):
+    groups = np.array(draw(st.lists(st.integers(1, plan.ngroups), min_size=n, max_size=n)))
+    bins = np.array(draw(st.lists(st.integers(0, plan.nbins - 1), min_size=n, max_size=n)))
+    return groups, bins
+
+
+def draw_bins_by_counting(plan, groups, bins, seed):
+    """The former (N, B) formula: count the cumulative entries at or below u."""
+    u = np.random.default_rng(seed).random(len(groups))
+    cums = np.cumsum(plan.groups, axis=2)[groups - 1, bins]
+    return np.minimum((cums <= u[:, None]).sum(axis=1), plan.nbins - 1)
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(), seed=st.integers(0, 2**32 - 1))
+def test_draw_bins_equal_the_counting_formula(data, seed):
+    plan = data.draw(plans_with_zeros())
+    n = data.draw(st.integers(1, 80))
+    groups, bins = rows_for(data.draw, plan, n)
+    # make some rows' draws land exactly on a cumulative value, twice over
+    # where the row has a zero entry right after it
+    u = np.random.default_rng(seed).random(n)
+    for k in data.draw(st.lists(st.integers(0, n - 1), max_size=3)):
+        row = np.zeros(plan.nbins)
+        row[0], row[-1] = u[k], 1.0 - u[k]
+        plan.groups[groups[k] - 1, bins[k]] = row
+    got = _draw_bins(plan, groups, bins, seed)
+    assert got.tolist() == draw_bins_by_counting(plan, groups, bins, seed).tolist()
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_expected_score_matches_the_dense_formula(data):
+    plan = data.draw(plans_with_zeros())
+    n = data.draw(st.integers(1, 60))
+    groups, _ = rows_for(data.draw, plan, n)
+    scores = np.array(data.draw(st.lists(st.floats(0.0, 1.0), min_size=n, max_size=n)))
+    # the former (N, B) formula: every destination's landing point, weighted
+    e = np.asarray(plan.edges)
+    bins = plan.spec.assign(scores)
+    frac = (scores - e[bins]) / (e[bins + 1] - e[bins])
+    landed = e[:-1][None, :] + frac[:, None] * (e[1:] - e[:-1])[None, :]
+    want = (plan.groups[groups - 1, bins] * landed).sum(axis=1)
+    got = apply_expected_score(plan, Dataset(scores, np.zeros(n), groups))
+    assert np.abs(got - want).max() <= 1e-12
