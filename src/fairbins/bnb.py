@@ -10,7 +10,6 @@ incumbent value and the reported gap is exactly zero.
 from __future__ import annotations
 
 import heapq
-import sys
 import time
 from dataclasses import dataclass
 from enum import Enum
@@ -73,9 +72,11 @@ def solve_milp(
     opt_tol: float = 1e-7,
     initial: np.ndarray | None = None,
     rounding: bool = True,
-    log_every: int = 0,
 ) -> SolveReport:
     t0 = time.monotonic()
+    # node LPs stop at the deadline too: one degenerate LP can otherwise
+    # run for minutes past the limit
+    deadline = t0 + time_limit
     lp = milp.lp
     bins = milp.binary_cols
 
@@ -107,7 +108,8 @@ def solve_milp(
     def solve_node(fixes) -> LpResult:
         nonlocal nodes
         nodes += 1
-        return solve_lp(restricted(fixes), feas_tol=feas_tol, opt_tol=opt_tol)
+        return solve_lp(restricted(fixes), feas_tol=feas_tol, opt_tol=opt_tol,
+                        deadline=deadline)
 
     root = solve_node(())
     if root.status == LpStatus.INFEASIBLE:
@@ -127,7 +129,8 @@ def solve_milp(
                 break
             fixes = tuple(zip(bins.tolist(), np.asarray(zvec, dtype=float).tolist()))
             res = solve_lp(
-                restricted(fixes), feas_tol=feas_tol, opt_tol=opt_tol, max_iters=cand_iters
+                restricted(fixes), feas_tol=feas_tol, opt_tol=opt_tol, max_iters=cand_iters,
+                deadline=deadline,
             )
             if res.status == LpStatus.OPTIMAL and res.objective < best_obj:
                 incumbent = res.x
@@ -167,6 +170,11 @@ def solve_milp(
         bound, _, fixes, cached = heapq.heappop(heap)
         res = cached if cached is not None else solve_node(fixes)
         if res.status == LpStatus.INFEASIBLE:
+            continue
+        if res.status == LpStatus.TIME_LIMIT:
+            # the node stays open, so its bound still caps the reported one
+            heapq.heappush(heap, (bound, counter, fixes, None))
+            counter += 1
             continue
         if res.status == LpStatus.ITERATION_LIMIT:
             # keep completeness: split on the first unfixed binary, reuse the
@@ -228,15 +236,6 @@ def solve_milp(
             counter += 1
             heapq.heappush(heap, (res.objective, counter, fixes + ((col, 1.0),), None))
             counter += 1
-
-        if log_every and nodes % log_every == 0:
-            top = heap[0][0] if heap else best_obj
-            print(
-                f"[bnb] nodes={nodes} incumbent="
-                f"{best_obj if np.isfinite(best_obj) else 'none'} "
-                f"bound={top:.6g} elapsed={elapsed():.1f}s",
-                file=sys.stderr,
-            )
 
     if status == MilpStatus.OPTIMAL and incumbent is not None:
         gap = 0.0

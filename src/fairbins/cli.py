@@ -189,13 +189,17 @@ def cmd_solve(args: argparse.Namespace) -> int:
 
 def _read_plan(path: str) -> TransitionPlan:
     try:
-        return TransitionPlan.from_json(Path(path).read_text())
+        plan = TransitionPlan.from_json(Path(path).read_text())
     except OSError as e:
         raise CliError(6, f"cannot read plan {path}: {e}")
     except (KeyError, TypeError, ValueError) as e:
         if isinstance(e, PlanError):
             raise
         raise CliError(6, f"plan {path} is malformed: {e}")
+    # a negative entry or a row off unit mass would be applied silently:
+    # scores leave [0, 1] and the cumulative rows the draws search go unsorted
+    plan.validate()
+    return plan
 
 
 def cmd_apply(args: argparse.Namespace) -> int:

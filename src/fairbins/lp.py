@@ -3,10 +3,18 @@
 Every linear program in this package funnels through `solve_lp`, including
 each branch-and-bound node. The pivot rules are fully deterministic:
 identical inputs produce identical pivot sequences, values, and statuses.
+
+Each pivot does three matrix-vector products: the duals `Binv.T @ c_B`,
+the reduced costs through `A.T @ y`, and the entering column
+`Binv @ A[:, q]`. The dense basis inverse then takes a rank-1 update on
+the rows where that column is nonzero, and is refactored from scratch
+every 100 basis changes.
 """
 
 from __future__ import annotations
 
+import math
+import time
 from dataclasses import dataclass
 from enum import Enum
 
@@ -39,6 +47,10 @@ class LpStatus(str, Enum):
     INFEASIBLE = "Infeasible"
     UNBOUNDED = "Unbounded"
     ITERATION_LIMIT = "IterationLimit"
+    TIME_LIMIT = "TimeLimit"
+
+
+_STOPPED = (LpStatus.ITERATION_LIMIT, LpStatus.TIME_LIMIT)
 
 
 @dataclass
@@ -105,11 +117,13 @@ def point_violation(problem: LpProblem, x: np.ndarray) -> float:
 class _Engine:
     """Two-phase simplex state: full column matrix, basis, dense inverse."""
 
-    def __init__(self, problem: LpProblem, feas_tol: float, opt_tol: float, max_iters: int):
+    def __init__(self, problem: LpProblem, feas_tol: float, opt_tol: float, max_iters: int,
+                 deadline: float | None):
         self.problem = problem
         self.feas_tol = feas_tol
         self.opt_tol = opt_tol
         self.max_iters = max_iters
+        self.deadline = deadline
         self.iterations = 0
 
         m, n = problem.a.shape
@@ -173,81 +187,105 @@ class _Engine:
         return full
 
     def run(self, c: np.ndarray) -> LpStatus:
+        A, lo, hi, val, pos, basis = self.A, self.lo, self.hi, self.val, self.pos, self.basis
+        xB, Binv = self.xB, self.Binv
+        opt_tol, deadline = self.opt_tol, self.deadline
+        fixed = (hi - lo) <= 0.0
+        # pricing weight per column: +1 at the lower bound, -1 at the upper,
+        # 0 when basic or fixed; nonbasic free columns are priced by -|d|.
+        # Multiplying by +-1 is exact, so eff equals a per-position select of
+        # d, -d and 0 (up to the sign of a zero) and picks the same column;
+        # only the columns that move in a pivot have their weight rewritten.
+        sign = np.where(pos == _AT_LO, 1.0, np.where(pos == _AT_UP, -1.0, 0.0))
+        sign[fixed] = 0.0
+        free = ((pos == _FREE) & ~fixed).nonzero()[0]
+        # per-slot cost and bounds of the basic variables, kept in step with
+        # the basis instead of gathered every pivot
+        cB, blo, bhi = c[basis], lo[basis], hi[basis]
+        ratios = np.empty(self.m)
         degenerate = 0
         bland = False
         since_refactor = 0
-        fixed = (self.hi - self.lo) <= 0.0
         while self.iterations < self.max_iters:
+            if deadline is not None and time.monotonic() > deadline:
+                return LpStatus.TIME_LIMIT
             self.iterations += 1
-            y = self.Binv.T @ c[self.basis]
-            d = c - self.A.T @ y
-            eff = np.where(self.pos == _AT_LO, d, np.where(self.pos == _AT_UP, -d, -np.abs(d)))
-            eff[(self.pos == _BASIC) | fixed] = 0.0
+            y = Binv.T @ cB
+            d = c - A.T @ y
+            eff = sign * d
+            if free.size:
+                eff[free] = -np.abs(d[free])
             if bland:
-                eligible = np.flatnonzero(eff < -self.opt_tol)
+                eligible = (eff < -opt_tol).nonzero()[0]
                 if eligible.size == 0:
                     return LpStatus.OPTIMAL
                 q = int(eligible[0])
             else:
-                q = int(np.argmin(eff))
-                if eff[q] >= -self.opt_tol:
+                q = int(eff.argmin())
+                if eff[q] >= -opt_tol:
                     return LpStatus.OPTIMAL
 
-            if self.pos[q] == _AT_LO:
-                dirn = 1.0
-            elif self.pos[q] == _AT_UP:
-                dirn = -1.0
-            else:
+            entering_free = sign[q] == 0.0
+            if entering_free:
                 dirn = 1.0 if d[q] < 0.0 else -1.0
+            else:
+                dirn = float(sign[q])
 
-            w = self.Binv @ self.A[:, q]
-            delta = dirn * w
-            blo = self.lo[self.basis]
-            bhi = self.hi[self.basis]
-            ratios = np.full(self.m, np.inf)
-            dec = delta > _PIVOT_TOL
-            inc = delta < -_PIVOT_TOL
-            ratios[dec] = np.maximum(self.xB[dec] - blo[dec], 0.0) / delta[dec]
-            ratios[inc] = np.maximum(bhi[inc] - self.xB[inc], 0.0) / -delta[inc]
-            theta_basic = float(ratios.min()) if self.m else np.inf
-            theta_flip = (self.hi[q] - self.val[q]) if dirn > 0 else (self.val[q] - self.lo[q])
+            w = Binv @ A[:, q]
+            delta = w if dirn > 0 else -w
+            dec = (delta > _PIVOT_TOL).nonzero()[0]
+            inc = (delta < -_PIVOT_TOL).nonzero()[0]
+            ratios.fill(np.inf)
+            ratios[dec] = np.maximum(xB[dec] - blo[dec], 0.0) / delta[dec]
+            ratios[inc] = np.maximum(bhi[inc] - xB[inc], 0.0) / -delta[inc]
+            theta_basic = float(ratios.min())
+            theta_flip = (hi[q] - val[q]) if dirn > 0 else (val[q] - lo[q])
 
-            if not np.isfinite(min(theta_basic, theta_flip)):
+            if not math.isfinite(min(theta_basic, theta_flip)):
                 return LpStatus.UNBOUNDED
 
             if theta_basic <= theta_flip:
                 # ties resolved toward the lowest variable index: anti-cycling aid
-                tied = np.flatnonzero(ratios <= theta_basic)
-                leave = int(tied[np.argmin(self.basis[tied])])
-                lv = int(self.basis[leave])
-                self.xB -= theta_basic * delta
-                entering = self.val[q] + dirn * theta_basic
+                tied = (ratios <= theta_basic).nonzero()[0]
+                leave = int(tied[0]) if tied.size == 1 else int(tied[basis[tied].argmin()])
+                lv = int(basis[leave])
+                xB -= theta_basic * delta
+                entering = val[q] + dirn * theta_basic
                 if delta[leave] > 0:
-                    self.pos[lv] = _AT_LO
-                    self.val[lv] = self.lo[lv]
+                    pos[lv] = _AT_LO
+                    val[lv] = lo[lv]
+                    sign[lv] = 0.0 if fixed[lv] else 1.0
                 else:
-                    self.pos[lv] = _AT_UP
-                    self.val[lv] = self.hi[lv]
-                self.basis[leave] = q
-                self.xB[leave] = entering
-                self.pos[q] = _BASIC
+                    pos[lv] = _AT_UP
+                    val[lv] = hi[lv]
+                    sign[lv] = 0.0 if fixed[lv] else -1.0
+                basis[leave] = q
+                xB[leave] = entering
+                pos[q] = _BASIC
+                sign[q] = 0.0
+                if entering_free:
+                    free = free[free != q]
+                cB[leave], blo[leave], bhi[leave] = c[q], lo[q], hi[q]
 
-                pivot = w[leave]
-                row = self.Binv[leave] / pivot
-                rest = w.copy()
-                rest[leave] = 0.0
-                self.Binv -= np.outer(rest, row)
-                self.Binv[leave] = row
+                # rank-1 update of the inverse on the rows where w is nonzero:
+                # elsewhere it subtracts zeros, which can flip the sign of a
+                # zero entry but changes no bit of any product read from Binv
+                row = Binv[leave] / w[leave]
+                nz = w.nonzero()[0]
+                Binv[nz] -= w[nz, None] * row
+                Binv[leave] = row
                 since_refactor += 1
                 if since_refactor >= _REFACTOR_EVERY:
                     since_refactor = 0
                     self.refactor()
+                    xB, Binv = self.xB, self.Binv
                 step = theta_basic
             else:
                 # the entering variable rides to its other bound; basis unchanged
-                self.val[q] = self.hi[q] if dirn > 0 else self.lo[q]
-                self.pos[q] = _AT_UP if dirn > 0 else _AT_LO
-                self.xB -= theta_flip * delta
+                val[q] = hi[q] if dirn > 0 else lo[q]
+                pos[q] = _AT_UP if dirn > 0 else _AT_LO
+                sign[q] = -dirn
+                xB -= theta_flip * delta
                 step = theta_flip
 
             if step <= _DEGENERATE_STEP:
@@ -280,8 +318,13 @@ def solve_lp(
     feas_tol: float = 1e-7,
     opt_tol: float = 1e-7,
     max_iters: int | None = None,
+    deadline: float | None = None,
 ) -> LpResult:
-    """Minimize over the bounded polyhedron; two-phase, deterministic."""
+    """Minimize over the bounded polyhedron; two-phase, deterministic.
+
+    Past `deadline`, a `time.monotonic()` reading, pivoting stops with
+    status TIME_LIMIT; without one, only `max_iters` bounds the work.
+    """
     m, n = problem.a.shape
     if m == 0:
         return _trivial_solve(problem)
@@ -290,13 +333,13 @@ def solve_lp(
     if max_iters is None:
         max_iters = 5000 + 25 * (m + n)
 
-    eng = _Engine(problem, feas_tol, opt_tol, max_iters)
+    eng = _Engine(problem, feas_tol, opt_tol, max_iters, deadline)
     ntot = n + 2 * eng.m
 
     phase1 = np.zeros(ntot)
     phase1[n + eng.m :] = 1.0
     st = eng.run(phase1)
-    if st == LpStatus.ITERATION_LIMIT:
+    if st in _STOPPED:
         return LpResult(st, np.nan, eng.point()[:n], eng.iterations)
     if st == LpStatus.UNBOUNDED:
         raise RuntimeError("phase-1 objective is bounded below; pivot logic broke")
@@ -312,7 +355,7 @@ def solve_lp(
         eng.opt_tol = min(opt_tol, 1e-12)
         st = eng.run(phase1)
         eng.opt_tol = opt_tol
-        if st == LpStatus.ITERATION_LIMIT:
+        if st in _STOPPED:
             return LpResult(st, np.nan, eng.point()[:n], eng.iterations)
         if st == LpStatus.UNBOUNDED:
             raise RuntimeError("phase-1 objective is bounded below; pivot logic broke")

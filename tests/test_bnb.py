@@ -2,11 +2,14 @@
 
 from __future__ import annotations
 
+from unittest import mock
+
 import numpy as np
 import pytest
 
+from fairbins import bnb
 from fairbins.bnb import MilpProblem, MilpStatus, solve_milp
-from fairbins.lp import SENSE_EQ, SENSE_GE, SENSE_LE, LpProblem
+from fairbins.lp import SENSE_EQ, SENSE_GE, SENSE_LE, LpProblem, solve_lp
 
 from .oracle_helpers import enumerate_milp
 
@@ -89,6 +92,29 @@ def test_time_limit_reports_without_incumbent():
 # tighter budget: the root relaxation sits at -0.775 while the best whole
 # pattern is (1, 0, 0) at -0.6, leaving a real gap to play with
 LOOSE_KNAPSACK = {**KNAPSACK, "rhs": [0.6]}
+
+
+def test_time_limit_inside_a_node_lp_keeps_the_node_open():
+    # a fake clock that runs out while the first child node's LP pivots
+    now = [0.0]
+    deadlines = []
+
+    def node_lp(problem, **kwargs):
+        deadlines.append(kwargs["deadline"])
+        if len(deadlines) == 2:
+            now[0] = kwargs["deadline"] + 1.0
+        return solve_lp(problem, **kwargs)
+
+    with mock.patch("time.monotonic", lambda: now[0]), \
+            mock.patch.object(bnb, "solve_lp", node_lp):
+        report = solve_milp(_milp(**LOOSE_KNAPSACK), time_limit=30.0, gap_target=0.0)
+    root = solve_lp(_milp(**LOOSE_KNAPSACK).lp)
+    assert deadlines == [30.0, 30.0]
+    assert report.status == MilpStatus.TIME_LIMIT
+    assert report.nodes_explored == 2
+    # the interrupted child keeps the root's bound, so the bound stays valid
+    assert report.best_lower_bound == root.objective
+    assert report.incumbent is None
 
 
 def test_gap_limit_with_seeded_incumbent():

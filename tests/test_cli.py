@@ -178,6 +178,23 @@ def test_apply_group_mismatch_is_exit_6(tmp_path, capsys):
     assert "group" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("row, message", [
+    ([1.7, -0.7], "entries must lie in"),
+    ([0.6, 0.3], "rows sum to 1"),
+])
+def test_apply_rejects_an_invalid_plan_with_exit_6(row, message, tmp_path, capsys):
+    groups = np.tile(np.eye(2), (2, 1, 1))
+    groups[0, 0] = row
+    plan_path = tmp_path / "bad.json"
+    plan_path.write_text(TransitionPlan(edges=(0.0, 0.5, 1.0), groups=groups).to_json())
+    out = tmp_path / "out.csv"
+    rc = main(["apply", TINY, "--plan", str(plan_path), "--mode", "expected",
+               "--output", str(out)])
+    assert rc == 6
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_audit_native_binning_matches_frozen_values(tmp_path):
     out = tmp_path / "audit.json"
     rc = main(["audit", TINY, "--eval-bins", "2", "--output", str(out)])

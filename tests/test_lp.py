@@ -1,13 +1,27 @@
-"""Simplex kernel checks: frozen fixtures, scipy cross-checks, determinism."""
+"""Simplex kernel checks: frozen fixtures, scipy cross-checks, determinism,
+and bit-for-bit parity with the reference pivot loop."""
 
 from __future__ import annotations
+
+import time
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fairbins import bnb, lp
+from fairbins.bnb import solve_milp
+from fairbins.bounds import tighten
 from fairbins.lp import (
+    _AT_LO,
+    _AT_UP,
+    _BASIC,
+    _BLAND_AFTER,
+    _DEGENERATE_STEP,
+    _PIVOT_TOL,
+    _REFACTOR_EVERY,
     SENSE_EQ,
     SENSE_GE,
     SENSE_LE,
@@ -16,7 +30,10 @@ from fairbins.lp import (
     point_violation,
     solve_lp,
 )
+from fairbins.model import ModelConfig, build_model
+from fairbins.nmdt import build_milp
 
+from .conftest import tiny_stats
 from .oracle_helpers import scipy_lp
 
 
@@ -188,3 +205,268 @@ def test_random_lp_optimum_never_beats_scipy(seed):
     )
     assert status == "optimal"
     assert abs(mine.objective - obj) < 1e-6
+
+
+class _ReferenceEngine(lp._Engine):
+    """The engine with the plain form of its pivot loop: a per-position
+    pricing select, per-pivot gathers and a full outer-product update. The
+    production loop does the same arithmetic, so every result must match
+    this one to the last bit."""
+
+    def run(self, c: np.ndarray) -> LpStatus:
+        degenerate = 0
+        bland = False
+        since_refactor = 0
+        fixed = (self.hi - self.lo) <= 0.0
+        while self.iterations < self.max_iters:
+            self.iterations += 1
+            y = self.Binv.T @ c[self.basis]
+            d = c - self.A.T @ y
+            eff = np.where(self.pos == _AT_LO, d, np.where(self.pos == _AT_UP, -d, -np.abs(d)))
+            eff[(self.pos == _BASIC) | fixed] = 0.0
+            if bland:
+                eligible = np.flatnonzero(eff < -self.opt_tol)
+                if eligible.size == 0:
+                    return LpStatus.OPTIMAL
+                q = int(eligible[0])
+            else:
+                q = int(np.argmin(eff))
+                if eff[q] >= -self.opt_tol:
+                    return LpStatus.OPTIMAL
+
+            if self.pos[q] == _AT_LO:
+                dirn = 1.0
+            elif self.pos[q] == _AT_UP:
+                dirn = -1.0
+            else:
+                dirn = 1.0 if d[q] < 0.0 else -1.0
+
+            w = self.Binv @ self.A[:, q]
+            delta = dirn * w
+            blo = self.lo[self.basis]
+            bhi = self.hi[self.basis]
+            ratios = np.full(self.m, np.inf)
+            dec = delta > _PIVOT_TOL
+            inc = delta < -_PIVOT_TOL
+            ratios[dec] = np.maximum(self.xB[dec] - blo[dec], 0.0) / delta[dec]
+            ratios[inc] = np.maximum(bhi[inc] - self.xB[inc], 0.0) / -delta[inc]
+            theta_basic = float(ratios.min()) if self.m else np.inf
+            theta_flip = (self.hi[q] - self.val[q]) if dirn > 0 else (self.val[q] - self.lo[q])
+
+            if not np.isfinite(min(theta_basic, theta_flip)):
+                return LpStatus.UNBOUNDED
+
+            if theta_basic <= theta_flip:
+                # ties resolved toward the lowest variable index: anti-cycling aid
+                tied = np.flatnonzero(ratios <= theta_basic)
+                leave = int(tied[np.argmin(self.basis[tied])])
+                lv = int(self.basis[leave])
+                self.xB -= theta_basic * delta
+                entering = self.val[q] + dirn * theta_basic
+                if delta[leave] > 0:
+                    self.pos[lv] = _AT_LO
+                    self.val[lv] = self.lo[lv]
+                else:
+                    self.pos[lv] = _AT_UP
+                    self.val[lv] = self.hi[lv]
+                self.basis[leave] = q
+                self.xB[leave] = entering
+                self.pos[q] = _BASIC
+
+                pivot = w[leave]
+                row = self.Binv[leave] / pivot
+                rest = w.copy()
+                rest[leave] = 0.0
+                self.Binv -= np.outer(rest, row)
+                self.Binv[leave] = row
+                since_refactor += 1
+                if since_refactor >= _REFACTOR_EVERY:
+                    since_refactor = 0
+                    self.refactor()
+                step = theta_basic
+            else:
+                # the entering variable rides to its other bound; basis unchanged
+                self.val[q] = self.hi[q] if dirn > 0 else self.lo[q]
+                self.pos[q] = _AT_UP if dirn > 0 else _AT_LO
+                self.xB -= theta_flip * delta
+                step = theta_flip
+
+            if step <= _DEGENERATE_STEP:
+                degenerate += 1
+                if degenerate >= _BLAND_AFTER:
+                    bland = True
+            else:
+                degenerate = 0
+                bland = False
+        return LpStatus.ITERATION_LIMIT
+
+
+class _CountingEngine(lp._Engine):
+    refactors = 0
+
+    def refactor(self) -> None:
+        _CountingEngine.refactors += 1
+        super().refactor()
+
+
+def _fingerprint(problem: LpProblem) -> tuple:
+    try:
+        res = solve_lp(problem)
+    except RuntimeError as e:
+        return ("raised", str(e))
+    return (res.status, res.iterations, repr(res.objective), res.x.tobytes())
+
+
+def _assert_same_bits(problem: LpProblem) -> tuple:
+    """Solve with the production loop and the reference loop; every bit of
+    the result must agree. Returns the production fingerprint."""
+    mine = _fingerprint(problem)
+    with mock.patch.object(lp, "_Engine", _ReferenceEngine):
+        reference = _fingerprint(problem)
+    assert mine == reference
+    return mine
+
+
+_KINDS = ("box", "free", "fixed", "lower", "upper")
+
+
+@st.composite
+def _parity_lps(draw):
+    """Small LPs over every column kind. `degenerate` uses integer rows
+    whose right-hand sides pass exactly through an integer point, so many
+    rows are tight at once; `infeasible` adds two contradicting rows;
+    `unbounded` adds a column that no row bounds and the cost pulls down."""
+    m = draw(st.integers(1, 10))
+    n = draw(st.integers(1, 8))
+    kinds = draw(st.lists(st.sampled_from(_KINDS), min_size=n, max_size=n))
+    senses = np.array(
+        draw(st.lists(st.sampled_from([SENSE_LE, SENSE_EQ, SENSE_GE]), min_size=m, max_size=m)),
+        dtype=np.int8,
+    )
+    degenerate = draw(st.booleans())
+    case = draw(st.sampled_from(["plain", "infeasible", "unbounded"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+
+    width = rng.integers(1, 4, size=n).astype(float)
+    lo = rng.integers(-2, 1, size=n).astype(float)
+    hi = lo + width
+    x0 = lo + rng.integers(0, 2, size=n) * width
+    for j, kind in enumerate(kinds):
+        if kind in ("free", "upper"):
+            lo[j] = -np.inf
+        if kind in ("free", "lower"):
+            hi[j] = np.inf
+        if kind == "fixed":
+            lo[j] = hi[j] = x0[j]
+    if degenerate:
+        a = rng.integers(-3, 4, size=(m, n)).astype(float)
+        rhs = a @ x0
+    else:
+        a = np.round(rng.normal(size=(m, n)), 2)
+        slack = np.round(rng.uniform(0.0, 1.0, size=m), 2)
+        rhs = a @ x0 + np.where(senses == SENSE_LE, slack, np.where(senses == SENSE_GE, -slack, 0.0))
+    c = np.round(rng.normal(size=n), 2)
+    if case == "infeasible":
+        v = rng.integers(1, 4, size=n).astype(float)
+        a = np.vstack([a, v, v])
+        senses = np.concatenate([senses, np.array([SENSE_LE, SENSE_GE], dtype=np.int8)])
+        rhs = np.concatenate([rhs, [v @ x0, v @ x0 + 1.0]])
+    elif case == "unbounded":
+        a = np.hstack([a, np.zeros((a.shape[0], 1))])
+        c, lo, hi = np.append(c, -1.0), np.append(lo, 0.0), np.append(hi, np.inf)
+    return LpProblem(c=c, a=a, senses=senses, rhs=rhs, lo=lo, hi=hi)
+
+
+@settings(max_examples=200, deadline=None)
+@given(problem=_parity_lps())
+def test_pivot_loop_matches_reference_bit_for_bit(problem):
+    _assert_same_bits(problem)
+
+
+def _degenerate_cone(seed: int, m: int, n: int) -> LpProblem:
+    # every row passes through the origin, so the start is a vertex where
+    # all m rows are tight and pivots stall for long runs
+    rng = np.random.default_rng(seed)
+    return LpProblem(
+        c=rng.integers(-5, 6, size=n).astype(float),
+        a=rng.integers(-3, 4, size=(m, n)).astype(float),
+        senses=np.full(m, SENSE_LE, dtype=np.int8),
+        rhs=np.zeros(m),
+        lo=np.zeros(n),
+        hi=np.ones(n),
+    )
+
+
+def test_deadline_stops_pivoting_and_changes_no_bits_before_it():
+    problem = _degenerate_cone(0, 80, 30)
+    stopped = solve_lp(problem, deadline=time.monotonic() - 1.0)
+    assert stopped.status == LpStatus.TIME_LIMIT
+    assert stopped.iterations == 0
+    far = solve_lp(problem, deadline=time.monotonic() + 3600.0)
+    assert (far.status, far.iterations, repr(far.objective), far.x.tobytes()) == _fingerprint(problem)
+
+
+def test_beale_example_matches_reference_bit_for_bit():
+    c = [-0.75, 150.0, -0.02, 6.0]
+    a = [
+        [0.25, -60.0, -1.0 / 25.0, 9.0],
+        [0.5, -90.0, -1.0 / 50.0, 3.0],
+        [0.0, 0.0, 1.0, 0.0],
+    ]
+    status, *_ = _assert_same_bits(_problem(c, a, "<<<", [0, 0, 1], [0] * 4, [np.inf] * 4))
+    assert status == LpStatus.OPTIMAL
+
+
+def test_bland_switch_matches_reference_bit_for_bit():
+    problem = _degenerate_cone(0, 40, 20)
+    mine = _assert_same_bits(problem)
+    # the instance does reach the Bland switch: without it the pivots differ
+    with mock.patch.object(lp, "_BLAND_AFTER", 10**9):
+        assert _fingerprint(problem)[1] != mine[1]
+
+
+def test_refactor_crossing_matches_reference_bit_for_bit():
+    problem = _degenerate_cone(0, 80, 30)
+    _CountingEngine.refactors = 0
+    with mock.patch.object(lp, "_Engine", _CountingEngine):
+        solve_lp(problem)
+    assert _CountingEngine.refactors >= 2
+    _assert_same_bits(problem)
+
+
+def test_fixed_column_leaving_the_basis_matches_reference_bit_for_bit():
+    # the repeated equality rows keep artificials basic at zero into phase
+    # 2, where they are fixed; on this instance one leaves the basis and
+    # must not be priced again
+    rng = np.random.default_rng(132)
+    a = rng.integers(-3, 4, size=(6, 8)).astype(float)
+    a = np.vstack([a, a[:2]])
+    x0 = rng.integers(0, 2, size=8).astype(float)
+    problem = LpProblem(
+        c=rng.integers(-5, 6, size=8).astype(float),
+        a=a,
+        senses=np.array([SENSE_EQ] * 3 + [SENSE_LE] * 3 + [SENSE_EQ] * 2, dtype=np.int8),
+        rhs=a @ x0,
+        lo=np.zeros(8),
+        hi=np.ones(8),
+    )
+    assert _assert_same_bits(problem)[0] == LpStatus.OPTIMAL
+
+
+def test_node_lps_match_reference_bit_for_bit():
+    config = ModelConfig(eps_dp=0.1, eps_eodds=0.1, eps_prp=0.1, retention=0.5, window=2)
+    model = build_model(tiny_stats(), config)
+    milp = build_milp(model, tighten(model), power=-2, mode="exact").problem
+    nodes = []
+
+    def recording(problem, **kwargs):
+        nodes.append(problem)
+        return solve_lp(problem, **kwargs)
+
+    with mock.patch.object(bnb, "solve_lp", recording):
+        solve_milp(milp, time_limit=120, gap_target=0.0, rounding=False)
+    assert len(nodes) > 5
+    statuses = {_assert_same_bits(node)[0] for node in nodes}
+    assert statuses == {LpStatus.OPTIMAL, LpStatus.INFEASIBLE}
+    # branching fixes binaries by setting lo == hi on their columns
+    assert any(np.any((node.lo == node.hi) & (milp.lp.lo != milp.lp.hi)) for node in nodes)
