@@ -1,9 +1,12 @@
 """Best-bound branch and bound over the binary columns of a bounded LP.
 
-Every node re-solves its LP from scratch through the deterministic simplex
-kernel, so a given problem always explores the same tree in the same
-order. The search certifies optimality through bound exhaustion: when no
-open node can beat the incumbent, the lower bound is lifted to the
+The root LP is solved cold. Every other node carries its parent's optimal
+basis and warm-starts from it, which after fixing one binary takes a few
+dual simplex pivots instead of a full two-phase solve; `solve_lp` checks
+each warm answer and falls back to a cold solve when it cannot. The
+kernel is deterministic, so a given problem always explores the same
+tree in the same order. The search certifies optimality through bound
+exhaustion: when no open node can beat the incumbent, the lower bound is lifted to the
 incumbent value and the reported gap is exactly zero.
 """
 
@@ -17,7 +20,7 @@ from typing import Callable
 
 import numpy as np
 
-from .lp import LpProblem, LpResult, LpStatus, point_violation, solve_lp
+from .lp import LpBasis, LpProblem, LpResult, LpStatus, point_violation, solve_lp
 
 __all__ = ["MilpStatus", "MilpProblem", "SolveReport", "solve_milp"]
 
@@ -105,11 +108,11 @@ def solve_milp(
 
     nodes = 0
 
-    def solve_node(fixes) -> LpResult:
+    def solve_node(fixes, start: LpBasis | None = None) -> LpResult:
         nonlocal nodes
         nodes += 1
         return solve_lp(restricted(fixes), feas_tol=feas_tol, opt_tol=opt_tol,
-                        deadline=deadline)
+                        deadline=deadline, start=start)
 
     root = solve_node(())
     if root.status == LpStatus.INFEASIBLE:
@@ -136,10 +139,20 @@ def solve_milp(
                 incumbent = res.x
                 best_obj = res.objective
 
-    # heap entries: (bound, insertion counter, fixes, cached root result or None)
+    # heap entries: (bound, insertion counter, fixes, cached root result or
+    # None, the parent's optimal basis to warm-start from or None)
     root_bound = root.objective if root.status == LpStatus.OPTIMAL else -np.inf
-    heap: list[tuple[float, int, tuple, LpResult | None]] = [(root_bound, 0, (), root)]
+    heap: list[tuple[float, int, tuple, LpResult | None, LpBasis | None]] = [
+        (root_bound, 0, (), root, None)
+    ]
     counter = 1
+
+    def branch(bound: float, fixes: tuple, col: int, start: LpBasis | None) -> None:
+        nonlocal counter
+        for value in (0.0, 1.0):
+            heapq.heappush(heap, (bound, counter, fixes + ((col, value),), None, start))
+            counter += 1
+
     status = MilpStatus.OPTIMAL
     lower = root_bound
 
@@ -167,13 +180,13 @@ def solve_milp(
                 status = MilpStatus.GAP_LIMIT
                 break
 
-        bound, _, fixes, cached = heapq.heappop(heap)
-        res = cached if cached is not None else solve_node(fixes)
+        bound, _, fixes, cached, start = heapq.heappop(heap)
+        res = cached if cached is not None else solve_node(fixes, start)
         if res.status == LpStatus.INFEASIBLE:
             continue
         if res.status == LpStatus.TIME_LIMIT:
             # the node stays open, so its bound still caps the reported one
-            heapq.heappush(heap, (bound, counter, fixes, None))
+            heapq.heappush(heap, (bound, counter, fixes, None, start))
             counter += 1
             continue
         if res.status == LpStatus.ITERATION_LIMIT:
@@ -182,11 +195,7 @@ def solve_milp(
             fixed_cols = {c for c, _ in fixes}
             open_cols = [c for c in bins.tolist() if c not in fixed_cols]
             if open_cols:
-                col = open_cols[0]
-                heapq.heappush(heap, (bound, counter, fixes + ((col, 0.0),), None))
-                counter += 1
-                heapq.heappush(heap, (bound, counter, fixes + ((col, 1.0),), None))
-                counter += 1
+                branch(bound, fixes, open_cols[0], start)
             continue
 
         if res.objective >= best_obj - opt_tol:
@@ -203,7 +212,7 @@ def solve_milp(
                 # the rounded pattern as an incumbent heuristic, then branch
                 # anyway so the subtree's true optimum stays reachable.
                 pattern = np.round(zvals)
-                res2 = solve_node(tuple(zip(bins.tolist(), pattern.tolist())))
+                res2 = solve_node(tuple(zip(bins.tolist(), pattern.tolist())), res.basis)
                 if (
                     res2.status == LpStatus.OPTIMAL
                     and res2.objective < best_obj - opt_tol
@@ -219,34 +228,19 @@ def solve_milp(
                     # every binary is already pinned; res2 was this subtree's
                     # only integer point, so the node is exhausted
                     continue
-                col = int(bins[pick])
-                heapq.heappush(
-                    heap, (res.objective, counter, fixes + ((col, 0.0),), None)
-                )
-                counter += 1
-                heapq.heappush(
-                    heap, (res.objective, counter, fixes + ((col, 1.0),), None)
-                )
-                counter += 1
+                branch(res.objective, fixes, int(bins[pick]), res.basis)
         else:
             frac_ids = np.flatnonzero(off > _INT_TOL)
             pick = frac_ids[np.argmin(np.abs(zvals[frac_ids] - 0.5))]
-            col = int(bins[pick])
-            heapq.heappush(heap, (res.objective, counter, fixes + ((col, 0.0),), None))
-            counter += 1
-            heapq.heappush(heap, (res.objective, counter, fixes + ((col, 1.0),), None))
-            counter += 1
+            branch(res.objective, fixes, int(bins[pick]), res.basis)
 
     if status == MilpStatus.OPTIMAL and incumbent is not None:
         gap = 0.0
     elif incumbent is not None and np.isfinite(lower):
         gap = (best_obj - lower) / max(abs(best_obj), 1e-9)
         gap = max(gap, 0.0)
-    elif incumbent is not None:
-        gap = np.inf
     else:
         gap = np.inf
     if status == MilpStatus.TIME_LIMIT and incumbent is None:
-        lower = min(lower, np.inf)
         return SolveReport(status, None, np.inf, lower, np.inf, nodes, elapsed())
     return SolveReport(status, incumbent, best_obj, lower, gap, nodes, elapsed())

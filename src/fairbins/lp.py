@@ -9,13 +9,25 @@ the reduced costs through `A.T @ y`, and the entering column
 `Binv @ A[:, q]`. The dense basis inverse then takes a rank-1 update on
 the rows where that column is nonzero, and is refactored from scratch
 every 100 basis changes.
+
+A solve may also start from an earlier optimal basis (`LpResult.basis`) of
+a problem that differs only in its column bounds, as a branch-and-bound
+child differs from its parent. Fixing a column leaves that basis dual
+feasible, so a bounded dual simplex restores primal feasibility in a few
+pivots (Koberstein, *The dual simplex method*, 2005), and the primal
+loop then polishes it to optimality. A warm answer is used only once it
+checks out: an optimal point must satisfy the problem's own rows and
+bounds to `feas_tol`, and an infeasibility verdict must survive a fresh
+factorization. Anything else (a pivot cap, a failed check, a singular
+basis) falls back to the cold two-phase solve, which is the same code
+with or without a start.
 """
 
 from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 
 import numpy as np
@@ -26,6 +38,7 @@ __all__ = [
     "SENSE_GE",
     "LpStatus",
     "LpProblem",
+    "LpBasis",
     "LpResult",
     "solve_lp",
     "point_violation",
@@ -40,6 +53,16 @@ _PIVOT_TOL = 1e-9
 _DEGENERATE_STEP = 1e-10
 _BLAND_AFTER = 60
 _REFACTOR_EVERY = 100
+_DUAL_PIVOT_TOL = 1e-7
+# a dual-simplex basis counts as primal feasible only when no basic variable
+# is further than this outside its bounds (in engine units: row-scaled for
+# slacks). The cold path never moves a variable out of its box, so
+# `feas_tol` would be too loose here: it admits points the cold solve
+# rightly finds infeasible.
+_DUAL_FEAS_TOL = 1e-11
+# pivots a warm start may spend, as a multiple of rows plus columns, before
+# the cold solve takes over
+_WARM_SHARE = 1.0
 
 
 class LpStatus(str, Enum):
@@ -91,11 +114,21 @@ class LpProblem:
 
 
 @dataclass(frozen=True)
+class LpBasis:
+    """A basis to restart from: the basic column of each row slot, and the
+    position code of every engine column (structural, slack, artificial)."""
+
+    basic: np.ndarray
+    pos: np.ndarray
+
+
+@dataclass(frozen=True)
 class LpResult:
     status: LpStatus
     objective: float
     x: np.ndarray
     iterations: int
+    basis: LpBasis | None = None  # set when Optimal and the problem has rows
 
 
 def point_violation(problem: LpProblem, x: np.ndarray) -> float:
@@ -132,6 +165,7 @@ class _Engine:
         # row equilibration only; column scaling would distort the bounds
         scale = np.abs(problem.a).max(axis=1) if n else np.zeros(m)
         scale = np.where(scale > 1e-12, scale, 1.0)
+        self.scale = scale
         a = problem.a / scale[:, None]
         self.rhs = problem.rhs / scale
 
@@ -185,6 +219,168 @@ class _Engine:
         full = self.val.copy()
         full[self.basis] = self.xB
         return full
+
+    def snapshot(self) -> LpBasis:
+        return LpBasis(self.basis.copy(), self.pos.copy())
+
+    def install(self, start: LpBasis) -> bool:
+        """Replace the artificial start by `start`, with the artificials
+        fixed at zero and each nonbasic column at the bound its code names
+        (or its other finite bound, or free at 0). False when the basis
+        does not fit this problem or its matrix is singular."""
+        art = slice(self.nstruct + self.m, None)
+        self.lo[art] = 0.0
+        self.hi[art] = 0.0
+        if start.basic.shape != (self.m,) or start.pos.shape != self.pos.shape:
+            return False
+        lo, hi = self.lo, self.hi
+        fin_lo, fin_hi = np.isfinite(lo), np.isfinite(hi)
+        at_up = fin_hi & ((start.pos == _AT_UP) | ~fin_lo)
+        self.pos[:] = np.where(at_up, _AT_UP, np.where(fin_lo, _AT_LO, _FREE))
+        self.val[:] = np.where(at_up, hi, np.where(fin_lo, lo, 0.0))
+        self.basis = start.basic.astype(np.intp)
+        self.pos[self.basis] = _BASIC
+        return self.factor()
+
+    def factor(self) -> bool:
+        """Refactor without the `pinv` fallback; False on a singular basis."""
+        try:
+            self.Binv = np.linalg.inv(self.A[:, self.basis])
+        except np.linalg.LinAlgError:
+            return False
+        nb = self.val.copy()
+        nb[self.basis] = 0.0
+        self.xB = self.Binv @ (self.rhs - self.A @ nb)
+        return bool(np.isfinite(self.Binv).all() and np.isfinite(self.xB).all())
+
+    def dual(self, c: np.ndarray) -> LpStatus | None:
+        """Dual simplex on costs `c` until every basic variable is within
+        `_DUAL_FEAS_TOL` of its bounds (OPTIMAL here means primal feasible).
+
+        The leaving row has the largest bound violation; the entering column
+        minimizes |d_j / alpha_j| over the nonbasic, non-fixed columns that
+        can move the leaving variable toward its bound, ties to the largest
+        |alpha_j|, then the lowest index. INFEASIBLE means no column can
+        move it, also on a fresh factorization; the row is left in
+        `proof_row`. None means a pivot too small to take or a singular
+        refactor."""
+        A, lo, hi, val, pos, basis = self.A, self.lo, self.hi, self.val, self.pos, self.basis
+        xB, Binv = self.xB, self.Binv
+        deadline = self.deadline
+        fixed = (hi - lo) <= 0.0
+        sign = np.where(pos == _AT_LO, 1.0, np.where(pos == _AT_UP, -1.0, 0.0))
+        sign[fixed] = 0.0
+        free = (pos == _FREE) & ~fixed
+        cB = c[basis]
+        since_refactor = 0
+        fresh = True  # Binv and xB come from a factorization, not updates
+        while True:
+            blo, bhi = lo[basis], hi[basis]
+            below = blo - xB
+            viol = np.maximum(below, xB - bhi)
+            r = int(viol.argmax())
+            if viol[r] <= _DUAL_FEAS_TOL:
+                return LpStatus.OPTIMAL
+            if self.iterations >= self.max_iters:
+                return LpStatus.ITERATION_LIMIT
+            if deadline is not None and time.monotonic() > deadline:
+                return LpStatus.TIME_LIMIT
+            # s = +1: the leaving variable rises to its lower bound; -1: it
+            # falls to its upper bound. x_B[r] moves by -alpha_j per unit of
+            # x_j, so column j helps when s * alpha_j opposes its direction.
+            rises = bool(below[r] > 0.0)
+            s = 1.0 if rises else -1.0
+            alpha = s * (Binv[r] @ A)
+            cand = (
+                (sign * alpha < -_DUAL_PIVOT_TOL) | (free & (np.abs(alpha) > _DUAL_PIVOT_TOL))
+            ).nonzero()[0]
+            if cand.size == 0:
+                if fresh:
+                    self.proof_row = r
+                    return LpStatus.INFEASIBLE
+                # the violation may be drift of the updated inverse: look
+                # again from a fresh factorization before calling it a proof
+                if not self.factor():
+                    return None
+                xB, Binv = self.xB, self.Binv
+                since_refactor = 0
+                fresh = True
+                continue
+            self.iterations += 1
+            fresh = False
+            d = c - A.T @ (Binv.T @ cB)
+            size = np.abs(alpha[cand])
+            ratios = np.maximum(sign[cand] * d[cand], 0.0) / size
+            tied = (ratios <= ratios.min()).nonzero()[0]
+            q = int(cand[tied[size[tied].argmax()]])
+
+            w = Binv @ A[:, q]
+            if abs(w[r]) <= _DUAL_PIVOT_TOL:
+                return None
+            target = blo[r] if rises else bhi[r]
+            step = (xB[r] - target) / w[r]
+            lv = int(basis[r])
+            entering = val[q] + step
+            xB -= step * w
+            pos[lv] = _AT_LO if rises else _AT_UP
+            val[lv] = target
+            sign[lv] = 0.0 if fixed[lv] else s
+            basis[r] = q
+            xB[r] = entering
+            pos[q] = _BASIC
+            sign[q] = 0.0
+            free[q] = False
+            cB[r] = c[q]
+
+            row = Binv[r] / w[r]
+            nz = w.nonzero()[0]
+            Binv[nz] -= w[nz, None] * row
+            Binv[r] = row
+            since_refactor += 1
+            if since_refactor >= _REFACTOR_EVERY:
+                since_refactor = 0
+                if not self.factor():
+                    return None
+                xB, Binv = self.xB, self.Binv
+                fresh = True
+
+    def certifies(self, r: int) -> bool:
+        """Whether row slot `r`, re-derived from a fresh factorization,
+        still proves the bounds unmeetable: its basic variable stays more
+        than `feas_tol` (in the problem's units) outside its bounds even
+        when every nonbasic column moves across its whole range to help. As
+        in the dual ratio test, a column with |alpha_j| at most the pivot
+        tolerance counts as zero when its range is unbounded; every finite
+        range counts in full. False too when the fresh row of the inverse
+        does not reproduce the unit row on the basic columns, relative to
+        the row's own size."""
+        if not self.factor():
+            return False
+        v = int(self.basis[r])
+        short = self.lo[v] - self.xB[r]
+        s = 1.0 if short > 0.0 else -1.0
+        if s < 0.0:
+            short = self.xB[r] - self.hi[v]
+        # slack and artificial values are in row-scaled units
+        n = self.nstruct
+        unit = 1.0 if v < n else self.scale[(v - n) % self.m]
+        if not short * unit > self.feas_tol:
+            return False
+        y = self.Binv[r]
+        alpha = y @ self.A
+        e_r = np.zeros(self.m)
+        e_r[r] = 1.0
+        if np.abs(alpha[self.basis] - e_r).max() > 1e-9 * max(1.0, np.abs(y).max()):
+            return False  # the fresh inverse is too inaccurate to trust
+        nb = (self.pos != _BASIC).nonzero()[0]
+        # s * x_B[r] gains -s * alpha_j * (x_j - val_j) as x_j leaves val_j
+        a = -s * alpha[nb]
+        moving = a != 0.0
+        a, nb = a[moving], nb[moving]
+        val = self.val[nb]
+        gain = np.maximum(a * (self.lo[nb] - val), a * (self.hi[nb] - val))
+        gain[np.isinf(gain) & (np.abs(a) <= _DUAL_PIVOT_TOL)] = 0.0
+        return bool((short - gain.sum()) * unit > self.feas_tol)
 
     def run(self, c: np.ndarray) -> LpStatus:
         A, lo, hi, val, pos, basis = self.A, self.lo, self.hi, self.val, self.pos, self.basis
@@ -319,11 +515,16 @@ def solve_lp(
     opt_tol: float = 1e-7,
     max_iters: int | None = None,
     deadline: float | None = None,
+    start: LpBasis | None = None,
 ) -> LpResult:
     """Minimize over the bounded polyhedron; two-phase, deterministic.
 
     Past `deadline`, a `time.monotonic()` reading, pivoting stops with
     status TIME_LIMIT; without one, only `max_iters` bounds the work.
+    With `start`, the optimal basis of a problem with the same rows and
+    costs, a verified dual-simplex warm start is tried first; when it
+    cannot vouch for its answer, the cold solve runs as if there were no
+    start, and the result counts the pivots of both.
     """
     m, n = problem.a.shape
     if m == 0:
@@ -332,7 +533,48 @@ def solve_lp(
         return LpResult(LpStatus.INFEASIBLE, np.nan, np.full(n, np.nan), 0)
     if max_iters is None:
         max_iters = 5000 + 25 * (m + n)
+    spent = 0
+    if start is not None:
+        warm, spent = _warm_solve(problem, start, feas_tol, opt_tol, max_iters, deadline)
+        if warm is not None:
+            return warm
+    res = _cold_solve(problem, feas_tol, opt_tol, max_iters, deadline)
+    return replace(res, iterations=res.iterations + spent) if spent else res
 
+
+def _warm_solve(
+    problem: LpProblem, start: LpBasis, feas_tol: float, opt_tol: float, max_iters: int,
+    deadline: float | None,
+) -> tuple[LpResult | None, int]:
+    """Dual simplex from `start`, then a primal polish. Returns the result
+    if it is verified (or stopped by the deadline), else None, and the
+    pivots spent either way."""
+    m, n = problem.a.shape
+    budget = min(max_iters, int(_WARM_SHARE * (m + n)))
+    eng = _Engine(problem, feas_tol, opt_tol, budget, deadline)
+    if not eng.install(start):
+        return None, 0
+    cost = np.zeros(n + 2 * m)
+    cost[:n] = problem.c
+    st = eng.dual(cost)
+    if st == LpStatus.OPTIMAL:
+        st = eng.run(cost)
+    x = eng.point()[:n]
+    res = None
+    if st == LpStatus.TIME_LIMIT:
+        res = LpResult(st, np.nan, x, eng.iterations)
+    elif st == LpStatus.OPTIMAL and point_violation(problem, x) <= feas_tol:
+        res = LpResult(st, float(problem.c @ x), x, eng.iterations, eng.snapshot())
+    elif st == LpStatus.INFEASIBLE and eng.certifies(eng.proof_row):
+        res = LpResult(st, np.nan, x, eng.iterations)
+    return res, eng.iterations
+
+
+def _cold_solve(
+    problem: LpProblem, feas_tol: float, opt_tol: float, max_iters: int, deadline: float | None,
+) -> LpResult:
+    """Two-phase solve from the all-artificial basis."""
+    m, n = problem.a.shape
     eng = _Engine(problem, feas_tol, opt_tol, max_iters, deadline)
     ntot = n + 2 * eng.m
 
@@ -374,4 +616,5 @@ def solve_lp(
     if st == LpStatus.UNBOUNDED:
         return LpResult(st, -np.inf, x, eng.iterations)
     obj = float(problem.c @ x)
-    return LpResult(st, obj, x, eng.iterations)
+    basis = eng.snapshot() if st == LpStatus.OPTIMAL else None
+    return LpResult(st, obj, x, eng.iterations, basis)

@@ -1,5 +1,5 @@
 """Simplex kernel checks: frozen fixtures, scipy cross-checks, determinism,
-and bit-for-bit parity with the reference pivot loop."""
+bit-for-bit parity with the reference pivot loop, and warm starts."""
 
 from __future__ import annotations
 
@@ -8,7 +8,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from fairbins import bnb, lp
@@ -470,3 +470,142 @@ def test_node_lps_match_reference_bit_for_bit():
     assert statuses == {LpStatus.OPTIMAL, LpStatus.INFEASIBLE}
     # branching fixes binaries by setting lo == hi on their columns
     assert any(np.any((node.lo == node.hi) & (milp.lp.lo != milp.lp.hi)) for node in nodes)
+
+
+_SENSE_CHAR = {SENSE_LE: "<", SENSE_EQ: "=", SENSE_GE: ">"}
+
+
+def _fixed_child(problem: LpProblem, x: np.ndarray, fixes) -> LpProblem:
+    """`problem` with each (column, where) pinned at its lower bound, its
+    upper bound or an interior value; an infinite side is replaced by a
+    point one unit past the parent's optimum."""
+    lo, hi = problem.lo.copy(), problem.hi.copy()
+    for j, where in fixes:
+        low = lo[j] if np.isfinite(lo[j]) else x[j] - 1.0
+        high = hi[j] if np.isfinite(hi[j]) else x[j] + 1.0
+        value = {"lo": low, "hi": high, "mid": (low + high) / 2.0}[where]
+        lo[j] = hi[j] = value
+    return LpProblem(problem.c, problem.a, problem.senses, problem.rhs, lo, hi)
+
+
+@st.composite
+def _warm_cases(draw):
+    problem = draw(_parity_lps())
+    cols = draw(st.permutations(range(problem.ncols)))
+    k = draw(st.integers(1, min(3, problem.ncols)))
+    wheres = draw(st.lists(st.sampled_from(["lo", "hi", "mid"]), min_size=k, max_size=k))
+    return problem, list(zip(cols[:k], wheres))
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=_warm_cases())
+def test_warm_start_after_fixing_columns_matches_scipy(case):
+    problem, fixes = case
+    parent = solve_lp(problem)
+    assume(parent.status == LpStatus.OPTIMAL)
+    assert parent.basis is not None
+    child = _fixed_child(problem, parent.x, fixes)
+    warm = solve_lp(child, start=parent.basis)
+    status, obj, _ = scipy_lp(
+        child.c, child.a, [_SENSE_CHAR[int(s)] for s in child.senses], child.rhs,
+        child.lo, child.hi,
+    )
+    assert status in ("optimal", "infeasible")
+    assert warm.status.value.lower() == status
+    if status == "optimal":
+        assert warm.objective == pytest.approx(obj, abs=1e-6)
+        assert point_violation(child, warm.x) <= 1e-7
+        # like the cold solve, the warm one keeps every column in its box
+        assert np.all(warm.x >= child.lo - 1e-11) and np.all(warm.x <= child.hi + 1e-11)
+        assert warm.basis is not None
+
+
+def _branched_lp() -> tuple[LpProblem, lp.LpBasis]:
+    # a random box LP and its child with the most fractional column pinned
+    # at zero; the warm start needs a few dual pivots on it
+    p = _random_bounded(np.random.default_rng(7))
+    parent = solve_lp(p)
+    j = int(np.argmin(np.abs(parent.x - 0.5)))
+    child = _fixed_child(p, parent.x, [(j, "lo")])
+    return child, parent.basis
+
+
+def test_warm_start_takes_fewer_pivots_than_cold():
+    child, basis = _branched_lp()
+    warm, cold = solve_lp(child, start=basis), solve_lp(child)
+    assert warm.status == cold.status == LpStatus.OPTIMAL
+    assert warm.objective == pytest.approx(cold.objective, abs=1e-9)
+    assert 2 <= warm.iterations < cold.iterations
+
+
+def test_warm_start_past_its_pivot_cap_falls_back_to_the_cold_answer():
+    child, basis = _branched_lp()
+    cold = solve_lp(child)
+    m, n = child.a.shape
+    # a budget of one pivot: too few for this warm start
+    with mock.patch.object(lp, "_WARM_SHARE", 1.5 / (m + n)):
+        capped = solve_lp(child, start=basis)
+    assert capped.status == cold.status
+    assert repr(capped.objective) == repr(cold.objective)
+    assert capped.x.tobytes() == cold.x.tobytes()
+    assert capped.iterations == cold.iterations + 1
+
+
+def test_warm_start_on_a_singular_basis_falls_back_to_the_cold_answer():
+    child, basis = _branched_lp()
+    broken = lp.LpBasis(np.full_like(basis.basic, basis.basic[0]), basis.pos)
+    res, cold = solve_lp(child, start=broken), solve_lp(child)
+    assert (res.status, res.iterations, res.x.tobytes()) == (
+        cold.status, cold.iterations, cold.x.tobytes()
+    )
+
+
+def test_warm_infeasible_child_is_confirmed():
+    # x0 + x1 >= 1.5 over the unit box; pinning x0 at 0 leaves x1 <= 1 short
+    p = _problem([1, 1], [[1, 1]], ">", [1.5], [0, 0], [1, 1])
+    parent = solve_lp(p)
+    child = _fixed_child(p, parent.x, [(0, "lo")])
+    res = solve_lp(child, start=parent.basis)
+    assert res.status == LpStatus.INFEASIBLE
+    assert res.iterations <= 2
+
+
+def test_warm_started_nodes_take_fewer_pivots_than_cold_nodes():
+    config = ModelConfig(eps_dp=0.1, eps_eodds=0.1, eps_prp=0.1, retention=0.5, window=2)
+    model = build_model(tiny_stats(), config)
+    milp = build_milp(model, tighten(model), power=-2, mode="exact").problem
+    runs = {}
+    for warm in (True, False):
+        pivots = []
+
+        def recording(problem, **kwargs):
+            if not warm:
+                kwargs.pop("start", None)
+            res = solve_lp(problem, **kwargs)
+            pivots.append(res.iterations)
+            return res
+
+        with mock.patch.object(bnb, "solve_lp", recording):
+            report = solve_milp(milp, time_limit=120, gap_target=0.0, rounding=False)
+        runs[warm] = (report, pivots)
+    (warm_report, warm_pivots), (cold_report, cold_pivots) = runs[True], runs[False]
+    assert warm_report.status == cold_report.status
+    assert warm_report.incumbent_objective == pytest.approx(
+        cold_report.incumbent_objective, abs=1e-9
+    )
+    # the roots are the same cold solve; only the node LPs differ
+    assert warm_pivots[0] == cold_pivots[0]
+    assert sum(warm_pivots[1:]) < sum(cold_pivots[1:])
+
+
+def test_warm_infeasibility_needs_a_certificate():
+    # after x0 is pinned at 1 the row needs x1 >= 5e7: a move only the
+    # 1e-8 coefficient, below the dual pivot tolerance, can make. The dual
+    # simplex sees no entering column, but the row's finite ranges show the
+    # bounds can still be met, so the cold solve decides
+    p = _problem([-1, 1], [[1, 1e-8]], ">", [1.5], [0, 0], [2, 1e8])
+    parent = solve_lp(p)
+    child = _fixed_child(p, parent.x, [(0, "mid")])
+    res = solve_lp(child, start=parent.basis)
+    assert res.status == LpStatus.OPTIMAL
+    assert res.x == pytest.approx([1.0, 5e7])
