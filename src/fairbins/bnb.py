@@ -16,7 +16,6 @@ import heapq
 import time
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable
 
 import numpy as np
 
@@ -36,16 +35,10 @@ class MilpStatus(str, Enum):
 
 @dataclass
 class MilpProblem:
-    """A bounded LP plus the columns that must come out 0/1.
-
-    `rounder`, when present, maps a fractional relaxation point to a list
-    of candidate 0/1 assignments for the binary columns; each candidate is
-    completed into a full solution by one restricted LP solve.
-    """
+    """A bounded LP plus the columns that must come out 0/1."""
 
     lp: LpProblem
     binary_cols: np.ndarray
-    rounder: Callable[[np.ndarray], list[np.ndarray]] | None = None
 
     def __post_init__(self):
         self.binary_cols = np.asarray(self.binary_cols, dtype=int)
@@ -74,7 +67,6 @@ def solve_milp(
     feas_tol: float = 1e-7,
     opt_tol: float = 1e-7,
     initial: np.ndarray | None = None,
-    rounding: bool = True,
 ) -> SolveReport:
     t0 = time.monotonic()
     # node LPs stop at the deadline too: one degenerate LP can otherwise
@@ -121,23 +113,6 @@ def solve_milp(
         )
     if root.status == LpStatus.UNBOUNDED:
         raise RuntimeError("relaxation is unbounded; the model lost its box bounds")
-
-    if rounding and milp.rounder is not None and root.status == LpStatus.OPTIMAL:
-        # candidates get a pivot budget tied to the root's: a completion that
-        # needs far more than the relaxation did is degenerate crawling, and
-        # one such solve must not eat the whole time limit
-        cand_iters = 2000 + 2 * root.iterations
-        for zvec in milp.rounder(root.x):
-            if elapsed() > time_limit:
-                break
-            fixes = tuple(zip(bins.tolist(), np.asarray(zvec, dtype=float).tolist()))
-            res = solve_lp(
-                restricted(fixes), feas_tol=feas_tol, opt_tol=opt_tol, max_iters=cand_iters,
-                deadline=deadline,
-            )
-            if res.status == LpStatus.OPTIMAL and res.objective < best_obj:
-                incumbent = res.x
-                best_obj = res.objective
 
     # heap entries: (bound, insertion counter, fixes, cached root result or
     # None, the parent's optimal basis to warm-start from or None)
@@ -241,6 +216,4 @@ def solve_milp(
         gap = max(gap, 0.0)
     else:
         gap = np.inf
-    if status == MilpStatus.TIME_LIMIT and incumbent is None:
-        return SolveReport(status, None, np.inf, lower, np.inf, nodes, elapsed())
     return SolveReport(status, incumbent, best_obj, lower, gap, nodes, elapsed())

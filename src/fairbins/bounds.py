@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .lp import SENSE_EQ, SENSE_GE, SENSE_LE, LpProblem, LpStatus, solve_lp
-from .model import FairnessModel, _window_span
+from .model import FairnessModel, LinearRows, _RowBag, _window_span, concat_rows
 
 __all__ = ["BoundsError", "TightBounds", "tighten_mass_bounds", "tighten_rate_bounds", "tighten"]
 
@@ -80,7 +80,7 @@ def tighten_mass_bounds(
     return v_lo, v_hi
 
 
-def _scaled_base(model: FairnessModel):
+def _scaled_base(model: FairnessModel) -> tuple[LinearRows, int, int]:
     """Rows shared by every rate-bound LP, over [cc-plan columns, phi]."""
     nx = model.nx
     width = nx + 1
@@ -88,18 +88,7 @@ def _scaled_base(model: FairnessModel):
     stats = model.stats
     G, B = stats.ngroups, stats.nbins
     cfg = model.config
-
-    rows_a: list[np.ndarray] = []
-    senses: list[int] = []
-    rhs: list[float] = []
-
-    def add(coeffs: dict[int, float], sense: int, b: float):
-        row = np.zeros(width)
-        for col, coef in coeffs.items():
-            row[col] += coef
-        rows_a.append(row)
-        senses.append(sense)
-        rhs.append(b)
+    rows = _RowBag(width)
 
     for g in range(G):
         for b in range(B):
@@ -108,8 +97,8 @@ def _scaled_base(model: FairnessModel):
                 for bp in _window_span(b, B, cfg.window)
             }
             coeffs[phi] = -1.0
-            add(coeffs, SENSE_EQ, 0.0)
-            add(
+            rows.add(coeffs, SENSE_EQ, 0.0)
+            rows.add(
                 {model.x_index[(g, b, b)]: 1.0, phi: -(1.0 - cfg.retention)},
                 SENSE_GE,
                 0.0,
@@ -122,17 +111,17 @@ def _scaled_base(model: FairnessModel):
             for b in _window_span(bp, B, cfg.window):
                 base[model.x_index[(g, b, bp)]] = float(stats.n[g, b]) / stats.group_totals[g]
                 base[model.x_index[(h, b, bp)]] = -float(stats.n[h, b]) / stats.group_totals[h]
-            add({**base, phi: -cfg.eps_dp}, SENSE_LE, 0.0)
-            add({c: -v for c, v in base.items()} | {phi: -cfg.eps_dp}, SENSE_LE, 0.0)
+            rows.add({**base, phi: -cfg.eps_dp}, SENSE_LE, 0.0)
+            rows.add({c: -v for c, v in base.items()} | {phi: -cfg.eps_dp}, SENSE_LE, 0.0)
             for weights, denom in ((stats.npos, stats.group_pos), (stats.nneg, stats.group_neg)):
                 base = {}
                 for b in _window_span(bp, B, cfg.window):
                     base[model.x_index[(g, b, bp)]] = float(weights[g, b]) / denom[g]
                     base[model.x_index[(h, b, bp)]] = -float(weights[h, b]) / denom[h]
-                add({**base, phi: -cfg.eps_eodds}, SENSE_LE, 0.0)
-                add({c: -v for c, v in base.items()} | {phi: -cfg.eps_eodds}, SENSE_LE, 0.0)
+                rows.add({**base, phi: -cfg.eps_eodds}, SENSE_LE, 0.0)
+                rows.add({c: -v for c, v in base.items()} | {phi: -cfg.eps_eodds}, SENSE_LE, 0.0)
 
-    return np.vstack(rows_a), np.array(senses, np.int8), np.array(rhs), phi, width
+    return rows.freeze(), phi, width
 
 
 def tighten_rate_bounds(
@@ -154,19 +143,18 @@ def tighten_rate_bounds(
         )
     stats = model.stats
     G, B = stats.ngroups, stats.nbins
-    base_a, base_senses, base_rhs, phi, width = _scaled_base(model)
+    base, phi, width = _scaled_base(model)
 
     t_lo = np.zeros((G, B))
     t_hi = np.zeros((G, B))
     for g in range(G):
         for bp in range(B):
-            norm = np.zeros(width)
             sources = list(_window_span(bp, B, model.config.window))
-            for b in sources:
-                norm[model.x_index[(g, b, bp)]] = float(stats.n[g, b])
-            a = np.vstack([base_a, norm])
-            senses = np.append(base_senses, SENSE_EQ)
-            rhs = np.append(base_rhs, 1.0)
+            norm = _RowBag(width)
+            norm.add(
+                {model.x_index[(g, b, bp)]: float(stats.n[g, b]) for b in sources}, SENSE_EQ, 1.0
+            )
+            rows = concat_rows(width, [base, norm.freeze()])
 
             lo = np.zeros(width)
             hi = np.full(width, 1.0 / v_lo[g, bp])
@@ -177,7 +165,7 @@ def tighten_rate_bounds(
                 c[model.x_index[(g, b, bp)]] = float(stats.npos[g, b])
             for sign, out in ((1.0, t_lo), (-1.0, t_hi)):
                 res = solve_lp(
-                    LpProblem(sign * c, a, senses, rhs, lo, hi),
+                    LpProblem(sign * c, rows.a, rows.senses, rows.rhs, lo, hi),
                     feas_tol=feas_tol,
                     opt_tol=opt_tol,
                 )

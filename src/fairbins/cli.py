@@ -423,11 +423,8 @@ def main(argv: list[str] | None = None) -> int:
         return e.code
     except (SchemaError, RowValidationError, BinningError, ModelBuildError,
             ValueError) as e:
-        if isinstance(e, PlanError):
-            print(f"error: {e}", file=sys.stderr)
-            return 6
         print(f"error: {e}", file=sys.stderr)
-        return 2
+        return 6 if isinstance(e, PlanError) else 2
     except BoundsError as e:
         print(f"error: {e}", file=sys.stderr)
         return 4

@@ -113,17 +113,8 @@ def solve_once(
     if bounds is None:
         bounds = tighten(model)
     nm = build_milp(model, bounds, power=power, mode=mode)
-    # a constructed incumbent beats rounding: candidates on big instances can
-    # burn the whole budget in one restricted solve
     warm = completion_start(nm, feas_tol=feas_tol)
-    report = solve_milp(
-        nm.problem,
-        time_limit,
-        gap_target,
-        feas_tol=feas_tol,
-        initial=warm,
-        rounding=warm is None,
-    )
+    report = solve_milp(nm.problem, time_limit, gap_target, feas_tol=feas_tol, initial=warm)
     plan = None
     if report.incumbent is not None:
         plan = extract_plan(report.incumbent, model, feas_tol=10 * feas_tol)

@@ -65,7 +65,6 @@ class LinearRows:
     a: np.ndarray
     senses: np.ndarray
     rhs: np.ndarray
-    names: list[str]
 
     @property
     def nrows(self) -> int:
@@ -73,44 +72,42 @@ class LinearRows:
 
 
 def concat_rows(ncols: int, parts: Iterable[LinearRows]) -> LinearRows:
-    parts = [p for p in parts if p.nrows]
-    if not parts:
-        return LinearRows(np.zeros((0, ncols)), np.zeros(0, np.int8), np.zeros(0), [])
+    """Stack row blocks, zero-padding narrower blocks out to `ncols` columns."""
+    parts = list(parts)
+    a = np.zeros((sum(p.nrows for p in parts), ncols))
+    top = 0
+    for p in parts:
+        a[top : top + p.nrows, : p.a.shape[1]] = p.a
+        top += p.nrows
     return LinearRows(
-        a=np.vstack([p.a for p in parts]),
-        senses=np.concatenate([p.senses for p in parts]),
-        rhs=np.concatenate([p.rhs for p in parts]),
-        names=[n for p in parts for n in p.names],
+        a,
+        np.concatenate([np.zeros(0, np.int8)] + [p.senses for p in parts]),
+        np.concatenate([np.zeros(0)] + [p.rhs for p in parts]),
     )
 
 
 class _RowBag:
+    """Dense rows from sparse coefficient dicts, one `add` per row."""
+
     def __init__(self, ncols: int):
         self.ncols = ncols
         self._rows: list[np.ndarray] = []
         self._senses: list[int] = []
         self._rhs: list[float] = []
-        self._names: list[str] = []
 
-    def add(self, coeffs: dict[int, float], sense: int, rhs: float, name: str) -> None:
+    def add(self, coeffs: dict[int, float], sense: int, rhs: float) -> None:
         row = np.zeros(self.ncols)
         for col, coef in coeffs.items():
             row[col] += coef
         self._rows.append(row)
         self._senses.append(sense)
         self._rhs.append(rhs)
-        self._names.append(name)
 
     def freeze(self) -> LinearRows:
-        if not self._rows:
-            return LinearRows(
-                np.zeros((0, self.ncols)), np.zeros(0, np.int8), np.zeros(0), []
-            )
         return LinearRows(
-            np.vstack(self._rows),
+            np.array(self._rows, dtype=float).reshape(len(self._rows), self.ncols),
             np.array(self._senses, dtype=np.int8),
             np.array(self._rhs, dtype=float),
-            list(self._names),
         )
 
 
@@ -207,7 +204,7 @@ def build_model(stats: BinStats, config: ModelConfig) -> FairnessModel:
     for g in range(G):
         for b in range(B):
             coeffs = {x_index[(g, b, bp)]: 1.0 for bp in _window_span(b, B, config.window)}
-            transport.add(coeffs, SENSE_EQ, 1.0, f"keep[{g + 1},{b}]")
+            transport.add(coeffs, SENSE_EQ, 1.0)
     for g in range(G):
         for bp in range(B):
             coeffs = {
@@ -215,7 +212,7 @@ def build_model(stats: BinStats, config: ModelConfig) -> FairnessModel:
                 for b in _window_span(bp, B, config.window)
             }
             coeffs[vcol(g, bp)] = -1.0
-            transport.add(coeffs, SENSE_EQ, 0.0, f"mass[{g + 1},{bp}]")
+            transport.add(coeffs, SENSE_EQ, 0.0)
 
     pairs = [(g, h) for g in range(G) for h in range(g + 1, G)]
     totals = stats.group_totals
@@ -224,58 +221,30 @@ def build_model(stats: BinStats, config: ModelConfig) -> FairnessModel:
     for g, h in pairs:
         for bp in range(B):
             base = {vcol(g, bp): 1.0 / totals[g], vcol(h, bp): -1.0 / totals[h]}
-            parity.add(base, SENSE_LE, config.eps_dp, f"dp+[{g + 1},{h + 1},{bp}]")
-            parity.add(
-                {c: -v for c, v in base.items()},
-                SENSE_LE,
-                config.eps_dp,
-                f"dp-[{g + 1},{h + 1},{bp}]",
-            )
+            parity.add(base, SENSE_LE, config.eps_dp)
+            parity.add({c: -v for c, v in base.items()}, SENSE_LE, config.eps_dp)
 
     odds = _RowBag(ncols)
     for g, h in pairs:
         for bp in range(B):
-            for tag, weights, denom in (
-                ("tpr", stats.npos, stats.group_pos),
-                ("fpr", stats.nneg, stats.group_neg),
-            ):
+            for weights, denom in ((stats.npos, stats.group_pos), (stats.nneg, stats.group_neg)):
                 base: dict[int, float] = {}
                 for b in _window_span(bp, B, config.window):
                     base[x_index[(g, b, bp)]] = float(weights[g, b]) / denom[g]
                     base[x_index[(h, b, bp)]] = -float(weights[h, b]) / denom[h]
-                odds.add(base, SENSE_LE, config.eps_eodds, f"{tag}+[{g + 1},{h + 1},{bp}]")
-                odds.add(
-                    {c: -v for c, v in base.items()},
-                    SENSE_LE,
-                    config.eps_eodds,
-                    f"{tag}-[{g + 1},{h + 1},{bp}]",
-                )
+                odds.add(base, SENSE_LE, config.eps_eodds)
+                odds.add({c: -v for c, v in base.items()}, SENSE_LE, config.eps_eodds)
 
     rank = _RowBag(ncols)
     for g in range(G):
         for bp in range(B - 1):
-            rank.add(
-                {tcol(g, bp): 1.0, tcol(g, bp + 1): -1.0},
-                SENSE_LE,
-                0.0,
-                f"rank[{g + 1},{bp}]",
-            )
+            rank.add({tcol(g, bp): 1.0, tcol(g, bp + 1): -1.0}, SENSE_LE, 0.0)
 
     rate_gap = _RowBag(ncols)
     for g, h in pairs:
         for bp in range(B):
-            rate_gap.add(
-                {tcol(g, bp): 1.0, tcol(h, bp): -1.0},
-                SENSE_LE,
-                config.eps_prp,
-                f"prp+[{g + 1},{h + 1},{bp}]",
-            )
-            rate_gap.add(
-                {tcol(g, bp): -1.0, tcol(h, bp): 1.0},
-                SENSE_LE,
-                config.eps_prp,
-                f"prp-[{g + 1},{h + 1},{bp}]",
-            )
+            rate_gap.add({tcol(g, bp): 1.0, tcol(h, bp): -1.0}, SENSE_LE, config.eps_prp)
+            rate_gap.add({tcol(g, bp): -1.0, tcol(h, bp): 1.0}, SENSE_LE, config.eps_prp)
 
     links = []
     for g in range(G):

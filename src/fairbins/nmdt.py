@@ -34,7 +34,7 @@ from .lp import (
     point_violation,
     solve_lp,
 )
-from .model import FairnessModel, identity_plan
+from .model import FairnessModel, _RowBag, concat_rows, identity_plan
 
 __all__ = [
     "LinkCols",
@@ -133,19 +133,7 @@ def build_milp(
             lo[model.t_col(g, bp)] = bounds.t_lo[g, bp]
             hi[model.t_col(g, bp)] = bounds.t_hi[g, bp]
 
-    base = model.linear_rows(include_rate_rows=True)
-    extra_rows: list[np.ndarray] = []
-    extra_senses: list[int] = []
-    extra_rhs: list[float] = []
-
-    def add(coeffs: dict[int, float], sense: int, rhs: float) -> None:
-        row = np.zeros(width)
-        for col, coef in coeffs.items():
-            row[col] += coef
-        extra_rows.append(row)
-        extra_senses.append(sense)
-        extra_rhs.append(rhs)
-
+    extra = _RowBag(width)
     for link, cols in zip(model.links, layout):
         g, bp = cols.group, cols.dest
         v_lo, v_hi = bounds.v_lo[g, bp], bounds.v_hi[g, bp]
@@ -154,7 +142,7 @@ def build_milp(
 
         if cols.fixed:
             mid = (t_lo + t_hi) / 2.0
-            add({**x_part, cols.v_col: -mid}, SENSE_EQ, 0.0)
+            extra.add({**x_part, cols.v_col: -mid}, SENSE_EQ, 0.0)
             continue
 
         span = t_hi - t_lo
@@ -165,23 +153,23 @@ def build_milp(
             hi[cols.r] = step * v_hi
 
         # rate column is an affine image of the scaled digit sum
-        add({cols.t_col: 1.0, cols.lam: -span}, SENSE_EQ, t_lo)
+        extra.add({cols.t_col: 1.0, cols.lam: -span}, SENSE_EQ, t_lo)
         expansion = {cols.lam: 1.0, cols.dlam: -1.0}
         for j, zl in enumerate(cols.z):
             expansion[zl] = -(2.0 ** (power + j))
-        add(expansion, SENSE_EQ, 0.0)
+        extra.add(expansion, SENSE_EQ, 0.0)
 
         for zl, wl in zip(cols.z, cols.w):
-            add({wl: 1.0, zl: -v_hi}, SENSE_LE, 0.0)
-            add({wl: 1.0, zl: -v_lo}, SENSE_GE, 0.0)
-            add({wl: 1.0, cols.v_col: -1.0, zl: -v_lo}, SENSE_LE, -v_lo)
-            add({wl: 1.0, cols.v_col: -1.0, zl: -v_hi}, SENSE_GE, -v_hi)
+            extra.add({wl: 1.0, zl: -v_hi}, SENSE_LE, 0.0)
+            extra.add({wl: 1.0, zl: -v_lo}, SENSE_GE, 0.0)
+            extra.add({wl: 1.0, cols.v_col: -1.0, zl: -v_lo}, SENSE_LE, -v_lo)
+            extra.add({wl: 1.0, cols.v_col: -1.0, zl: -v_hi}, SENSE_GE, -v_hi)
 
         if cols.r >= 0:
-            add({cols.r: 1.0, cols.dlam: -v_lo}, SENSE_GE, 0.0)
-            add({cols.r: 1.0, cols.v_col: -step, cols.dlam: -v_hi}, SENSE_GE, -step * v_hi)
-            add({cols.r: 1.0, cols.v_col: -step, cols.dlam: -v_lo}, SENSE_LE, -step * v_lo)
-            add({cols.r: 1.0, cols.dlam: -v_hi}, SENSE_LE, 0.0)
+            extra.add({cols.r: 1.0, cols.dlam: -v_lo}, SENSE_GE, 0.0)
+            extra.add({cols.r: 1.0, cols.v_col: -step, cols.dlam: -v_hi}, SENSE_GE, -step * v_hi)
+            extra.add({cols.r: 1.0, cols.v_col: -step, cols.dlam: -v_lo}, SENSE_LE, -step * v_lo)
+            extra.add({cols.r: 1.0, cols.dlam: -v_hi}, SENSE_LE, 0.0)
 
         balance = {c: -p for c, p in x_part.items()}
         balance[cols.v_col] = t_lo
@@ -189,23 +177,18 @@ def build_milp(
             balance[wl] = span * (2.0 ** (power + j))
         if cols.r >= 0:
             balance[cols.r] = span
-        add(balance, SENSE_EQ, 0.0)
+        extra.add(balance, SENSE_EQ, 0.0)
 
-    a = np.vstack(
-        [np.hstack([base.a, np.zeros((base.nrows, width - model.ncols))])]
-        + ([np.vstack(extra_rows)] if extra_rows else [])
-    )
-    senses = np.concatenate([base.senses, np.array(extra_senses, np.int8)])
-    rhs = np.concatenate([base.rhs, np.array(extra_rhs)])
+    rows = concat_rows(width, [model.linear_rows(include_rate_rows=True), extra.freeze()])
     c = np.zeros(width)
     c[: model.ncols] = model.objective
 
     binary_cols = np.array(
         [zl for cols in layout if not cols.fixed for zl in cols.z], dtype=int
     )
-    nm = NmdtMilp(
+    return NmdtMilp(
         problem=MilpProblem(
-            lp=LpProblem(c=c, a=a, senses=senses, rhs=rhs, lo=lo, hi=hi),
+            lp=LpProblem(c=c, a=rows.a, senses=rows.senses, rhs=rows.rhs, lo=lo, hi=hi),
             binary_cols=binary_cols,
         ),
         model=model,
@@ -214,51 +197,6 @@ def build_milp(
         power=power,
         links=tuple(layout),
     )
-    nm.problem.rounder = _make_rounder(nm)
-    return nm
-
-
-def _make_rounder(nm: NmdtMilp):
-    model = nm.model
-    tb = nm.bounds
-    ndigits = -nm.power
-    levels = 2**ndigits
-
-    def rounder(root_x: np.ndarray) -> list[np.ndarray]:
-        G, B = model.stats.ngroups, model.stats.nbins
-        rates = np.zeros((G, B))
-        for link in model.links:
-            num = float(root_x[link.x_cols] @ link.npos)
-            den = max(float(root_x[link.v_col]), 1e-12)
-            rates[link.group, link.dest] = num / den
-        rates = np.clip(rates, tb.t_lo, tb.t_hi)
-        rates = np.maximum.accumulate(rates, axis=1)
-        eps = model.config.eps_prp
-        for bp in range(B):
-            spread = rates[:, bp].max() - rates[:, bp].min()
-            if spread > eps:
-                mid = (rates[:, bp].max() + rates[:, bp].min()) / 2.0
-                rates[:, bp] = np.clip(rates[:, bp], mid - eps / 2.0, mid + eps / 2.0)
-        rates = np.clip(rates, tb.t_lo, tb.t_hi)
-        rates = np.maximum.accumulate(rates, axis=1)
-
-        candidates = []
-        for snap in (math.floor, math.ceil):
-            digits: list[float] = []
-            for cols in nm.links:
-                if cols.fixed:
-                    continue
-                g, bp = cols.group, cols.dest
-                span = tb.t_hi[g, bp] - tb.t_lo[g, bp]
-                lam = (rates[g, bp] - tb.t_lo[g, bp]) / span
-                k = min(max(snap(lam * levels), 0), levels - 1)
-                digits.extend(float((k >> j) & 1) for j in range(ndigits))
-            candidates.append(np.array(digits))
-        if len(candidates) == 2 and np.array_equal(candidates[0], candidates[1]):
-            candidates.pop()
-        return candidates
-
-    return rounder
 
 
 def initial_point(nm: NmdtMilp) -> np.ndarray:
@@ -373,24 +311,24 @@ def _completion_lp(
     """
     model = nm.model
     tb = nm.bounds
-    base = model.linear_rows(include_rate_rows=False)
-    nlinks = len(model.links)
-    extra = 2 * nlinks if elastic else 0
-    a = np.zeros((base.nrows + nlinks, model.ncols + extra))
-    a[: base.nrows, : model.ncols] = base.a
-    senses = np.concatenate([base.senses, np.full(nlinks, SENSE_EQ, dtype=np.int8)])
-    rhs = np.concatenate([base.rhs, np.zeros(nlinks)])
+    extra = 2 * len(model.links) if elastic else 0
+    balance = _RowBag(model.ncols + extra)
     for i, link in enumerate(model.links):
-        row = base.nrows + i
-        for col, npos in zip(link.x_cols, link.npos):
-            a[row, col] = npos
-        a[row, link.v_col] = -rate_eq[link.group, link.dest]
+        coeffs = dict(zip(link.x_cols.tolist(), link.npos.tolist()))
         if elastic:
-            a[row, model.ncols + 2 * i] = -1.0
-            a[row, model.ncols + 2 * i + 1] = 1.0
+            coeffs[model.ncols + 2 * i] = -1.0
+            coeffs[model.ncols + 2 * i + 1] = 1.0
+        balance.add(coeffs, SENSE_EQ, 0.0)
+    rows = concat_rows(
+        model.ncols + extra, [model.linear_rows(include_rate_rows=False), balance.freeze()]
+    )
+    first = rows.nrows - len(model.links)
     lo = np.concatenate([model.lo, np.zeros(extra)])
     hi = np.concatenate([model.hi, np.full(extra, np.inf)])
-    for link in model.links:
+    for i, link in enumerate(model.links):
+        # written, not added: `+=` on a zero row would turn the -0.0 of a
+        # rate pinned at exactly 0 into +0.0
+        rows.a[first + i, link.v_col] = -rate_eq[link.group, link.dest]
         lo[link.v_col] = tb.v_lo[link.group, link.dest]
         hi[link.v_col] = tb.v_hi[link.group, link.dest]
         lo[link.t_col] = hi[link.t_col] = rate_pin[link.group, link.dest]
@@ -398,7 +336,7 @@ def _completion_lp(
         c = np.concatenate([np.zeros(model.ncols), np.ones(extra)])
     else:
         c = np.concatenate([model.objective, np.zeros(extra)])
-    return LpProblem(c=c, a=a, senses=senses, rhs=rhs, lo=lo, hi=hi)
+    return LpProblem(c=c, a=rows.a, senses=rows.senses, rhs=rows.rhs, lo=lo, hi=hi)
 
 
 def completion_start(

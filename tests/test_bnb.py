@@ -134,21 +134,6 @@ def test_infeasible_initial_is_rejected():
     assert report.incumbent_objective == pytest.approx(-0.9, abs=1e-8)
 
 
-def test_rounder_candidates_seed_the_search():
-    seen = []
-
-    def rounder(root_x):
-        seen.append(root_x.copy())
-        return [np.array([1.0, 0.0, 0.0])]
-
-    p = _milp(**LOOSE_KNAPSACK)
-    p.rounder = rounder
-    report = solve_milp(p, time_limit=30, gap_target=np.inf)
-    assert seen, "rounder was never consulted"
-    assert report.status == MilpStatus.GAP_LIMIT
-    assert report.incumbent_objective == pytest.approx(-0.6, abs=1e-8)
-
-
 def test_deterministic_replay():
     a = solve_milp(_milp(**KNAPSACK), time_limit=30, gap_target=0.0)
     b = solve_milp(_milp(**KNAPSACK), time_limit=30, gap_target=0.0)

@@ -464,7 +464,7 @@ def test_node_lps_match_reference_bit_for_bit():
         return solve_lp(problem, **kwargs)
 
     with mock.patch.object(bnb, "solve_lp", recording):
-        solve_milp(milp, time_limit=120, gap_target=0.0, rounding=False)
+        solve_milp(milp, time_limit=120, gap_target=0.0)
     assert len(nodes) > 5
     statuses = {_assert_same_bits(node)[0] for node in nodes}
     assert statuses == {LpStatus.OPTIMAL, LpStatus.INFEASIBLE}
@@ -586,7 +586,7 @@ def test_warm_started_nodes_take_fewer_pivots_than_cold_nodes():
             return res
 
         with mock.patch.object(bnb, "solve_lp", recording):
-            report = solve_milp(milp, time_limit=120, gap_target=0.0, rounding=False)
+            report = solve_milp(milp, time_limit=120, gap_target=0.0)
         runs[warm] = (report, pivots)
     (warm_report, warm_pivots), (cold_report, cold_pivots) = runs[True], runs[False]
     assert warm_report.status == cold_report.status

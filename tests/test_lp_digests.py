@@ -1,0 +1,137 @@
+"""Byte-level digests of every LP the model layers build.
+
+The digests pin the exact arrays (`c, a, senses, rhs, lo, hi`) handed to
+the simplex, so a refactor of the row builders cannot move a bit of any
+LP input unnoticed. Bounds are fixed rather than LP-derived and the LP
+calls are stubbed, so no simplex runs and the digests do not depend on
+the BLAS thread count. A deliberate change to a row's coefficients must
+re-record the digests below and say so in the change log.
+"""
+
+from __future__ import annotations
+
+import hashlib
+
+import numpy as np
+import pytest
+
+from fairbins import bounds as bounds_mod
+from fairbins import nmdt as nmdt_mod
+from fairbins.bounds import TightBounds, tighten_mass_bounds, tighten_rate_bounds
+from fairbins.data import compute_bin_stats, quantile_bin
+from fairbins.lp import LpResult, LpStatus, point_violation
+from fairbins.model import ModelConfig, build_model
+from fairbins.nmdt import build_milp, completion_start, initial_point
+
+from .conftest import biased_synthetic
+
+CONFIG = ModelConfig(eps_dp=0.05, eps_eodds=0.05, eps_prp=0.05, retention=0.5, window=3)
+NBINS = 5
+POWER = -3
+
+DIGESTS = {
+    "linear_rows":
+        "24174a80fc20098907166df28d3c843048d42ff3d364eacf9b26d9f629815910",
+    "mass_lps":
+        "9667ebc194a9d7f74844ee21991011f0c56284bfac976cc7c76f1e2af166a0dd",
+    "rate_lps":
+        "11b9bb14dea083b36ec5b447278070caee2dddb3983c99e6f864c248e977b319",
+    "milp_exact":
+        "27383002a050414f257d5ac19e29b7a3fd81d3591f9ae0d6d21ecd2c0c9f5fb9",
+    "milp_approx":
+        "fd3e9d697c5cd3447421ab4757a681fde6cde8350cd13c39868791bf219d0895",
+    "completion_exact":
+        "57db46215b6d335d50b0cd83aa91c69e7e114fc140e64fa7e9b30f7b8431becb",
+    "completion_approx":
+        "f25c8fc1b7e0759b4f0372c87f281cc6e11c5d1855c7f602e9d7943469561e64",
+}
+
+
+def _update(h, arr) -> None:
+    arr = np.ascontiguousarray(arr)
+    h.update(f"{arr.dtype.str}{arr.shape}".encode())
+    h.update(arr.tobytes())
+
+
+def _digest(problems) -> str:
+    h = hashlib.sha256()
+    for p in problems:
+        for arr in (p.c, p.a, p.senses, p.rhs, p.lo, p.hi):
+            _update(h, arr)
+    return h.hexdigest()
+
+
+@pytest.fixture(scope="module")
+def model():
+    obs = biased_synthetic()
+    return build_model(compute_bin_stats(obs, quantile_bin(obs, NBINS)), CONFIG)
+
+
+@pytest.fixture(scope="module")
+def fixed_bounds(model):
+    """Mass boxes from the model's own box bounds, rate boxes a fixed band
+    around the empirical rates, and one link pinned to a single rate."""
+    G, B = model.stats.ngroups, model.stats.nbins
+    v = slice(model.v_start, model.t_start)
+    rate = model.stats.npos / model.stats.n
+    t_lo = np.clip(rate - 0.15, 0.0, 1.0)
+    t_hi = np.clip(rate + 0.15, 0.0, 1.0)
+    t_hi[1, 0] = t_lo[1, 0]
+    return TightBounds(
+        v_lo=model.lo[v].reshape(G, B),
+        v_hi=model.hi[v].reshape(G, B),
+        t_lo=t_lo,
+        t_hi=t_hi,
+    )
+
+
+def _recording(monkeypatch, module, status):
+    """Stub `module.solve_lp`: record each problem, answer with `status`."""
+    seen = []
+
+    def fake(problem, **_):
+        seen.append(problem)
+        return LpResult(status, 0.5, np.zeros(problem.ncols), 0)
+
+    monkeypatch.setattr(module, "solve_lp", fake)
+    return seen
+
+
+def test_linear_rows_digest(model):
+    rows = model.linear_rows(include_rate_rows=True)
+    h = hashlib.sha256()
+    for arr in (rows.a, rows.senses, rows.rhs):
+        _update(h, arr)
+    assert h.hexdigest() == DIGESTS["linear_rows"]
+
+
+def test_mass_bound_lp_digest(model, monkeypatch):
+    seen = _recording(monkeypatch, bounds_mod, LpStatus.OPTIMAL)
+    tighten_mass_bounds(model)
+    assert len(seen) == 2 * model.stats.ngroups * model.stats.nbins
+    assert _digest(seen) == DIGESTS["mass_lps"]
+
+
+def test_rate_bound_lp_digest(model, fixed_bounds, monkeypatch):
+    seen = _recording(monkeypatch, bounds_mod, LpStatus.OPTIMAL)
+    tighten_rate_bounds(model, fixed_bounds.v_lo, fixed_bounds.v_hi)
+    assert len(seen) == 2 * model.stats.ngroups * model.stats.nbins
+    assert _digest(seen) == DIGESTS["rate_lps"]
+
+
+@pytest.mark.parametrize("mode", ["exact", "approx"])
+def test_milp_lp_digest(model, fixed_bounds, mode):
+    nm = build_milp(model, fixed_bounds, power=POWER, mode=mode)
+    assert any(cols.fixed for cols in nm.links)
+    assert _digest([nm.problem.lp]) == DIGESTS[f"milp_{mode}"]
+
+
+@pytest.mark.parametrize("mode", ["exact", "approx"])
+def test_first_elastic_completion_lp_digest(model, fixed_bounds, mode, monkeypatch):
+    nm = build_milp(model, fixed_bounds, power=POWER, mode=mode)
+    # the identity lift must fail, or completion never builds an LP
+    assert point_violation(nm.problem.lp, initial_point(nm)) > 1e-3
+    seen = _recording(monkeypatch, nmdt_mod, LpStatus.INFEASIBLE)
+    assert completion_start(nm) is None
+    assert len(seen) == 1
+    assert _digest(seen) == DIGESTS[f"completion_{mode}"]

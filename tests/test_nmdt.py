@@ -147,17 +147,6 @@ def test_certified_slack_formula(tight_parts):
     assert certified_rate_slack(finer) < certified_rate_slack(nm)
 
 
-def test_rounder_emits_valid_digit_patterns(tight_parts):
-    m, tb = tight_parts
-    nm = build_milp(m, tb, power=-5, mode="exact")
-    root = initial_point(nm)
-    candidates = nm.problem.rounder(root)
-    assert 1 <= len(candidates) <= 2
-    for cand in candidates:
-        assert cand.shape == nm.problem.binary_cols.shape
-        assert set(np.unique(cand)) <= {0.0, 1.0}
-
-
 def test_realized_rates_off_by_at_most_slack(tight_parts):
     m, tb = tight_parts
     nm = build_milp(m, tb, power=-8, mode="exact")
