@@ -1,13 +1,19 @@
 """Best-bound branch and bound over the binary columns of a bounded LP.
 
-The root LP is solved cold. Every other node carries its parent's optimal
-basis and warm-starts from it, which after fixing one binary takes a few
-dual simplex pivots instead of a full two-phase solve; `solve_lp` checks
-each warm answer and falls back to a cold solve when it cannot. The
-kernel is deterministic, so a given problem always explores the same
-tree in the same order. The search certifies optimality through bound
-exhaustion: when no open node can beat the incumbent, the lower bound is lifted to the
-incumbent value and the reported gap is exactly zero.
+All node LPs of one MILP share one simplex matrix, built once, and a
+store of the basis inverses of the last few node LPs (`lp._Shared`).
+The root LP is solved cold, or warm from `root_start`: the optimal root
+basis of a MILP with the same matrix and costs, which `SolveReport.root_basis`
+hands back. Every other node carries its parent's optimal basis and
+warm-starts from it, from a copy of the parent's inverse when it is still
+stored; after fixing one binary that takes a few dual simplex pivots
+instead of a full two-phase solve. `solve_lp` checks each warm answer and
+falls back to a cold solve when it cannot. Heap entries hold only the
+`LpBasis`. The kernel is deterministic, so a given problem always
+explores the same tree in the same order. The search certifies
+optimality through bound exhaustion: when no open node can beat the
+incumbent, the lower bound is lifted to the incumbent value and the
+reported gap is exactly zero.
 """
 
 from __future__ import annotations
@@ -19,7 +25,7 @@ from enum import Enum
 
 import numpy as np
 
-from .lp import LpBasis, LpProblem, LpResult, LpStatus, point_violation, solve_lp
+from .lp import LpBasis, LpProblem, LpResult, LpStatus, _Shared, point_violation, solve_lp
 
 __all__ = ["MilpStatus", "MilpProblem", "SolveReport", "solve_milp"]
 
@@ -53,6 +59,7 @@ class SolveReport:
     gap: float
     nodes_explored: int
     wall_seconds: float
+    root_basis: LpBasis | None = None  # the root LP's optimal basis, if any
 
 
 def _is_integral(values: np.ndarray) -> bool:
@@ -67,6 +74,7 @@ def solve_milp(
     feas_tol: float = 1e-7,
     opt_tol: float = 1e-7,
     initial: np.ndarray | None = None,
+    root_start: LpBasis | None = None,
 ) -> SolveReport:
     t0 = time.monotonic()
     # node LPs stop at the deadline too: one degenerate LP can otherwise
@@ -99,14 +107,15 @@ def solve_milp(
                 best_obj = float(lp.c @ initial)
 
     nodes = 0
+    shared = _Shared(lp)
 
     def solve_node(fixes, start: LpBasis | None = None) -> LpResult:
         nonlocal nodes
         nodes += 1
         return solve_lp(restricted(fixes), feas_tol=feas_tol, opt_tol=opt_tol,
-                        deadline=deadline, start=start)
+                        deadline=deadline, start=start, _shared=shared)
 
-    root = solve_node(())
+    root = solve_node((), root_start)
     if root.status == LpStatus.INFEASIBLE:
         return SolveReport(
             MilpStatus.INFEASIBLE, None, np.inf, np.inf, 0.0, nodes, elapsed()
@@ -216,4 +225,4 @@ def solve_milp(
         gap = max(gap, 0.0)
     else:
         gap = np.inf
-    return SolveReport(status, incumbent, best_obj, lower, gap, nodes, elapsed())
+    return SolveReport(status, incumbent, best_obj, lower, gap, nodes, elapsed(), root.basis)

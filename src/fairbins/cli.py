@@ -136,6 +136,15 @@ def _model_config(settings: dict) -> ModelConfig:
     )
 
 
+def _seconds(value, name: str) -> float:
+    """A time budget: positive seconds, or inf for none. NaN is refused, as
+    every deadline comparison with it is False and the limit would vanish."""
+    seconds = float(value)
+    if not seconds > 0.0:
+        raise CliError(2, f"{name} must be a positive number of seconds, got {value}")
+    return seconds
+
+
 def cmd_bin_stats(args: argparse.Namespace) -> int:
     settings = _resolve(args)
     _, _, stats = _binned_stats(args.input, int(settings["bins"]), _schema(args))
@@ -157,7 +166,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
         config,
         power=power,
         mode=settings["mode"],
-        time_limit=float(settings["time_limit"]),
+        time_limit=_seconds(settings["time_limit"], "time_limit"),
         gap_target=float(settings["gap"]),
     )
     report = out.report
@@ -253,6 +262,9 @@ def _grid(text: str, flag: str) -> list[float]:
 
 def cmd_frontier(args: argparse.Namespace) -> int:
     settings = _resolve(args)
+    budget = args.budget_per_solve
+    if budget is not None:
+        budget = _seconds(budget, "--budget-per-solve")
     _, _, stats = _binned_stats(args.input, int(settings["bins"]), _schema(args))
     _require_overlap(stats)
     points = sweep(
@@ -264,7 +276,7 @@ def cmd_frontier(args: argparse.Namespace) -> int:
         window=int(settings["window"]),
         power=power_for_precision(float(settings["precision"])),
         mode=settings["mode"],
-        budget_per_solve=args.budget_per_solve,
+        budget_per_solve=budget,
         gap_target=float(settings["gap"]),
     )
     _write(args.output, frontier_csv(points))

@@ -20,6 +20,7 @@ import numpy as np
 from .bnb import MilpStatus, SolveReport, solve_milp
 from .bounds import BoundsError, TightBounds, tighten
 from .data import BinStats
+from .lp import LpBasis
 from .model import FairnessModel, ModelConfig, build_model
 from .nmdt import NmdtMilp, build_milp, certified_rate_slack, completion_start
 from .postprocess import (
@@ -107,14 +108,20 @@ def solve_once(
     gap_target: float = 0.0,
     feas_tol: float = 1e-7,
     bounds: TightBounds | None = None,
+    root_start: LpBasis | None = None,
 ) -> SolveOutcome:
-    """Model, tighten, linearize, branch; hand back the plan if one exists."""
+    """Model, tighten, linearize, branch; hand back the plan if one exists.
+
+    `root_start` is the optimal root basis of a MILP with the same matrix
+    and costs (`SolveReport.root_basis`); the root LP warm-starts from it.
+    """
     model = build_model(stats, config)
     if bounds is None:
         bounds = tighten(model)
     nm = build_milp(model, bounds, power=power, mode=mode)
     warm = completion_start(nm, feas_tol=feas_tol)
-    report = solve_milp(nm.problem, time_limit, gap_target, feas_tol=feas_tol, initial=warm)
+    report = solve_milp(nm.problem, time_limit, gap_target, feas_tol=feas_tol, initial=warm,
+                        root_start=root_start)
     plan = None
     if report.incumbent is not None:
         plan = extract_plan(report.incumbent, model, feas_tol=10 * feas_tol)
@@ -151,21 +158,27 @@ def sweep(
     """One solve per tolerance triple over the full grid product.
 
     Bound tightening depends only on the DP and EOdds tolerances, so it is
-    computed once per (dp, eodds) pair and shared across the PRP axis.
+    computed once per (dp, eodds) pair and shared across the PRP axis. The
+    MILPs of one pair differ only in the right-hand sides of the PRP
+    rate-gap rows, so each root LP after the pair's first warm-starts from
+    the previous root's optimal basis.
     """
     if not (dp_grid and eodds_grid and prp_grid):
         raise ValueError("every tolerance grid axis needs at least one value")
-    triples = list(product(dp_grid, eodds_grid, prp_grid))
+    # every configuration is validated before the first solve
+    configs = [
+        ModelConfig(eps_dp=eps_dp, eps_eodds=eps_eodds, eps_prp=eps_prp,
+                    retention=retention, window=window)
+        for eps_dp, eps_eodds, eps_prp in product(dp_grid, eodds_grid, prp_grid)
+    ]
     if budget_per_solve is None:
-        budget_per_solve = 600.0 / len(triples)
+        budget_per_solve = 600.0 / len(configs)
 
     cache: dict[tuple[float, float], TightBounds | None] = {}
+    roots: dict[tuple[float, float], LpBasis | None] = {}
     points: list[FrontierPoint] = []
-    for eps_dp, eps_eodds, eps_prp in triples:
-        config = ModelConfig(
-            eps_dp=eps_dp, eps_eodds=eps_eodds, eps_prp=eps_prp,
-            retention=retention, window=window,
-        )
+    for config in configs:
+        eps_dp, eps_eodds, eps_prp = config.eps_dp, config.eps_eodds, config.eps_prp
         key = (eps_dp, eps_eodds)
         t0 = time.monotonic()
         if key not in cache:
@@ -184,8 +197,9 @@ def sweep(
             continue
         out = solve_once(
             stats, config, power=power, mode=mode, time_limit=budget_per_solve,
-            gap_target=gap_target, feas_tol=feas_tol, bounds=bounds,
+            gap_target=gap_target, feas_tol=feas_tol, bounds=bounds, root_start=roots.get(key),
         )
+        roots[key] = out.report.root_basis
         elapsed = time.monotonic() - t0
         if out.plan is None:
             points.append(FrontierPoint(

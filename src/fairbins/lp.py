@@ -11,22 +11,34 @@ the rows where that column is nonzero, and is refactored from scratch
 every 100 basis changes.
 
 A solve may also start from an earlier optimal basis (`LpResult.basis`) of
-a problem that differs only in its column bounds, as a branch-and-bound
-child differs from its parent. Fixing a column leaves that basis dual
-feasible, so a bounded dual simplex restores primal feasibility in a few
-pivots (Koberstein, *The dual simplex method*, 2005), and the primal
-loop then polishes it to optimality. A warm answer is used only once it
-checks out: an optimal point must satisfy the problem's own rows and
-bounds to `feas_tol`, and an infeasibility verdict must survive a fresh
+a problem with the same matrix and costs: its column bounds and right-hand
+sides may differ, as a branch-and-bound child differs from its parent or
+one frontier point's root LP from the next one's. Such changes leave that
+basis dual feasible, so a bounded dual simplex restores primal feasibility
+in a few pivots (Koberstein, *The dual simplex method*, 2005), and the
+primal loop then polishes it to optimality. The dual keeps its reduced
+costs up to date from the pivot row it already computes, and recomputes
+them at each refactorization. A warm answer is used only once it checks
+out: an optimal point must satisfy the problem's own rows and bounds to
+`feas_tol`, and an infeasibility verdict must survive a fresh
 factorization. Anything else (a pivot cap, a failed check, a singular
 basis) falls back to the cold two-phase solve, which is the same code
 with or without a start.
+
+Branch and bound hands every node LP of one MILP the same `_Shared`
+object: the row-scaled, padded matrix, built once, and the basis
+inverses of its last `_INVERSES_KEPT` optimal node LPs. A warm start
+whose basis is stored copies that inverse instead of factoring, once a
+residual check shows it still inverts the basis matrix. Warm engines only
+read the shared matrix; a cold solve builds its own, and stores its
+inverse only when its matrix equals the shared one bit for bit.
 """
 
 from __future__ import annotations
 
 import math
 import time
+from collections import deque
 from dataclasses import dataclass, replace
 from enum import Enum
 
@@ -63,6 +75,10 @@ _DUAL_FEAS_TOL = 1e-11
 # pivots a warm start may spend, as a multiple of rows plus columns, before
 # the cold solve takes over
 _WARM_SHARE = 1.0
+# basis inverses of recent warm LPs kept for their children to start from,
+# and the largest residual |Binv @ (B @ 1) - 1| at which one is adopted
+_INVERSES_KEPT = 4
+_INVERSE_TOL = 1e-9
 
 
 class LpStatus(str, Enum):
@@ -147,11 +163,39 @@ def point_violation(problem: LpProblem, x: np.ndarray) -> float:
     return worst
 
 
+def _inverts(inverse: np.ndarray, cols: np.ndarray) -> bool:
+    """Whether `inverse` maps the row sums of the basis matrix `cols` back
+    to the ones vector within `_INVERSE_TOL`: an O(m^2) residual test."""
+    resid = inverse @ cols.sum(axis=1) - 1.0
+    return bool(np.abs(resid).max() <= _INVERSE_TOL)
+
+
+class _Shared:
+    """What the LPs of one MILP can share: the row-scaled constraint matrix
+    padded with slack and artificial columns, built once by a cold engine
+    over `problem` (whose artificial signs it keeps), and the basis
+    inverses of the last `_INVERSES_KEPT` optimal LPs solved over it, each
+    stored with the `LpBasis` it inverts. Warm engines only read the
+    matrix; a cold solve builds its own."""
+
+    def __init__(self, problem: LpProblem):
+        eng = _Engine(problem, 0.0, 0.0, 0, None)
+        self.a = problem.a
+        self.scale, self.A = eng.scale, eng.A
+        self.inverses: deque[tuple[LpBasis, np.ndarray]] = deque(maxlen=_INVERSES_KEPT)
+
+    def inverse(self, basis: LpBasis) -> np.ndarray | None:
+        for kept, inverse in self.inverses:
+            if kept is basis:
+                return inverse
+        return None
+
+
 class _Engine:
     """Two-phase simplex state: full column matrix, basis, dense inverse."""
 
     def __init__(self, problem: LpProblem, feas_tol: float, opt_tol: float, max_iters: int,
-                 deadline: float | None):
+                 deadline: float | None, shared: _Shared | None = None):
         self.problem = problem
         self.feas_tol = feas_tol
         self.opt_tol = opt_tol
@@ -161,19 +205,19 @@ class _Engine:
 
         m, n = problem.a.shape
         self.m, self.nstruct = m, n
-
-        # row equilibration only; column scaling would distort the bounds
-        scale = np.abs(problem.a).max(axis=1) if n else np.zeros(m)
-        scale = np.where(scale > 1e-12, scale, 1.0)
-        self.scale = scale
-        a = problem.a / scale[:, None]
-        self.rhs = problem.rhs / scale
-
         ntot = n + 2 * m
-        self.A = np.zeros((m, ntot))
-        self.A[:, :n] = a
         rows = np.arange(m)
-        self.A[rows, n + rows] = 1.0
+        if shared is None:
+            # row equilibration only; column scaling would distort the bounds
+            scale = np.abs(problem.a).max(axis=1) if n else np.zeros(m)
+            scale = np.where(scale > 1e-12, scale, 1.0)
+            self.scale = scale
+            self.A = np.zeros((m, ntot))
+            self.A[:, :n] = problem.a / scale[:, None]
+            self.A[rows, n + rows] = 1.0
+        else:
+            self.scale, self.A = shared.scale, shared.A
+        self.rhs = problem.rhs / self.scale
 
         self.lo = np.full(ntot, -np.inf)
         self.hi = np.full(ntot, np.inf)
@@ -193,6 +237,8 @@ class _Engine:
         start = np.where(fin_lo, np.nan_to_num(self.lo[head], neginf=0.0), 0.0)
         start = np.where(~fin_lo & fin_hi, np.nan_to_num(self.hi[head], posinf=0.0), start)
         self.val[head] = start
+        if shared is not None:
+            return  # the shared matrix is read-only; `install` sets the basis
 
         resid = self.rhs - self.A[:, head] @ self.val[head]
         sigma = np.where(resid >= 0.0, 1.0, -1.0)
@@ -223,10 +269,12 @@ class _Engine:
     def snapshot(self) -> LpBasis:
         return LpBasis(self.basis.copy(), self.pos.copy())
 
-    def install(self, start: LpBasis) -> bool:
+    def install(self, start: LpBasis, inverse: np.ndarray | None = None) -> bool:
         """Replace the artificial start by `start`, with the artificials
         fixed at zero and each nonbasic column at the bound its code names
-        (or its other finite bound, or free at 0). False when the basis
+        (or its other finite bound, or free at 0). A stored `inverse` of
+        the start's basis matrix is adopted, as a copy, when it passes
+        `_inverts`; otherwise the basis is factored. False when the basis
         does not fit this problem or its matrix is singular."""
         art = slice(self.nstruct + self.m, None)
         self.lo[art] = 0.0
@@ -240,6 +288,10 @@ class _Engine:
         self.val[:] = np.where(at_up, hi, np.where(fin_lo, lo, 0.0))
         self.basis = start.basic.astype(np.intp)
         self.pos[self.basis] = _BASIC
+        if inverse is not None and _inverts(inverse, self.A[:, self.basis]):
+            self.Binv = inverse.copy()
+            self.solve_basics()
+            return bool(np.isfinite(self.xB).all())
         return self.factor()
 
     def factor(self) -> bool:
@@ -248,10 +300,14 @@ class _Engine:
             self.Binv = np.linalg.inv(self.A[:, self.basis])
         except np.linalg.LinAlgError:
             return False
+        self.solve_basics()
+        return bool(np.isfinite(self.Binv).all() and np.isfinite(self.xB).all())
+
+    def solve_basics(self) -> None:
+        """Basic values from the current inverse and nonbasic values."""
         nb = self.val.copy()
         nb[self.basis] = 0.0
         self.xB = self.Binv @ (self.rhs - self.A @ nb)
-        return bool(np.isfinite(self.Binv).all() and np.isfinite(self.xB).all())
 
     def dual(self, c: np.ndarray) -> LpStatus | None:
         """Dual simplex on costs `c` until every basic variable is within
@@ -272,6 +328,7 @@ class _Engine:
         sign[fixed] = 0.0
         free = (pos == _FREE) & ~fixed
         cB = c[basis]
+        d = c - A.T @ (Binv.T @ cB)
         since_refactor = 0
         fresh = True  # Binv and xB come from a factorization, not updates
         while True:
@@ -303,12 +360,12 @@ class _Engine:
                 if not self.factor():
                     return None
                 xB, Binv = self.xB, self.Binv
+                d = c - A.T @ (Binv.T @ cB)
                 since_refactor = 0
                 fresh = True
                 continue
             self.iterations += 1
             fresh = False
-            d = c - A.T @ (Binv.T @ cB)
             size = np.abs(alpha[cand])
             ratios = np.maximum(sign[cand] * d[cand], 0.0) / size
             tied = (ratios <= ratios.min()).nonzero()[0]
@@ -331,6 +388,9 @@ class _Engine:
             sign[q] = 0.0
             free[q] = False
             cB[r] = c[q]
+            # the pivot row prices the basis change: d -= (d_q / alpha_rq) alpha_r
+            d -= (d[q] / alpha[q]) * alpha
+            d[q] = 0.0
 
             row = Binv[r] / w[r]
             nz = w.nonzero()[0]
@@ -342,6 +402,7 @@ class _Engine:
                 if not self.factor():
                     return None
                 xB, Binv = self.xB, self.Binv
+                d = c - A.T @ (Binv.T @ cB)
                 fresh = True
 
     def certifies(self, r: int) -> bool:
@@ -516,15 +577,20 @@ def solve_lp(
     max_iters: int | None = None,
     deadline: float | None = None,
     start: LpBasis | None = None,
+    _shared: _Shared | None = None,
 ) -> LpResult:
     """Minimize over the bounded polyhedron; two-phase, deterministic.
 
     Past `deadline`, a `time.monotonic()` reading, pivoting stops with
     status TIME_LIMIT; without one, only `max_iters` bounds the work.
-    With `start`, the optimal basis of a problem with the same rows and
+    With `start`, the optimal basis of a problem with the same matrix and
     costs, a verified dual-simplex warm start is tried first; when it
     cannot vouch for its answer, the cold solve runs as if there were no
-    start, and the result counts the pivots of both.
+    start, and the result counts the pivots of both. `_shared`, built by
+    branch and bound over the MILP's own LP, lends a warm start its matrix
+    and any stored inverse of `start`'s basis, and keeps the inverse of an
+    optimum (see `_cold_solve` for a cold one); it is ignored unless
+    `problem.a` is the matrix it was built from.
     """
     m, n = problem.a.shape
     if m == 0:
@@ -533,26 +599,30 @@ def solve_lp(
         return LpResult(LpStatus.INFEASIBLE, np.nan, np.full(n, np.nan), 0)
     if max_iters is None:
         max_iters = 5000 + 25 * (m + n)
+    if _shared is not None and problem.a is not _shared.a:
+        _shared = None
     spent = 0
     if start is not None:
-        warm, spent = _warm_solve(problem, start, feas_tol, opt_tol, max_iters, deadline)
+        warm, spent = _warm_solve(problem, start, feas_tol, opt_tol, max_iters, deadline,
+                                  _shared)
         if warm is not None:
             return warm
-    res = _cold_solve(problem, feas_tol, opt_tol, max_iters, deadline)
+    res = _cold_solve(problem, feas_tol, opt_tol, max_iters, deadline, _shared)
     return replace(res, iterations=res.iterations + spent) if spent else res
 
 
 def _warm_solve(
     problem: LpProblem, start: LpBasis, feas_tol: float, opt_tol: float, max_iters: int,
-    deadline: float | None,
+    deadline: float | None, shared: _Shared | None,
 ) -> tuple[LpResult | None, int]:
     """Dual simplex from `start`, then a primal polish. Returns the result
     if it is verified (or stopped by the deadline), else None, and the
-    pivots spent either way."""
+    pivots spent either way. A verified optimum's inverse joins the
+    shared store."""
     m, n = problem.a.shape
     budget = min(max_iters, int(_WARM_SHARE * (m + n)))
-    eng = _Engine(problem, feas_tol, opt_tol, budget, deadline)
-    if not eng.install(start):
+    eng = _Engine(problem, feas_tol, opt_tol, budget, deadline, shared)
+    if not eng.install(start, shared.inverse(start) if shared is not None else None):
         return None, 0
     cost = np.zeros(n + 2 * m)
     cost[:n] = problem.c
@@ -565,6 +635,8 @@ def _warm_solve(
         res = LpResult(st, np.nan, x, eng.iterations)
     elif st == LpStatus.OPTIMAL and point_violation(problem, x) <= feas_tol:
         res = LpResult(st, float(problem.c @ x), x, eng.iterations, eng.snapshot())
+        if shared is not None:
+            shared.inverses.append((res.basis, eng.Binv))
     elif st == LpStatus.INFEASIBLE and eng.certifies(eng.proof_row):
         res = LpResult(st, np.nan, x, eng.iterations)
     return res, eng.iterations
@@ -572,8 +644,11 @@ def _warm_solve(
 
 def _cold_solve(
     problem: LpProblem, feas_tol: float, opt_tol: float, max_iters: int, deadline: float | None,
+    shared: _Shared | None = None,
 ) -> LpResult:
-    """Two-phase solve from the all-artificial basis."""
+    """Two-phase solve from the all-artificial basis, over a matrix of its
+    own. An optimum's inverse joins the shared store when that matrix
+    equals the shared one bit for bit, as the root's does."""
     m, n = problem.a.shape
     eng = _Engine(problem, feas_tol, opt_tol, max_iters, deadline)
     ntot = n + 2 * eng.m
@@ -617,4 +692,6 @@ def _cold_solve(
         return LpResult(st, -np.inf, x, eng.iterations)
     obj = float(problem.c @ x)
     basis = eng.snapshot() if st == LpStatus.OPTIMAL else None
+    if basis is not None and shared is not None and np.array_equal(eng.A, shared.A):
+        shared.inverses.append((basis, eng.Binv))
     return LpResult(st, obj, x, eng.iterations, basis)

@@ -10,6 +10,7 @@ descriptions, and leaves the linearization to the MILP layer.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -52,8 +53,10 @@ class ModelConfig:
 
     def __post_init__(self):
         for name in ("eps_dp", "eps_eodds", "eps_prp"):
-            if getattr(self, name) < 0.0:
-                raise ValueError(f"{name} must be nonnegative, got {getattr(self, name)}")
+            value = getattr(self, name)
+            # written so that NaN fails too: every comparison with it is False
+            if not 0.0 <= value < math.inf:
+                raise ValueError(f"{name} must be finite and nonnegative, got {value}")
         if not 0.0 <= self.retention <= 1.0:
             raise ValueError(f"retention must lie in [0, 1], got {self.retention}")
         if self.window < 1:

@@ -129,6 +129,44 @@ def test_solver_infeasibility_is_exit_5(tmp_path):
     assert not (tmp_path / "p").exists()
 
 
+@pytest.mark.parametrize("flag", ["--eps-dp=nan", "--eps-prp=inf", "--eps-eodds=-inf"])
+def test_non_finite_tolerance_is_exit_2(flag, tmp_path, capsys):
+    rc = main(solve_args(tmp_path, flag))
+    assert rc == 2
+    assert "must be finite and nonnegative" in capsys.readouterr().err
+    assert not (tmp_path / "plan.json").exists()
+
+
+def test_non_finite_frontier_grid_is_exit_2_before_any_solve(tmp_path, capsys):
+    out = tmp_path / "front.csv"
+    rc = main(["frontier", TINY, *FAST, "--grid-dp", "0.25", "--grid-eodds",
+               "0.25,nan", "--grid-prp", "0.25", "--output", str(out)])
+    assert rc == 2
+    assert "eps_eodds must be finite and nonnegative" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("value", ["0", "-1", "nan"])
+def test_time_budgets_must_be_positive(value, tmp_path, capsys):
+    rc = main(solve_args(tmp_path, "--time-limit", value))
+    assert rc == 2
+    assert "time_limit must be a positive number of seconds" in capsys.readouterr().err
+    config = tmp_path / "conf.json"
+    # json.dumps writes NaN as a bare token, which json.loads reads back
+    config.write_text(json.dumps({"time_limit": float(value)}))
+    assert main(solve_args(tmp_path, "--config", str(config))) == 2
+    out = tmp_path / "front.csv"
+    rc = main(["frontier", TINY, *FAST, "--grid-dp", "0.25", "--grid-eodds", "0.25",
+               "--grid-prp", "0.25", "--budget-per-solve", value, "--output", str(out)])
+    assert rc == 2
+    assert "--budget-per-solve must be a positive number of seconds" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_infinite_time_limit_is_allowed(tmp_path):
+    assert main(solve_args(tmp_path, "--time-limit", "inf")) == 0
+
+
 def identity_plan_file(d: Path) -> Path:
     plan = TransitionPlan(edges=(0.0, 0.5, 1.0), groups=np.tile(np.eye(2), (2, 1, 1)))
     path = d / "identity.json"

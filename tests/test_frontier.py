@@ -4,12 +4,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import replace
+from itertools import product
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fairbins import frontier
+from fairbins.bnb import solve_milp
 from fairbins.frontier import (
     FrontierPoint,
     compare_models,
@@ -247,3 +251,34 @@ def test_sweep_records_infeasible_triples():
     assert not pts[0].has_metrics
     text = frontier_csv(pts)
     assert parse_frontier_csv(text)[0].auc is None
+
+
+def test_multi_cell_sweep_matches_independent_solves():
+    # roots after a (dp, eodds) pair's first warm-start from the previous
+    # root's basis; every point must still match a solve of its own
+    stats = tiny_stats()
+    grid = ([0.25], [0.1, 0.25], [0.1, 0.15, 0.25])
+    calls = []
+
+    def recording(*args, **kwargs):
+        report = solve_milp(*args, **kwargs)
+        calls.append((kwargs["root_start"], report))
+        return report
+
+    with mock.patch.object(frontier, "solve_milp", recording):
+        pts = sweep(stats, *grid, retention=0.5, window=2, power=-4, mode="exact",
+                    budget_per_solve=60.0)
+    assert [p.configured for p in pts] == list(product(*grid))
+    assert len(calls) == len(pts)
+    # the first root of each pair starts cold, the rest from the root before
+    starts = [start for start, _ in calls]
+    assert [s is None for s in starts] == [True, False, False] * 2
+    assert all(s is calls[i - 1][1].root_basis for i, s in enumerate(starts) if s is not None)
+    for p, (_, report) in zip(pts, calls):
+        dp, eodds, prp = p.configured
+        direct = solve_once(
+            stats, ModelConfig(eps_dp=dp, eps_eodds=eodds, eps_prp=prp, retention=0.5, window=2),
+            power=-4, mode="exact", time_limit=60.0,
+        ).report
+        assert p.status == report.status.value == direct.status.value
+        assert report.incumbent_objective == pytest.approx(direct.incumbent_objective, abs=1e-9)

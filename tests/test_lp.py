@@ -35,6 +35,8 @@ from fairbins.nmdt import build_milp
 
 from .conftest import tiny_stats
 from .oracle_helpers import scipy_lp
+from .test_bnb import _milp as _bnb_milp
+from .test_bnb import _random_instance
 
 
 def _problem(c, a, senses, rhs, lo, hi):
@@ -475,36 +477,41 @@ def test_node_lps_match_reference_bit_for_bit():
 _SENSE_CHAR = {SENSE_LE: "<", SENSE_EQ: "=", SENSE_GE: ">"}
 
 
-def _fixed_child(problem: LpProblem, x: np.ndarray, fixes) -> LpProblem:
+def _fixed_child(problem: LpProblem, x: np.ndarray, fixes, shift=0.0) -> LpProblem:
     """`problem` with each (column, where) pinned at its lower bound, its
-    upper bound or an interior value; an infinite side is replaced by a
-    point one unit past the parent's optimum."""
+    upper bound or an interior value, and `shift` added to the right-hand
+    sides; an infinite side is replaced by a point one unit past the
+    parent's optimum."""
     lo, hi = problem.lo.copy(), problem.hi.copy()
     for j, where in fixes:
         low = lo[j] if np.isfinite(lo[j]) else x[j] - 1.0
         high = hi[j] if np.isfinite(hi[j]) else x[j] + 1.0
         value = {"lo": low, "hi": high, "mid": (low + high) / 2.0}[where]
         lo[j] = hi[j] = value
-    return LpProblem(problem.c, problem.a, problem.senses, problem.rhs, lo, hi)
+    return LpProblem(problem.c, problem.a, problem.senses, problem.rhs + shift, lo, hi)
 
 
 @st.composite
 def _warm_cases(draw):
     problem = draw(_parity_lps())
     cols = draw(st.permutations(range(problem.ncols)))
-    k = draw(st.integers(1, min(3, problem.ncols)))
+    k = draw(st.integers(0, min(3, problem.ncols)))
     wheres = draw(st.lists(st.sampled_from(["lo", "hi", "mid"]), min_size=k, max_size=k))
-    return problem, list(zip(cols[:k], wheres))
+    # a start is only promised the same matrix and costs, so the
+    # right-hand sides may move too
+    shift = draw(st.lists(st.sampled_from([0.0, 0.0, 0.5, -0.5, 1.5]),
+                          min_size=problem.nrows, max_size=problem.nrows))
+    return problem, list(zip(cols[:k], wheres)), np.array(shift)
 
 
 @settings(max_examples=150, deadline=None)
 @given(case=_warm_cases())
 def test_warm_start_after_fixing_columns_matches_scipy(case):
-    problem, fixes = case
+    problem, fixes, shift = case
     parent = solve_lp(problem)
     assume(parent.status == LpStatus.OPTIMAL)
     assert parent.basis is not None
-    child = _fixed_child(problem, parent.x, fixes)
+    child = _fixed_child(problem, parent.x, fixes, shift)
     warm = solve_lp(child, start=parent.basis)
     status, obj, _ = scipy_lp(
         child.c, child.a, [_SENSE_CHAR[int(s)] for s in child.senses], child.rhs,
@@ -596,6 +603,53 @@ def test_warm_started_nodes_take_fewer_pivots_than_cold_nodes():
     # the roots are the same cold solve; only the node LPs differ
     assert warm_pivots[0] == cold_pivots[0]
     assert sum(warm_pivots[1:]) < sum(cold_pivots[1:])
+
+
+def test_a_corrupted_stored_inverse_is_factored_afresh():
+    child, basis = _branched_lp()
+    shared = lp._Shared(child)
+    first = solve_lp(child, start=basis, _shared=shared)
+    assert first.status == LpStatus.OPTIMAL
+    [(kept, inverse)] = shared.inverses
+    assert kept is first.basis
+    j = int(np.argmin(np.abs(first.x - 0.5)))
+    grandchild = _fixed_child(child, first.x, [(j, "hi")])
+    fresh = solve_lp(grandchild, start=first.basis, _shared=lp._Shared(child))
+
+    cols = shared.A[:, kept.basic]
+    corrupted = inverse.copy()
+    corrupted[0] *= 1.0 + 1e-6
+    assert lp._inverts(inverse, cols) and not lp._inverts(corrupted, cols)
+    shared.inverses[0] = (kept, corrupted)
+    res = solve_lp(grandchild, start=first.basis, _shared=shared)
+    assert res.basis is not None and res.iterations < solve_lp(grandchild).iterations
+    assert (res.status, res.iterations, res.x.tobytes()) == (
+        fresh.status, fresh.iterations, fresh.x.tobytes()
+    )
+
+
+def _store_cases() -> list:
+    config = ModelConfig(eps_dp=0.1, eps_eodds=0.1, eps_prp=0.1, retention=0.5, window=2)
+    model = build_model(tiny_stats(), config)
+    rng = np.random.default_rng(31)
+    return [build_milp(model, tighten(model), power=-4, mode="exact").problem] + [
+        _bnb_milp(**_random_instance(rng)) for _ in range(20)
+    ]
+
+
+@pytest.mark.parametrize("milp", _store_cases())
+def test_branch_and_bound_without_stored_inverses_reaches_the_same_answer(milp):
+    with mock.patch.object(lp, "_inverts", wraps=lp._inverts) as check:
+        kept = solve_milp(milp, time_limit=120, gap_target=0.0)
+        adopted = check.call_count
+        with mock.patch.object(lp, "_INVERSES_KEPT", 0):
+            fresh = solve_milp(milp, time_limit=120, gap_target=0.0)
+    assert check.call_count == adopted  # nothing stored, nothing checked
+    if kept.nodes_explored > 3:
+        assert adopted > 0
+    assert kept.status == fresh.status
+    assert kept.incumbent_objective == pytest.approx(fresh.incumbent_objective, abs=1e-9)
+    assert kept.best_lower_bound == pytest.approx(fresh.best_lower_bound, abs=1e-9)
 
 
 def test_warm_infeasibility_needs_a_certificate():

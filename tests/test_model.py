@@ -112,3 +112,10 @@ def test_config_validation():
         ModelConfig(window=0)
     with pytest.raises(ValueError, match="eps_dp"):
         ModelConfig(eps_dp=-0.1)
+
+
+@pytest.mark.parametrize("name", ["eps_dp", "eps_eodds", "eps_prp"])
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+def test_tolerances_must_be_finite(name, value):
+    with pytest.raises(ValueError, match=f"{name} must be finite and nonnegative"):
+        ModelConfig(**{name: value})
