@@ -25,7 +25,8 @@ from enum import Enum
 
 import numpy as np
 
-from .lp import LpBasis, LpProblem, LpResult, LpStatus, _Shared, point_violation, solve_lp
+from .lp import (FEAS_TOL, OPT_TOL, LpBasis, LpProblem, LpResult, LpStatus, _Shared,
+                 point_violation, solve_lp)
 
 __all__ = ["MilpStatus", "MilpProblem", "SolveReport", "solve_milp"]
 
@@ -71,8 +72,6 @@ def solve_milp(
     time_limit: float,
     gap_target: float,
     *,
-    feas_tol: float = 1e-7,
-    opt_tol: float = 1e-7,
     initial: np.ndarray | None = None,
     root_start: LpBasis | None = None,
 ) -> SolveReport:
@@ -102,7 +101,7 @@ def solve_milp(
             # adopt the snapped point, not the handed-in one: a binary at
             # 1e-8 would otherwise leak fractional credit into the incumbent
             initial[bins] = np.round(initial[bins])
-            if point_violation(lp, initial) <= feas_tol:
+            if point_violation(lp, initial) <= FEAS_TOL:
                 incumbent = initial
                 best_obj = float(lp.c @ initial)
 
@@ -112,8 +111,7 @@ def solve_milp(
     def solve_node(fixes, start: LpBasis | None = None) -> LpResult:
         nonlocal nodes
         nodes += 1
-        return solve_lp(restricted(fixes), feas_tol=feas_tol, opt_tol=opt_tol,
-                        deadline=deadline, start=start, _shared=shared)
+        return solve_lp(restricted(fixes), deadline=deadline, start=start, _shared=shared)
 
     root = solve_node((), root_start)
     if root.status == LpStatus.INFEASIBLE:
@@ -155,7 +153,7 @@ def solve_milp(
             break
         lower = heap[0][0]
         if incumbent is not None:
-            if lower >= best_obj - opt_tol:
+            if lower >= best_obj - OPT_TOL:
                 status = MilpStatus.OPTIMAL
                 lower = best_obj
                 break
@@ -182,7 +180,7 @@ def solve_milp(
                 branch(bound, fixes, open_cols[0], start)
             continue
 
-        if res.objective >= best_obj - opt_tol:
+        if res.objective >= best_obj - OPT_TOL:
             continue
         zvals = res.x[bins]
         off = np.abs(zvals - np.round(zvals))
@@ -199,7 +197,7 @@ def solve_milp(
                 res2 = solve_node(tuple(zip(bins.tolist(), pattern.tolist())), res.basis)
                 if (
                     res2.status == LpStatus.OPTIMAL
-                    and res2.objective < best_obj - opt_tol
+                    and res2.objective < best_obj - OPT_TOL
                 ):
                     incumbent = res2.x
                     best_obj = res2.objective

@@ -44,9 +44,7 @@ class TightBounds:
     t_hi: np.ndarray
 
 
-def tighten_mass_bounds(
-    model: FairnessModel, *, feas_tol: float = 1e-7, opt_tol: float = 1e-7
-) -> tuple[np.ndarray, np.ndarray]:
+def tighten_mass_bounds(model: FairnessModel) -> tuple[np.ndarray, np.ndarray]:
     """Min/max arriving mass per (group, dest) over the linear plan rows."""
     G, B = model.stats.ngroups, model.stats.nbins
     rows = model.linear_rows(include_rate_rows=False)
@@ -62,11 +60,7 @@ def tighten_mass_bounds(
             c = np.zeros(width)
             c[model.v_col(g, bp)] = 1.0
             for sign, out in ((1.0, v_lo), (-1.0, v_hi)):
-                res = solve_lp(
-                    LpProblem(sign * c, a, rows.senses, rows.rhs, lo, hi),
-                    feas_tol=feas_tol,
-                    opt_tol=opt_tol,
-                )
+                res = solve_lp(LpProblem(sign * c, a, rows.senses, rows.rhs, lo, hi))
                 if res.status != LpStatus.OPTIMAL:
                     raise BoundsError(
                         f"mass bound subproblem for group {g + 1}, bin {bp} "
@@ -128,9 +122,6 @@ def tighten_rate_bounds(
     model: FairnessModel,
     v_lo: np.ndarray,
     v_hi: np.ndarray,
-    *,
-    feas_tol: float = 1e-7,
-    opt_tol: float = 1e-7,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Exact min/max positive rate per (group, dest) via homogenized LPs."""
     if np.any(v_lo <= 0.0):
@@ -164,11 +155,7 @@ def tighten_rate_bounds(
             for b in sources:
                 c[model.x_index[(g, b, bp)]] = float(stats.npos[g, b])
             for sign, out in ((1.0, t_lo), (-1.0, t_hi)):
-                res = solve_lp(
-                    LpProblem(sign * c, rows.a, rows.senses, rows.rhs, lo, hi),
-                    feas_tol=feas_tol,
-                    opt_tol=opt_tol,
-                )
+                res = solve_lp(LpProblem(sign * c, rows.a, rows.senses, rows.rhs, lo, hi))
                 if res.status != LpStatus.OPTIMAL:
                     raise BoundsError(
                         f"rate bound subproblem for group {g + 1}, bin {bp} "
@@ -188,9 +175,7 @@ def tighten_rate_bounds(
     return t_lo, t_hi
 
 
-def tighten(
-    model: FairnessModel, *, feas_tol: float = 1e-7, opt_tol: float = 1e-7
-) -> TightBounds:
-    v_lo, v_hi = tighten_mass_bounds(model, feas_tol=feas_tol, opt_tol=opt_tol)
-    t_lo, t_hi = tighten_rate_bounds(model, v_lo, v_hi, feas_tol=feas_tol, opt_tol=opt_tol)
+def tighten(model: FairnessModel) -> TightBounds:
+    v_lo, v_hi = tighten_mass_bounds(model)
+    t_lo, t_hi = tighten_rate_bounds(model, v_lo, v_hi)
     return TightBounds(v_lo=v_lo, v_hi=v_hi, t_lo=t_lo, t_hi=t_hi)

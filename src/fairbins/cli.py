@@ -15,6 +15,7 @@ import argparse
 import contextlib
 import csv
 import json
+import math
 import operator
 import sys
 from pathlib import Path
@@ -262,16 +263,18 @@ def _grid(text: str, flag: str) -> list[float]:
 
 def cmd_frontier(args: argparse.Namespace) -> int:
     settings = _resolve(args)
-    budget = args.budget_per_solve
-    if budget is not None:
-        budget = _seconds(budget, "--budget-per-solve")
+    grids = (_grid(args.grid_dp, "--grid-dp"), _grid(args.grid_eodds, "--grid-eodds"),
+             _grid(args.grid_prp, "--grid-prp"))
+    if args.budget_per_solve is not None:
+        budget = _seconds(args.budget_per_solve, "--budget-per-solve")
+    else:
+        # each cell's solve gets an even share of the time limit
+        budget = _seconds(settings["time_limit"], "time_limit") / math.prod(map(len, grids))
     _, _, stats = _binned_stats(args.input, int(settings["bins"]), _schema(args))
     _require_overlap(stats)
     points = sweep(
         stats,
-        _grid(args.grid_dp, "--grid-dp"),
-        _grid(args.grid_eodds, "--grid-eodds"),
-        _grid(args.grid_prp, "--grid-prp"),
+        *grids,
         retention=float(settings["retention"]),
         window=int(settings["window"]),
         power=power_for_precision(float(settings["precision"])),

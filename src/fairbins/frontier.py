@@ -106,7 +106,6 @@ def solve_once(
     mode: str = "exact",
     time_limit: float = 600.0,
     gap_target: float = 0.0,
-    feas_tol: float = 1e-7,
     bounds: TightBounds | None = None,
     root_start: LpBasis | None = None,
 ) -> SolveOutcome:
@@ -119,12 +118,11 @@ def solve_once(
     if bounds is None:
         bounds = tighten(model)
     nm = build_milp(model, bounds, power=power, mode=mode)
-    warm = completion_start(nm, feas_tol=feas_tol)
-    report = solve_milp(nm.problem, time_limit, gap_target, feas_tol=feas_tol, initial=warm,
-                        root_start=root_start)
+    warm = completion_start(nm)
+    report = solve_milp(nm.problem, time_limit, gap_target, initial=warm, root_start=root_start)
     plan = None
     if report.incumbent is not None:
-        plan = extract_plan(report.incumbent, model, feas_tol=10 * feas_tol)
+        plan = extract_plan(report.incumbent, model)
     return SolveOutcome(
         report=report,
         plan=plan,
@@ -147,15 +145,15 @@ def sweep(
     eodds_grid: Sequence[float],
     prp_grid: Sequence[float],
     *,
+    budget_per_solve: float,
     retention: float = 0.5,
     window: int = 13,
     power: int = -17,
     mode: str = "exact",
-    budget_per_solve: float | None = None,
     gap_target: float = 0.0,
-    feas_tol: float = 1e-7,
 ) -> list[FrontierPoint]:
-    """One solve per tolerance triple over the full grid product.
+    """One solve per tolerance triple over the full grid product, each with
+    a time limit of `budget_per_solve` seconds.
 
     Bound tightening depends only on the DP and EOdds tolerances, so it is
     computed once per (dp, eodds) pair and shared across the PRP axis. The
@@ -171,8 +169,6 @@ def sweep(
                     retention=retention, window=window)
         for eps_dp, eps_eodds, eps_prp in product(dp_grid, eodds_grid, prp_grid)
     ]
-    if budget_per_solve is None:
-        budget_per_solve = 600.0 / len(configs)
 
     cache: dict[tuple[float, float], TightBounds | None] = {}
     roots: dict[tuple[float, float], LpBasis | None] = {}
@@ -197,7 +193,7 @@ def sweep(
             continue
         out = solve_once(
             stats, config, power=power, mode=mode, time_limit=budget_per_solve,
-            gap_target=gap_target, feas_tol=feas_tol, bounds=bounds, root_start=roots.get(key),
+            gap_target=gap_target, bounds=bounds, root_start=roots.get(key),
         )
         roots[key] = out.report.root_basis
         elapsed = time.monotonic() - t0

@@ -20,7 +20,7 @@ primal loop then polishes it to optimality. The dual keeps its reduced
 costs up to date from the pivot row it already computes, and recomputes
 them at each refactorization. A warm answer is used only once it checks
 out: an optimal point must satisfy the problem's own rows and bounds to
-`feas_tol`, and an infeasibility verdict must survive a fresh
+`FEAS_TOL` (1e-7), and an infeasibility verdict must survive a fresh
 factorization. Anything else (a pivot cap, a failed check, a singular
 basis) falls back to the cold two-phase solve, which is the same code
 with or without a start.
@@ -45,6 +45,8 @@ from enum import Enum
 import numpy as np
 
 __all__ = [
+    "FEAS_TOL",
+    "OPT_TOL",
     "SENSE_LE",
     "SENSE_EQ",
     "SENSE_GE",
@@ -60,6 +62,12 @@ SENSE_LE = -1
 SENSE_EQ = 0
 SENSE_GE = 1
 
+# every layer judges LP answers by these: a point is feasible when no row or
+# bound is violated by more than FEAS_TOL, and a basis optimal when no
+# reduced cost prices below -OPT_TOL
+FEAS_TOL = 1e-7
+OPT_TOL = 1e-7
+
 _BASIC, _AT_LO, _AT_UP, _FREE = 0, 1, 2, 3
 _PIVOT_TOL = 1e-9
 _DEGENERATE_STEP = 1e-10
@@ -69,7 +77,7 @@ _DUAL_PIVOT_TOL = 1e-7
 # a dual-simplex basis counts as primal feasible only when no basic variable
 # is further than this outside its bounds (in engine units: row-scaled for
 # slacks). The cold path never moves a variable out of its box, so
-# `feas_tol` would be too loose here: it admits points the cold solve
+# `FEAS_TOL` would be too loose here: it admits points the cold solve
 # rightly finds infeasible.
 _DUAL_FEAS_TOL = 1e-11
 # pivots a warm start may spend, as a multiple of rows plus columns, before
@@ -179,7 +187,7 @@ class _Shared:
     matrix; a cold solve builds its own."""
 
     def __init__(self, problem: LpProblem):
-        eng = _Engine(problem, 0.0, 0.0, 0, None)
+        eng = _Engine(problem, 0, None)
         self.a = problem.a
         self.scale, self.A = eng.scale, eng.A
         self.inverses: deque[tuple[LpBasis, np.ndarray]] = deque(maxlen=_INVERSES_KEPT)
@@ -194,11 +202,10 @@ class _Shared:
 class _Engine:
     """Two-phase simplex state: full column matrix, basis, dense inverse."""
 
-    def __init__(self, problem: LpProblem, feas_tol: float, opt_tol: float, max_iters: int,
-                 deadline: float | None, shared: _Shared | None = None):
+    def __init__(self, problem: LpProblem, max_iters: int, deadline: float | None,
+                 shared: _Shared | None = None):
         self.problem = problem
-        self.feas_tol = feas_tol
-        self.opt_tol = opt_tol
+        self.opt_tol = OPT_TOL
         self.max_iters = max_iters
         self.deadline = deadline
         self.iterations = 0
@@ -257,9 +264,7 @@ class _Engine:
             self.Binv = np.linalg.inv(cols)
         except np.linalg.LinAlgError:
             self.Binv = np.linalg.pinv(cols)
-        nb = self.val.copy()
-        nb[self.basis] = 0.0
-        self.xB = self.Binv @ (self.rhs - self.A @ nb)
+        self.solve_basics()
 
     def point(self) -> np.ndarray:
         full = self.val.copy()
@@ -408,7 +413,7 @@ class _Engine:
     def certifies(self, r: int) -> bool:
         """Whether row slot `r`, re-derived from a fresh factorization,
         still proves the bounds unmeetable: its basic variable stays more
-        than `feas_tol` (in the problem's units) outside its bounds even
+        than `FEAS_TOL` (in the problem's units) outside its bounds even
         when every nonbasic column moves across its whole range to help. As
         in the dual ratio test, a column with |alpha_j| at most the pivot
         tolerance counts as zero when its range is unbounded; every finite
@@ -425,7 +430,7 @@ class _Engine:
         # slack and artificial values are in row-scaled units
         n = self.nstruct
         unit = 1.0 if v < n else self.scale[(v - n) % self.m]
-        if not short * unit > self.feas_tol:
+        if not short * unit > FEAS_TOL:
             return False
         y = self.Binv[r]
         alpha = y @ self.A
@@ -441,7 +446,7 @@ class _Engine:
         val = self.val[nb]
         gain = np.maximum(a * (self.lo[nb] - val), a * (self.hi[nb] - val))
         gain[np.isinf(gain) & (np.abs(a) <= _DUAL_PIVOT_TOL)] = 0.0
-        return bool((short - gain.sum()) * unit > self.feas_tol)
+        return bool((short - gain.sum()) * unit > FEAS_TOL)
 
     def run(self, c: np.ndarray) -> LpStatus:
         A, lo, hi, val, pos, basis = self.A, self.lo, self.hi, self.val, self.pos, self.basis
@@ -572,17 +577,16 @@ def _trivial_solve(problem: LpProblem) -> LpResult:
 def solve_lp(
     problem: LpProblem,
     *,
-    feas_tol: float = 1e-7,
-    opt_tol: float = 1e-7,
-    max_iters: int | None = None,
     deadline: float | None = None,
     start: LpBasis | None = None,
     _shared: _Shared | None = None,
 ) -> LpResult:
     """Minimize over the bounded polyhedron; two-phase, deterministic.
 
-    Past `deadline`, a `time.monotonic()` reading, pivoting stops with
-    status TIME_LIMIT; without one, only `max_iters` bounds the work.
+    Answers are judged by `FEAS_TOL` and `OPT_TOL`. Past `deadline`, a
+    `time.monotonic()` reading, pivoting stops with status TIME_LIMIT;
+    without one, only the cap of 5000 + 25 * (rows + columns) pivots bounds
+    the work, and status ITERATION_LIMIT reports reaching it.
     With `start`, the optimal basis of a problem with the same matrix and
     costs, a verified dual-simplex warm start is tried first; when it
     cannot vouch for its answer, the cold solve runs as if there were no
@@ -595,25 +599,23 @@ def solve_lp(
     m, n = problem.a.shape
     if m == 0:
         return _trivial_solve(problem)
-    if np.any(problem.lo > problem.hi + feas_tol):
+    if np.any(problem.lo > problem.hi + FEAS_TOL):
         return LpResult(LpStatus.INFEASIBLE, np.nan, np.full(n, np.nan), 0)
-    if max_iters is None:
-        max_iters = 5000 + 25 * (m + n)
+    max_iters = 5000 + 25 * (m + n)
     if _shared is not None and problem.a is not _shared.a:
         _shared = None
     spent = 0
     if start is not None:
-        warm, spent = _warm_solve(problem, start, feas_tol, opt_tol, max_iters, deadline,
-                                  _shared)
+        warm, spent = _warm_solve(problem, start, max_iters, deadline, _shared)
         if warm is not None:
             return warm
-    res = _cold_solve(problem, feas_tol, opt_tol, max_iters, deadline, _shared)
+    res = _cold_solve(problem, max_iters, deadline, _shared)
     return replace(res, iterations=res.iterations + spent) if spent else res
 
 
 def _warm_solve(
-    problem: LpProblem, start: LpBasis, feas_tol: float, opt_tol: float, max_iters: int,
-    deadline: float | None, shared: _Shared | None,
+    problem: LpProblem, start: LpBasis, max_iters: int, deadline: float | None,
+    shared: _Shared | None,
 ) -> tuple[LpResult | None, int]:
     """Dual simplex from `start`, then a primal polish. Returns the result
     if it is verified (or stopped by the deadline), else None, and the
@@ -621,7 +623,7 @@ def _warm_solve(
     shared store."""
     m, n = problem.a.shape
     budget = min(max_iters, int(_WARM_SHARE * (m + n)))
-    eng = _Engine(problem, feas_tol, opt_tol, budget, deadline, shared)
+    eng = _Engine(problem, budget, deadline, shared)
     if not eng.install(start, shared.inverse(start) if shared is not None else None):
         return None, 0
     cost = np.zeros(n + 2 * m)
@@ -633,7 +635,7 @@ def _warm_solve(
     res = None
     if st == LpStatus.TIME_LIMIT:
         res = LpResult(st, np.nan, x, eng.iterations)
-    elif st == LpStatus.OPTIMAL and point_violation(problem, x) <= feas_tol:
+    elif st == LpStatus.OPTIMAL and point_violation(problem, x) <= FEAS_TOL:
         res = LpResult(st, float(problem.c @ x), x, eng.iterations, eng.snapshot())
         if shared is not None:
             shared.inverses.append((res.basis, eng.Binv))
@@ -643,42 +645,36 @@ def _warm_solve(
 
 
 def _cold_solve(
-    problem: LpProblem, feas_tol: float, opt_tol: float, max_iters: int, deadline: float | None,
-    shared: _Shared | None = None,
+    problem: LpProblem, max_iters: int, deadline: float | None, shared: _Shared | None = None,
 ) -> LpResult:
     """Two-phase solve from the all-artificial basis, over a matrix of its
     own. An optimum's inverse joins the shared store when that matrix
     equals the shared one bit for bit, as the root's does."""
     m, n = problem.a.shape
-    eng = _Engine(problem, feas_tol, opt_tol, max_iters, deadline)
+    eng = _Engine(problem, max_iters, deadline)
     ntot = n + 2 * eng.m
 
     phase1 = np.zeros(ntot)
     phase1[n + eng.m :] = 1.0
-    st = eng.run(phase1)
-    if st in _STOPPED:
-        return LpResult(st, np.nan, eng.point()[:n], eng.iterations)
-    if st == LpStatus.UNBOUNDED:
-        raise RuntimeError("phase-1 objective is bounded below; pivot logic broke")
-
     # judge phase 1 by the same yardstick callers apply to the answer: the
     # structural point's worst row violation, not the artificial sum, which
-    # scales with rhs magnitude and can bless real infeasibility
-    x1 = eng.point()[:n]
-    if point_violation(problem, x1) > feas_tol:
-        # stopping inside the optimality tolerance can strand artificial
-        # mass on a feasible problem; grind the tolerance down and let the
-        # verdict rest on true phase-1 optimality
-        eng.opt_tol = min(opt_tol, 1e-12)
+    # scales with rhs magnitude and can bless real infeasibility. Stopping
+    # inside the optimality tolerance can strand artificial mass on a
+    # feasible problem, so a violated point grinds the tolerance down and
+    # lets the verdict rest on true phase-1 optimality.
+    for tol in (OPT_TOL, 1e-12):
+        eng.opt_tol = tol
         st = eng.run(phase1)
-        eng.opt_tol = opt_tol
         if st in _STOPPED:
             return LpResult(st, np.nan, eng.point()[:n], eng.iterations)
         if st == LpStatus.UNBOUNDED:
             raise RuntimeError("phase-1 objective is bounded below; pivot logic broke")
         x1 = eng.point()[:n]
-        if point_violation(problem, x1) > feas_tol:
-            return LpResult(LpStatus.INFEASIBLE, np.nan, x1, eng.iterations)
+        if not point_violation(problem, x1) > FEAS_TOL:
+            break
+    else:
+        return LpResult(LpStatus.INFEASIBLE, np.nan, x1, eng.iterations)
+    eng.opt_tol = OPT_TOL
 
     eng.lo[n + eng.m :] = 0.0
     eng.hi[n + eng.m :] = 0.0

@@ -26,6 +26,7 @@ import numpy as np
 from .bnb import MilpProblem
 from .bounds import TightBounds
 from .lp import (
+    FEAS_TOL,
     SENSE_EQ,
     SENSE_GE,
     SENSE_LE,
@@ -49,6 +50,8 @@ __all__ = [
 ]
 
 _FIXED_SPAN = 1e-12
+# elastic completion LPs `completion_start` runs before it gives up
+_COMPLETION_ROUNDS = 12
 
 
 def power_for_precision(precision: float) -> int:
@@ -339,9 +342,7 @@ def _completion_lp(
     return LpProblem(c=c, a=rows.a, senses=rows.senses, rhs=rows.rhs, lo=lo, hi=hi)
 
 
-def completion_start(
-    nm: NmdtMilp, *, feas_tol: float = 1e-7, max_rounds: int = 12
-) -> np.ndarray | None:
+def completion_start(nm: NmdtMilp) -> np.ndarray | None:
     """Whole-digit feasible point built without branching, or None.
 
     The identity lift is tried first; when the data is biased enough that
@@ -354,7 +355,7 @@ def completion_start(
     """
     lp = nm.problem.lp
     x0 = initial_point(nm)
-    if point_violation(lp, x0) <= feas_tol:
+    if point_violation(lp, x0) <= FEAS_TOL:
         return x0
 
     model = nm.model
@@ -375,7 +376,7 @@ def completion_start(
         where=stats.n > 0,
     )
     targets = _feasible_rate_targets(nm, seed, margin=margin)
-    for _ in range(max_rounds):
+    for _ in range(_COMPLETION_ROUNDS):
         if quantize:
             targets = _grid_quantize(nm, targets)
         res = solve_lp(_completion_lp(nm, targets, targets, elastic=True))
@@ -421,7 +422,7 @@ def completion_start(
             full[wc] = bit * v
         if cols.r >= 0:
             full[cols.r] = dlam * v
-    if point_violation(lp, full) <= feas_tol:
+    if point_violation(lp, full) <= FEAS_TOL:
         return full
     return None
 

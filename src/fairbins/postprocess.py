@@ -27,6 +27,11 @@ __all__ = [
     "audit_stats",
 ]
 
+# how far a plan entry may fall below 0 or past 1, or a row sum stray from 1,
+# before the plan counts as broken: ten times the LP feasibility tolerance,
+# the roundoff a solved plan column may carry
+_PLAN_TOL = 1e-6
+
 
 class PlanError(ValueError):
     """A plan is malformed or does not fit the data it is applied to."""
@@ -65,16 +70,20 @@ class TransitionPlan:
     def spec(self) -> BinSpec:
         return BinSpec(edges=self.edges)
 
-    def validate(self, *, retention: float | None = None, window: int | None = None,
-                 tol: float = 1e-6) -> None:
+    def validate(self, *, retention: float | None = None, window: int | None = None) -> None:
+        # every comparison with NaN is False, so the checks below would pass it
+        if not np.isfinite(self.groups).all():
+            raise PlanError("plan entries must be finite numbers")
         sums = self.groups.sum(axis=2)
-        if np.abs(sums - 1.0).max() > tol:
-            raise PlanError(f"plan rows sum to 1 within {tol}; worst {sums.min()}..{sums.max()}")
-        if self.groups.min() < -tol or self.groups.max() > 1 + tol:
+        if np.abs(sums - 1.0).max() > _PLAN_TOL:
+            raise PlanError(
+                f"plan rows sum to 1 within {_PLAN_TOL}; worst {sums.min()}..{sums.max()}"
+            )
+        if self.groups.min() < -_PLAN_TOL or self.groups.max() > 1 + _PLAN_TOL:
             raise PlanError("plan entries must lie in [0, 1]")
         if retention is not None:
             diag = np.diagonal(self.groups, axis1=1, axis2=2)
-            if diag.min() < 1.0 - retention - tol:
+            if diag.min() < 1.0 - retention - _PLAN_TOL:
                 raise PlanError(
                     f"diagonal {diag.min():.6f} breaks the retention floor "
                     f"{1.0 - retention:.6f}"
@@ -83,7 +92,7 @@ class TransitionPlan:
             B = self.nbins
             src, dst = np.meshgrid(np.arange(B), np.arange(B), indexing="ij")
             outside = np.abs(src - dst) >= window
-            if np.abs(self.groups[:, outside]).max(initial=0.0) > tol:
+            if np.abs(self.groups[:, outside]).max(initial=0.0) > _PLAN_TOL:
                 raise PlanError(f"plan moves mass beyond the width-{window} window")
 
     def to_json(self) -> str:
@@ -106,14 +115,12 @@ class TransitionPlan:
         )
 
 
-def extract_plan(
-    solution: np.ndarray, model: FairnessModel, *, feas_tol: float = 1e-7
-) -> TransitionPlan:
+def extract_plan(solution: np.ndarray, model: FairnessModel) -> TransitionPlan:
     """Read the plan block out of a solution, clean roundoff, renormalize."""
     if not model.stats.edges:
         raise PlanError("model statistics carry no bin edges")
     raw = plan_matrices(model, solution)
-    if raw.min() < -feas_tol:
+    if raw.min() < -_PLAN_TOL:
         raise PlanError(f"plan entry {raw.min():.3e} below zero beyond tolerance")
     raw = np.maximum(raw, 0.0)
     sums = raw.sum(axis=2)

@@ -219,6 +219,7 @@ def test_apply_group_mismatch_is_exit_6(tmp_path, capsys):
 @pytest.mark.parametrize("row, message", [
     ([1.7, -0.7], "entries must lie in"),
     ([0.6, 0.3], "rows sum to 1"),
+    ([np.nan, np.nan], "entries must be finite"),
 ])
 def test_apply_rejects_an_invalid_plan_with_exit_6(row, message, tmp_path, capsys):
     groups = np.tile(np.eye(2), (2, 1, 1))
@@ -267,6 +268,24 @@ def test_frontier_single_cell_csv(tmp_path):
     assert len(lines) == 2
     assert lines[0].startswith("auc,epsDP,epsEOdds,epsPRP,configured_dp")
     assert lines[1].split(",")[7] == "Optimal"
+
+
+def test_frontier_splits_the_time_limit_over_the_grid(tmp_path):
+    # without --budget-per-solve, the time limit is split over the grid
+    args = ["frontier", TINY, *FAST, "--grid-dp", "0.25", "--grid-eodds", "0.25",
+            "--grid-prp", "0.25"]
+    config = tmp_path / "conf.json"
+    config.write_text(json.dumps({"time_limit": 0.000001}))
+    out = tmp_path / "front.csv"
+
+    def status(*extra: str) -> str:
+        assert main([*args, *extra, "--output", str(out)]) == 0
+        return out.read_text().splitlines()[1].split(",")[7]
+
+    assert status("--time-limit", "0.000001") == "TimeLimit"
+    assert status("--config", str(config)) == "TimeLimit"
+    # --budget-per-solve wins when both are given
+    assert status("--time-limit", "0.000001", "--budget-per-solve", "60") == "Optimal"
 
 
 def test_tradeoff_and_compare_commands(tmp_path, capsys):
