@@ -9,11 +9,13 @@ warm-starts from it, from a copy of the parent's inverse when it is still
 stored; after fixing one binary that takes a few dual simplex pivots
 instead of a full two-phase solve. `solve_lp` checks each warm answer and
 falls back to a cold solve when it cannot. Heap entries hold only the
-`LpBasis`. The kernel is deterministic, so a given problem always
-explores the same tree in the same order. The search certifies
-optimality through bound exhaustion: when no open node can beat the
-incumbent, the lower bound is lifted to the incumbent value and the
-reported gap is exactly zero.
+`LpBasis`. An integral node point or a pinned pattern point becomes the
+incumbent only when it meets the MILP's rows and bounds to `FEAS_TOL`; an
+integral node that fails is split like a node whose LP hit its pivot cap.
+The kernel is deterministic, so a given problem always explores the same
+tree in the same order. The search certifies optimality through bound
+exhaustion: when no open node can beat the incumbent, the lower bound is
+lifted to the incumbent value and the reported gap is exactly zero.
 """
 
 from __future__ import annotations
@@ -135,6 +137,15 @@ def solve_milp(
             heapq.heappush(heap, (bound, counter, fixes + ((col, value),), None, start))
             counter += 1
 
+    def split(bound: float, fixes: tuple, start: LpBasis | None) -> None:
+        # a node whose LP gave no usable answer: keep completeness by
+        # splitting on the first unfixed binary, reusing the parent bound
+        # since this node's own value is unknown
+        fixed_cols = {c for c, _ in fixes}
+        open_cols = [c for c in bins.tolist() if c not in fixed_cols]
+        if open_cols:
+            branch(bound, fixes, open_cols[0], start)
+
     status = MilpStatus.OPTIMAL
     lower = root_bound
 
@@ -172,12 +183,7 @@ def solve_milp(
             counter += 1
             continue
         if res.status == LpStatus.ITERATION_LIMIT:
-            # keep completeness: split on the first unfixed binary, reuse the
-            # parent bound since this node's own value is unknown
-            fixed_cols = {c for c, _ in fixes}
-            open_cols = [c for c in bins.tolist() if c not in fixed_cols]
-            if open_cols:
-                branch(bound, fixes, open_cols[0], start)
+            split(bound, fixes, start)
             continue
 
         if res.objective >= best_obj - OPT_TOL:
@@ -186,8 +192,12 @@ def solve_milp(
         off = np.abs(zvals - np.round(zvals))
         if np.all(off <= _INT_TOL):
             if np.max(off, initial=0.0) == 0.0:
-                incumbent = res.x
-                best_obj = res.objective
+                # an incumbent is adopted only once it meets the rows
+                if point_violation(lp, res.x) <= FEAS_TOL:
+                    incumbent = res.x
+                    best_obj = res.objective
+                else:
+                    split(bound, fixes, start)
             else:
                 # near-integral is not integral: a 1e-6 sliver of a binary can
                 # prop up a cheaper objective than any 0/1 point admits. Pin
@@ -198,6 +208,7 @@ def solve_milp(
                 if (
                     res2.status == LpStatus.OPTIMAL
                     and res2.objective < best_obj - OPT_TOL
+                    and point_violation(lp, res2.x) <= FEAS_TOL
                 ):
                     incumbent = res2.x
                     best_obj = res2.objective

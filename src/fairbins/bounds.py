@@ -11,6 +11,17 @@ column) turns the ratio into a linear objective over a polytope, so each
 bound is one exact LP. The plan's row-stochasticity rows must be carried
 into the scaled space too, or the scaled polytope admits rate values no
 real plan can produce.
+
+The LPs run as a warm chain: where two LPs share their rows, right-hand
+sides and bounds and differ only in the objective, the later one passes
+the earlier one's optimal basis to `solve_lp` as `start=`. That basis is
+still feasible, so the primal simplex re-optimizes from it instead of
+rerunning phase 1. All 2·G·B mass LPs share one polytope, so each starts
+from the one before it. The rate LPs of different (group, dest) pairs
+differ in their normalization row, so each pair's min LP is solved cold
+and its max LP starts from it. `solve_lp` verifies every warm answer and
+falls back to a cold solve otherwise, so the bounds are those of cold
+solves up to roundoff.
 """
 
 from __future__ import annotations
@@ -55,12 +66,13 @@ def tighten_mass_bounds(model: FairnessModel) -> tuple[np.ndarray, np.ndarray]:
 
     v_lo = np.zeros((G, B))
     v_hi = np.zeros((G, B))
+    start = None
     for g in range(G):
         for bp in range(B):
             c = np.zeros(width)
             c[model.v_col(g, bp)] = 1.0
             for sign, out in ((1.0, v_lo), (-1.0, v_hi)):
-                res = solve_lp(LpProblem(sign * c, a, rows.senses, rows.rhs, lo, hi))
+                res = solve_lp(LpProblem(sign * c, a, rows.senses, rows.rhs, lo, hi), start=start)
                 if res.status != LpStatus.OPTIMAL:
                     raise BoundsError(
                         f"mass bound subproblem for group {g + 1}, bin {bp} "
@@ -69,6 +81,7 @@ def tighten_mass_bounds(model: FairnessModel) -> tuple[np.ndarray, np.ndarray]:
                         dest=bp,
                     )
                 out[g, bp] = sign * res.objective
+                start = res.basis
     v_lo = np.maximum(v_lo - _PAD, 0.0)
     v_hi = v_hi + _PAD
     return v_lo, v_hi
@@ -154,8 +167,10 @@ def tighten_rate_bounds(
             c = np.zeros(width)
             for b in sources:
                 c[model.x_index[(g, b, bp)]] = float(stats.npos[g, b])
+            start = None
             for sign, out in ((1.0, t_lo), (-1.0, t_hi)):
-                res = solve_lp(LpProblem(sign * c, rows.a, rows.senses, rows.rhs, lo, hi))
+                res = solve_lp(LpProblem(sign * c, rows.a, rows.senses, rows.rhs, lo, hi),
+                               start=start)
                 if res.status != LpStatus.OPTIMAL:
                     raise BoundsError(
                         f"rate bound subproblem for group {g + 1}, bin {bp} "
@@ -164,6 +179,7 @@ def tighten_rate_bounds(
                         dest=bp,
                     )
                 out[g, bp] = sign * res.objective
+                start = res.basis
 
     t_lo = np.clip(t_lo - _PAD, 0.0, 1.0)
     t_hi = np.clip(t_hi + _PAD, 0.0, 1.0)

@@ -164,6 +164,9 @@ class BinSpec:
         e = self.edges
         if len(e) < 3:
             raise ValueError("need at least 2 bins")
+        # every comparison with NaN is False, so the order check would pass it
+        if not np.isfinite(np.asarray(e, dtype=float)).all():
+            raise ValueError("edges must be finite numbers")
         if any(e[i] >= e[i + 1] for i in range(len(e) - 1)):
             raise ValueError("edges must be strictly increasing")
         if e[0] != 0.0 or e[-1] != 1.0:

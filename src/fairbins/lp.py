@@ -10,13 +10,24 @@ the reduced costs through `A.T @ y`, and the entering column
 the rows where that column is nonzero, and is refactored from scratch
 every 100 basis changes.
 
+A cold solve starts from a slack crash basis (Bixby, "Implementing the
+simplex method: the initial basis", ORSA J. Comput. 4, 1992): each
+inequality row whose slack can hold the residual of the nonbasic start
+point begins with that slack basic, and only the other rows begin on an
+artificial, so phase 1 has only those artificials to drive out. A problem
+whose start point meets every row skips phase 1's pivots altogether.
+
 A solve may also start from an earlier optimal basis (`LpResult.basis`) of
-a problem with the same matrix and costs: its column bounds and right-hand
-sides may differ, as a branch-and-bound child differs from its parent or
-one frontier point's root LP from the next one's. Such changes leave that
-basis dual feasible, so a bounded dual simplex restores primal feasibility
-in a few pivots (Koberstein, *The dual simplex method*, 2005), and the
-primal loop then polishes it to optimality. The dual keeps its reduced
+a problem with the same matrix, and either the same costs or the same
+rows, right-hand sides and bounds. With the same costs, the column bounds
+and right-hand sides may differ, as a branch-and-bound child differs from
+its parent or one frontier point's root LP from the next one's. Such
+changes leave that basis dual feasible, so a bounded dual simplex restores
+primal feasibility in a few pivots (Koberstein, *The dual simplex method*,
+2005), and the primal loop then polishes it to optimality. With the same
+constraints and new costs, as in bound tightening, the basis stays primal
+feasible: the dual simplex has nothing to do, and the primal loop
+re-optimizes the new objective from it. The dual keeps its reduced
 costs up to date from the pivot row it already computes, and recomputes
 them at each refactorization. A warm answer is used only once it checks
 out: an optimal point must satisfy the problem's own rows and bounds to
@@ -253,10 +264,14 @@ class _Engine:
         self.A[rows, art] = sigma
         self.lo[art] = 0.0
 
-        self.basis = art.copy()
-        self.pos[art] = _BASIC
-        self.xB = np.abs(resid)
-        self.Binv = np.diag(sigma)
+        # crash basis: an inequality row whose slack can hold the start
+        # residual starts on that slack, every other row on its artificial
+        fits = (self.lo[slack] <= resid) & (resid <= self.hi[slack])
+        crash = (problem.senses != SENSE_EQ) & fits
+        self.basis = np.where(crash, slack, art)
+        self.pos[self.basis] = _BASIC
+        self.xB = np.where(crash, resid, np.abs(resid))
+        self.Binv = np.diag(np.where(crash, 1.0, sigma))
 
     def refactor(self) -> None:
         cols = self.A[:, self.basis]
@@ -275,7 +290,7 @@ class _Engine:
         return LpBasis(self.basis.copy(), self.pos.copy())
 
     def install(self, start: LpBasis, inverse: np.ndarray | None = None) -> bool:
-        """Replace the artificial start by `start`, with the artificials
+        """Replace the crash start by `start`, with the artificials
         fixed at zero and each nonbasic column at the bound its code names
         (or its other finite bound, or free at 0). A stored `inverse` of
         the start's basis matrix is adopted, as a copy, when it passes
@@ -587,8 +602,9 @@ def solve_lp(
     `time.monotonic()` reading, pivoting stops with status TIME_LIMIT;
     without one, only the cap of 5000 + 25 * (rows + columns) pivots bounds
     the work, and status ITERATION_LIMIT reports reaching it.
-    With `start`, the optimal basis of a problem with the same matrix and
-    costs, a verified dual-simplex warm start is tried first; when it
+    With `start`, the optimal basis of a problem with the same matrix, and
+    either the same costs or the same rows, right-hand sides and bounds, a
+    verified dual-simplex warm start is tried first; when it
     cannot vouch for its answer, the cold solve runs as if there were no
     start, and the result counts the pivots of both. `_shared`, built by
     branch and bound over the MILP's own LP, lends a warm start its matrix
@@ -647,9 +663,11 @@ def _warm_solve(
 def _cold_solve(
     problem: LpProblem, max_iters: int, deadline: float | None, shared: _Shared | None = None,
 ) -> LpResult:
-    """Two-phase solve from the all-artificial basis, over a matrix of its
-    own. An optimum's inverse joins the shared store when that matrix
-    equals the shared one bit for bit, as the root's does."""
+    """Two-phase solve from the slack crash basis, over a matrix of its
+    own: rows the start point meets begin on their slacks, the others on
+    artificials, which phase 1 drives to zero. An optimum's inverse joins
+    the shared store when that matrix equals the shared one bit for bit,
+    as the root's does."""
     m, n = problem.a.shape
     eng = _Engine(problem, max_iters, deadline)
     ntot = n + 2 * eng.m

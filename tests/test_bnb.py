@@ -9,7 +9,8 @@ import pytest
 
 from fairbins import bnb
 from fairbins.bnb import MilpProblem, MilpStatus, solve_milp
-from fairbins.lp import SENSE_EQ, SENSE_GE, SENSE_LE, LpProblem, solve_lp
+from fairbins.lp import (SENSE_EQ, SENSE_GE, SENSE_LE, LpProblem, LpResult, LpStatus,
+                         point_violation, solve_lp)
 
 from .oracle_helpers import enumerate_milp
 
@@ -189,3 +190,28 @@ def test_thirty_random_instances_match_enumeration():
         from fairbins.lp import point_violation
 
         assert point_violation(problem.lp, report.incumbent) < 1e-6
+
+
+def test_an_integral_node_point_that_breaks_a_row_is_not_adopted():
+    # the root LP is made to answer with the box minimum: integral, cheaper
+    # than the optimum, and off the rows. It must not become the incumbent
+    problem = _milp(**_random_instance(np.random.default_rng(77)))
+    honest = solve_milp(problem, time_limit=60, gap_target=0.0)
+    c = problem.lp.c
+    bad = np.where(c < 0, problem.lp.hi, problem.lp.lo)
+    assert c @ bad < honest.incumbent_objective - 1e-3
+    assert point_violation(problem.lp, bad) > 1e-3
+    calls = []
+
+    def lying_root(lp_problem, **kwargs):
+        calls.append(lp_problem)
+        if len(calls) == 1:
+            return LpResult(LpStatus.OPTIMAL, float(c @ bad), bad.copy(), 0)
+        return solve_lp(lp_problem, **kwargs)
+
+    with mock.patch.object(bnb, "solve_lp", lying_root):
+        report = solve_milp(problem, time_limit=60, gap_target=0.0)
+    assert len(calls) > 1
+    assert report.status == MilpStatus.OPTIMAL
+    assert report.incumbent_objective == pytest.approx(honest.incumbent_objective, abs=1e-9)
+    assert point_violation(problem.lp, report.incumbent) <= 1e-7

@@ -2,10 +2,17 @@
 
 from __future__ import annotations
 
+import importlib.util
+from pathlib import Path
+from unittest import mock
+
 import numpy as np
 import pytest
 
+from fairbins import bounds as bounds_mod
 from fairbins.bounds import BoundsError, tighten, tighten_mass_bounds, tighten_rate_bounds
+from fairbins.data import Dataset, compute_bin_stats, quantile_bin
+from fairbins.lp import solve_lp
 from fairbins.model import ModelConfig, build_model
 
 from .conftest import tiny_stats
@@ -94,3 +101,46 @@ def test_bounds_deterministic():
     assert np.array_equal(a.t_hi, b.t_hi)
     assert np.array_equal(a.v_lo, b.v_lo)
     assert np.array_equal(a.v_hi, b.v_hi)
+
+
+def _bench_file_stats(seed: int, k: int, nbins: int):
+    """Bin statistics of the benchmark's `k`-th input file for `seed`, drawn
+    by the benchmark's own generator."""
+    path = Path(__file__).resolve().parents[1] / "bench" / "inputs.py"
+    spec = importlib.util.spec_from_file_location("bench_inputs", path)
+    inputs = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(inputs)
+    obs = Dataset(*inputs.synthetic_rows(inputs.stream(seed, k), 5000))
+    return compute_bin_stats(obs, quantile_bin(obs, nbins))
+
+
+@pytest.mark.parametrize("stats, config", [
+    (tiny_stats, ModelConfig(eps_dp=0.1, eps_eodds=0.1, eps_prp=0.1, retention=0.5, window=2)),
+    (lambda: _bench_file_stats(1, 0, 4),
+     ModelConfig(eps_dp=0.06, eps_eodds=0.06, eps_prp=0.06, retention=0.5, window=3)),
+], ids=["tiny", "bench-seed-1-file-0"])
+def test_warm_chained_tightening_matches_cold_solves(stats, config):
+    model = build_model(stats(), config)
+    runs = {}
+    for warm in (True, False):
+        starts, pivots = [], []
+
+        def recording(problem, **kwargs):
+            if not warm:
+                kwargs.pop("start", None)
+            starts.append(kwargs.get("start") is not None)
+            res = solve_lp(problem, **kwargs)
+            pivots.append(res.iterations)
+            return res
+
+        with mock.patch.object(bounds_mod, "solve_lp", recording):
+            runs[warm] = (tighten(model), starts, sum(pivots))
+    (chained, starts, warm_pivots), (cold, _, cold_pivots) = runs[True], runs[False]
+    for name in ("v_lo", "v_hi", "t_lo", "t_hi"):
+        np.testing.assert_allclose(getattr(chained, name), getattr(cold, name),
+                                   rtol=0, atol=1e-9)
+    # every mass LP after the first starts from its predecessor, and every
+    # max rate LP from its min LP
+    GB = model.stats.ngroups * model.stats.nbins
+    assert starts == [False] + [True] * (2 * GB - 1) + [False, True] * GB
+    assert warm_pivots < cold_pivots

@@ -234,6 +234,23 @@ def test_apply_rejects_an_invalid_plan_with_exit_6(row, message, tmp_path, capsy
     assert not out.exists()
 
 
+@pytest.mark.parametrize("edges, message", [
+    ((0.0, np.nan, 1.0), "edges must be finite"),
+    ((0.0, 0.7, 0.5, 1.0), "strictly increasing"),
+])
+def test_apply_rejects_bad_plan_edges_with_exit_2(edges, message, tmp_path, capsys):
+    B = len(edges) - 1
+    plan_path = tmp_path / "bad_edges.json"
+    plan = TransitionPlan(edges=edges, groups=np.tile(np.eye(B), (2, 1, 1)))
+    plan_path.write_text(plan.to_json())
+    out = tmp_path / "out.csv"
+    rc = main(["apply", TINY, "--plan", str(plan_path), "--mode", "expected",
+               "--output", str(out)])
+    assert rc == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_audit_native_binning_matches_frozen_values(tmp_path):
     out = tmp_path / "audit.json"
     rc = main(["audit", TINY, "--eval-bins", "2", "--output", str(out)])

@@ -399,6 +399,43 @@ def _degenerate_cone(seed: int, m: int, n: int) -> LpProblem:
     )
 
 
+def test_cold_engine_starts_on_the_slacks_of_rows_the_start_point_meets():
+    problem = _degenerate_cone(0, 40, 20)
+    m, n = problem.a.shape
+    eng = lp._Engine(problem, 0, None)
+    # the origin meets every row of the cone, so no artificial is basic
+    assert np.array_equal(eng.basis, n + np.arange(m))
+    assert np.all(eng.pos[n + m:] == _AT_LO)
+    assert np.array_equal(eng.Binv, np.eye(m))
+
+    # x0 + x1 >= 1 and x0 = 1 are violated at the origin and 0 <= x2 is
+    # met with a zero residual: only the inequality keeps its slack
+    extra = np.zeros((3, n))
+    extra[0, :2] = 1.0
+    extra[1, 0] = 1.0
+    extra[2, 2] = -1.0
+    grown = LpProblem(
+        problem.c, np.vstack([problem.a, extra]),
+        np.concatenate([problem.senses, np.array([SENSE_GE, SENSE_EQ, SENSE_LE], np.int8)]),
+        np.concatenate([problem.rhs, [1.0, 1.0, 0.0]]), problem.lo, problem.hi,
+    )
+    eng = lp._Engine(grown, 0, None)
+    M = m + 3
+    art = n + M + np.arange(M)
+    assert np.array_equal(eng.basis[:m], n + np.arange(m))
+    assert eng.basis[m:].tolist() == [art[m], art[m + 1], n + m + 2]
+    assert eng.xB[m:].tolist() == [1.0, 1.0, 0.0]
+    assert np.array_equal(np.diag(eng.Binv), np.ones(M))
+    res = solve_lp(grown)
+    status, obj, _ = scipy_lp(
+        grown.c, grown.a, [_SENSE_CHAR[int(s)] for s in grown.senses], grown.rhs,
+        grown.lo, grown.hi,
+    )
+    assert res.status.value.lower() == status
+    if status == "optimal":
+        assert res.objective == pytest.approx(obj, abs=1e-9)
+
+
 def test_deadline_stops_pivoting_and_changes_no_bits_before_it():
     problem = _degenerate_cone(0, 80, 30)
     stopped = solve_lp(problem, deadline=time.monotonic() - 1.0)
@@ -420,7 +457,7 @@ def test_beale_example_matches_reference_bit_for_bit():
 
 
 def test_bland_switch_matches_reference_bit_for_bit():
-    problem = _degenerate_cone(0, 40, 20)
+    problem = _degenerate_cone(0, 80, 30)
     mine = _assert_same_bits(problem)
     # the instance does reach the Bland switch: without it the pivots differ
     with mock.patch.object(lp, "_BLAND_AFTER", 10**9):
@@ -428,7 +465,7 @@ def test_bland_switch_matches_reference_bit_for_bit():
 
 
 def test_refactor_crossing_matches_reference_bit_for_bit():
-    problem = _degenerate_cone(0, 80, 30)
+    problem = _degenerate_cone(0, 60, 40)
     _CountingEngine.refactors = 0
     with mock.patch.object(lp, "_Engine", _CountingEngine):
         solve_lp(problem)
@@ -524,6 +561,23 @@ def test_warm_start_after_fixing_columns_matches_scipy(case):
         assert point_violation(child, warm.x) <= 1e-7
         # like the cold solve, the warm one keeps every column in its box
         assert np.all(warm.x >= child.lo - 1e-11) and np.all(warm.x <= child.hi + 1e-11)
+        assert warm.basis is not None
+
+
+@settings(max_examples=150, deadline=None)
+@given(problem=_parity_lps(), seed=st.integers(0, 2**32 - 1))
+def test_warm_start_after_changing_the_costs_matches_the_cold_answer(problem, seed):
+    # a start is also promised to hold when only the costs change: the old
+    # optimum stays primal feasible, and the primal loop re-optimizes it
+    first = solve_lp(problem)
+    assume(first.status == LpStatus.OPTIMAL)
+    c = np.round(np.random.default_rng(seed).normal(size=problem.ncols), 2)
+    other = LpProblem(c, problem.a, problem.senses, problem.rhs, problem.lo, problem.hi)
+    warm, cold = solve_lp(other, start=first.basis), solve_lp(other)
+    assert warm.status == cold.status
+    if cold.status == LpStatus.OPTIMAL:
+        assert warm.objective == pytest.approx(cold.objective, abs=1e-9)
+        assert point_violation(other, warm.x) <= 1e-7
         assert warm.basis is not None
 
 
