@@ -117,6 +117,10 @@ def solve_milp(
 
     root = solve_node((), root_start)
     if root.status == LpStatus.INFEASIBLE:
+        if incumbent is not None:
+            raise RuntimeError(
+                "relaxation reported infeasible, yet the initial point meets its rows"
+            )
         return SolveReport(
             MilpStatus.INFEASIBLE, None, np.inf, np.inf, 0.0, nodes, elapsed()
         )

@@ -5,12 +5,22 @@ rows plus the two linear fairness families. Rank and rate-gap rows are
 left out because they constrain the very rates being bounded.
 
 Rate bounds need more care: the positive rate at a destination is a ratio
-of two plan-linear quantities. Scaling every plan column by the reciprocal
-of the destination's arriving mass (kept as an explicit homogenization
-column) turns the ratio into a linear objective over a polytope, so each
-bound is one exact LP. The plan's row-stochasticity rows must be carried
-into the scaled space too, or the scaled polytope admits rate values no
-real plan can produce.
+of two plan-linear quantities, rate = npos · x / n · x over the link's
+sources. The Charnes–Cooper substitution y = x / (n · x), phi = 1 / (n · x)
+makes it the linear objective npos · y over a polytope, so each bound is
+one exact LP. Its rows are derived from the model's own rows, with no
+fairness coefficient written here:
+
+1. each mass column is substituted through its link (v = n · x), which
+   empties the mass-definition rows, and those are dropped;
+2. every row is homogenized: a · x (sense) rhs becomes a · y - rhs·phi
+   (sense) 0, so the row-stochasticity rows carry into the scaled space;
+3. every plan column with a positive lower bound (the retention floors)
+   gets y - lo·phi >= 0;
+4. each (group, dest) LP adds its own norm row n · y = 1.
+
+Without step 2's transport rows or step 3's floors the scaled polytope
+would admit rate values no real plan can produce.
 
 The LPs run as a warm chain: where two LPs share their rows, right-hand
 sides and bounds and differ only in the objective, the later one passes
@@ -18,10 +28,11 @@ the earlier one's optimal basis to `solve_lp` as `start=`. That basis is
 still feasible, so the primal simplex re-optimizes from it instead of
 rerunning phase 1. All 2·G·B mass LPs share one polytope, so each starts
 from the one before it. The rate LPs of different (group, dest) pairs
-differ in their normalization row, so each pair's min LP is solved cold
-and its max LP starts from it. `solve_lp` verifies every warm answer and
-falls back to a cold solve otherwise, so the bounds are those of cold
-solves up to roundoff.
+differ in their norm row, so each pair's min LP is solved cold and its
+max LP starts from it. `solve_lp` verifies every warm answer and falls
+back to a cold solve otherwise, so the bounds are those of cold solves up
+to roundoff. A padded rate box whose min exceeds its max is numerical
+trouble, not a point, and raises `BoundsError`.
 """
 
 from __future__ import annotations
@@ -30,8 +41,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lp import SENSE_EQ, SENSE_GE, SENSE_LE, LpProblem, LpStatus, solve_lp
-from .model import FairnessModel, LinearRows, _RowBag, _window_span, concat_rows
+from .lp import SENSE_EQ, SENSE_GE, LpBasis, LpProblem, LpStatus, solve_lp
+from .model import FairnessModel, LinearRows, RateLink, concat_rows
 
 __all__ = ["BoundsError", "TightBounds", "tighten_mass_bounds", "tighten_rate_bounds", "tighten"]
 
@@ -55,80 +66,70 @@ class TightBounds:
     t_hi: np.ndarray
 
 
+def _min_max(
+    kind: str, link: RateLink, c: np.ndarray, rows: LinearRows, lo: np.ndarray, hi: np.ndarray,
+    start: LpBasis | None,
+) -> tuple[float, float, LpBasis | None]:
+    """Min and max of `c` over `rows` and the box, the max LP started from
+    the min LP's basis; also returns the max LP's basis for the next chain."""
+    values = []
+    for sign in (1.0, -1.0):
+        res = solve_lp(LpProblem(sign * c, rows.a, rows.senses, rows.rhs, lo, hi), start=start)
+        if res.status != LpStatus.OPTIMAL:
+            raise BoundsError(
+                f"{kind} bound subproblem for group {link.group + 1}, bin {link.dest} "
+                f"ended {res.status.value}",
+                group=link.group,
+                dest=link.dest,
+            )
+        values.append(sign * res.objective)
+        start = res.basis
+    return values[0], values[1], start
+
+
 def tighten_mass_bounds(model: FairnessModel) -> tuple[np.ndarray, np.ndarray]:
     """Min/max arriving mass per (group, dest) over the linear plan rows."""
     G, B = model.stats.ngroups, model.stats.nbins
-    rows = model.linear_rows(include_rate_rows=False)
     width = model.t_start  # x and v columns only; rates play no part here
-    a = rows.a[:, :width]
+    rows = model.linear_rows(include_rate_rows=False)
+    rows = LinearRows(rows.a[:, :width], rows.senses, rows.rhs)
     lo = model.lo[:width]
     hi = model.hi[:width]
 
     v_lo = np.zeros((G, B))
     v_hi = np.zeros((G, B))
     start = None
-    for g in range(G):
-        for bp in range(B):
-            c = np.zeros(width)
-            c[model.v_col(g, bp)] = 1.0
-            for sign, out in ((1.0, v_lo), (-1.0, v_hi)):
-                res = solve_lp(LpProblem(sign * c, a, rows.senses, rows.rhs, lo, hi), start=start)
-                if res.status != LpStatus.OPTIMAL:
-                    raise BoundsError(
-                        f"mass bound subproblem for group {g + 1}, bin {bp} "
-                        f"ended {res.status.value}",
-                        group=g,
-                        dest=bp,
-                    )
-                out[g, bp] = sign * res.objective
-                start = res.basis
+    for link in model.links:
+        c = np.zeros(width)
+        c[link.v_col] = 1.0
+        low, high, start = _min_max("mass", link, c, rows, lo, hi, start)
+        v_lo[link.group, link.dest] = low
+        v_hi[link.group, link.dest] = high
     v_lo = np.maximum(v_lo - _PAD, 0.0)
     v_hi = v_hi + _PAD
     return v_lo, v_hi
 
 
-def _scaled_base(model: FairnessModel) -> tuple[LinearRows, int, int]:
-    """Rows shared by every rate-bound LP, over [cc-plan columns, phi]."""
+def _scaled_base(model: FairnessModel) -> LinearRows:
+    """Rows shared by every rate-bound LP, over [scaled plan columns, phi]."""
     nx = model.nx
-    width = nx + 1
-    phi = nx
-    stats = model.stats
-    G, B = stats.ngroups, stats.nbins
-    cfg = model.config
-    rows = _RowBag(width)
+    rows = model.linear_rows(include_rate_rows=False)
+    a = rows.a[:, :nx].copy()
+    for link in model.links:
+        a[:, link.x_cols] += np.outer(rows.a[:, link.v_col], link.n)
+    a = np.column_stack([a, -rows.rhs])
+    keep = np.any(a != 0.0, axis=1)  # the mass definitions cancel to 0 = 0
 
-    for g in range(G):
-        for b in range(B):
-            coeffs = {
-                model.x_index[(g, b, bp)]: 1.0
-                for bp in _window_span(b, B, cfg.window)
-            }
-            coeffs[phi] = -1.0
-            rows.add(coeffs, SENSE_EQ, 0.0)
-            rows.add(
-                {model.x_index[(g, b, b)]: 1.0, phi: -(1.0 - cfg.retention)},
-                SENSE_GE,
-                0.0,
-            )
+    floors = np.flatnonzero(model.lo[:nx] > 0.0)
+    a_floor = np.zeros((len(floors), nx + 1))
+    a_floor[np.arange(len(floors)), floors] = 1.0
+    a_floor[:, nx] = -model.lo[floors]
 
-    pairs = [(g, h) for g in range(G) for h in range(g + 1, G)]
-    for g, h in pairs:
-        for bp in range(B):
-            base: dict[int, float] = {}
-            for b in _window_span(bp, B, cfg.window):
-                base[model.x_index[(g, b, bp)]] = float(stats.n[g, b]) / stats.group_totals[g]
-                base[model.x_index[(h, b, bp)]] = -float(stats.n[h, b]) / stats.group_totals[h]
-            rows.add({**base, phi: -cfg.eps_dp}, SENSE_LE, 0.0)
-            rows.add({c: -v for c, v in base.items()} | {phi: -cfg.eps_dp}, SENSE_LE, 0.0)
-            for weights, denom in ((stats.npos, stats.group_pos), (stats.nneg, stats.group_neg)):
-                base = {}
-                for b in _window_span(bp, B, cfg.window):
-                    base[model.x_index[(g, b, bp)]] = float(weights[g, b]) / denom[g]
-                    base[model.x_index[(h, b, bp)]] = -float(weights[h, b]) / denom[h]
-                rows.add({**base, phi: -cfg.eps_eodds}, SENSE_LE, 0.0)
-                rows.add({c: -v for c, v in base.items()} | {phi: -cfg.eps_eodds}, SENSE_LE, 0.0)
-
-    return rows.freeze(), phi, width
+    return LinearRows(
+        np.vstack([a[keep], a_floor]),
+        np.concatenate([rows.senses[keep], np.full(len(floors), SENSE_GE, np.int8)]),
+        np.zeros(int(keep.sum()) + len(floors)),
+    )
 
 
 def tighten_rate_bounds(
@@ -145,49 +146,37 @@ def tighten_rate_bounds(
             group=int(g),
             dest=int(bp),
         )
-    stats = model.stats
-    G, B = stats.ngroups, stats.nbins
-    base, phi, width = _scaled_base(model)
+    G, B = model.stats.ngroups, model.stats.nbins
+    width = model.nx + 1
+    phi = model.nx
+    base = _scaled_base(model)
 
     t_lo = np.zeros((G, B))
     t_hi = np.zeros((G, B))
-    for g in range(G):
-        for bp in range(B):
-            sources = list(_window_span(bp, B, model.config.window))
-            norm = _RowBag(width)
-            norm.add(
-                {model.x_index[(g, b, bp)]: float(stats.n[g, b]) for b in sources}, SENSE_EQ, 1.0
-            )
-            rows = concat_rows(width, [base, norm.freeze()])
-
-            lo = np.zeros(width)
-            hi = np.full(width, 1.0 / v_lo[g, bp])
-            lo[phi] = 1.0 / v_hi[g, bp]
-
-            c = np.zeros(width)
-            for b in sources:
-                c[model.x_index[(g, b, bp)]] = float(stats.npos[g, b])
-            start = None
-            for sign, out in ((1.0, t_lo), (-1.0, t_hi)):
-                res = solve_lp(LpProblem(sign * c, rows.a, rows.senses, rows.rhs, lo, hi),
-                               start=start)
-                if res.status != LpStatus.OPTIMAL:
-                    raise BoundsError(
-                        f"rate bound subproblem for group {g + 1}, bin {bp} "
-                        f"ended {res.status.value}",
-                        group=g,
-                        dest=bp,
-                    )
-                out[g, bp] = sign * res.objective
-                start = res.basis
+    for link in model.links:
+        g, bp = link.group, link.dest
+        norm = np.zeros((1, width))
+        norm[0, link.x_cols] = link.n
+        rows = concat_rows(width, [base, LinearRows(norm, np.array([SENSE_EQ], np.int8),
+                                                    np.ones(1))])
+        lo = np.zeros(width)
+        hi = np.full(width, 1.0 / v_lo[g, bp])
+        lo[phi] = 1.0 / v_hi[g, bp]
+        c = np.zeros(width)
+        c[link.x_cols] = link.npos
+        t_lo[g, bp], t_hi[g, bp], _ = _min_max("rate", link, c, rows, lo, hi, None)
 
     t_lo = np.clip(t_lo - _PAD, 0.0, 1.0)
     t_hi = np.clip(t_hi + _PAD, 0.0, 1.0)
-    bad = t_lo > t_hi
-    if np.any(bad):
-        mid = (t_lo[bad] + t_hi[bad]) / 2.0
-        t_lo[bad] = mid
-        t_hi[bad] = mid
+    crossed = np.argwhere(t_lo > t_hi)
+    if len(crossed):
+        g, bp = crossed[0]
+        raise BoundsError(
+            f"rate bounds for group {g + 1}, bin {bp} cross after padding "
+            f"({float(t_lo[g, bp])!r} > {float(t_hi[g, bp])!r}); the min and max LPs disagree",
+            group=int(g),
+            dest=int(bp),
+        )
     return t_lo, t_hi
 
 

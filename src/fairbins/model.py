@@ -118,8 +118,9 @@ class _RowBag:
 class RateLink:
     """Bilinear tie for one (group, destination): rate * mass = positives in.
 
-    `x_cols`/`npos` describe the right side: sum of npos[source] * x over
-    sources inside the window.
+    `x_cols` are the plan columns of the sources inside the window, `n` and
+    `npos` their `stats.n` and `stats.npos` weights: the arriving mass is
+    v = n · x and the positives in are rate · v = npos · x.
     """
 
     group: int
@@ -127,6 +128,7 @@ class RateLink:
     v_col: int
     t_col: int
     x_cols: np.ndarray
+    n: np.ndarray
     npos: np.ndarray
 
 
@@ -203,19 +205,29 @@ def build_model(stats: BinStats, config: ModelConfig) -> FairnessModel:
     def tcol(g: int, bp: int) -> int:
         return t_start + g * B + bp
 
+    links = []
+    for g in range(G):
+        for bp in range(B):
+            sources = _window_span(bp, B, config.window)
+            links.append(
+                RateLink(
+                    group=g,
+                    dest=bp,
+                    v_col=vcol(g, bp),
+                    t_col=tcol(g, bp),
+                    x_cols=np.array([x_index[(g, b, bp)] for b in sources]),
+                    n=np.array([float(stats.n[g, b]) for b in sources]),
+                    npos=np.array([float(stats.npos[g, b]) for b in sources]),
+                )
+            )
+
     transport = _RowBag(ncols)
     for g in range(G):
         for b in range(B):
             coeffs = {x_index[(g, b, bp)]: 1.0 for bp in _window_span(b, B, config.window)}
             transport.add(coeffs, SENSE_EQ, 1.0)
-    for g in range(G):
-        for bp in range(B):
-            coeffs = {
-                x_index[(g, b, bp)]: float(stats.n[g, b])
-                for b in _window_span(bp, B, config.window)
-            }
-            coeffs[vcol(g, bp)] = -1.0
-            transport.add(coeffs, SENSE_EQ, 0.0)
+    for link in links:
+        transport.add(dict(zip(link.x_cols.tolist(), link.n)) | {link.v_col: -1.0}, SENSE_EQ, 0.0)
 
     pairs = [(g, h) for g in range(G) for h in range(g + 1, G)]
     totals = stats.group_totals
@@ -249,21 +261,6 @@ def build_model(stats: BinStats, config: ModelConfig) -> FairnessModel:
             rate_gap.add({tcol(g, bp): 1.0, tcol(h, bp): -1.0}, SENSE_LE, config.eps_prp)
             rate_gap.add({tcol(g, bp): -1.0, tcol(h, bp): 1.0}, SENSE_LE, config.eps_prp)
 
-    links = []
-    for g in range(G):
-        for bp in range(B):
-            sources = list(_window_span(bp, B, config.window))
-            links.append(
-                RateLink(
-                    group=g,
-                    dest=bp,
-                    v_col=vcol(g, bp),
-                    t_col=tcol(g, bp),
-                    x_cols=np.array([x_index[(g, b, bp)] for b in sources]),
-                    npos=np.array([float(stats.npos[g, b]) for b in sources]),
-                )
-            )
-
     mids = stats.midpoints
     total = stats.total
     objective = np.zeros(ncols)
@@ -275,11 +272,9 @@ def build_model(stats: BinStats, config: ModelConfig) -> FairnessModel:
     for (g, b, bp), j in x_index.items():
         if b == bp:
             lo[j] = 1.0 - config.retention
-    for g in range(G):
-        for bp in range(B):
-            inflow = sum(float(stats.n[g, b]) for b in _window_span(bp, B, config.window))
-            lo[vcol(g, bp)] = float(stats.n[g, bp]) * (1.0 - config.retention)
-            hi[vcol(g, bp)] = inflow
+    for link in links:
+        lo[link.v_col] = float(stats.n[link.group, link.dest]) * (1.0 - config.retention)
+        hi[link.v_col] = sum(link.n.tolist())
 
     return FairnessModel(
         stats=stats,

@@ -1,6 +1,9 @@
-"""The solver's tolerances and iteration caps are constants of `fairbins.lp`,
+"""Guards on the package's shape.
+
+The solver's tolerances and iteration caps are constants of `fairbins.lp`,
 the one yardstick every layer judges LP answers by: no public function or
-method takes one as a parameter."""
+method takes one as a parameter. The fairness rows are written once, in
+`fairbins.model`: bound tightening derives its LPs from them."""
 
 from __future__ import annotations
 
@@ -9,7 +12,7 @@ import inspect
 import pkgutil
 
 import fairbins
-from fairbins import lp
+from fairbins import bounds, lp
 
 KNOBS = {"feas_tol", "opt_tol", "max_iters", "max_rounds", "tol"}
 
@@ -44,3 +47,12 @@ def test_no_public_callable_takes_a_tolerance_or_iteration_cap():
     assert offenders == []
     assert lp.FEAS_TOL == lp.OPT_TOL == 1e-7
     assert {"FEAS_TOL", "OPT_TOL"} <= set(lp.__all__)
+
+
+def test_bounds_writes_no_model_row_itself():
+    # a row builder, the move window, the plan-column index or the config
+    # in bounds.py would mean a second, hand-built copy of the model's rows
+    source = inspect.getsource(bounds)
+    found = [name for name in ("_RowBag", "_window_span", "x_index", "model.config")
+             if name in source]
+    assert found == []

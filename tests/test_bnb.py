@@ -135,6 +135,19 @@ def test_infeasible_initial_is_rejected():
     assert report.incumbent_objective == pytest.approx(-0.9, abs=1e-8)
 
 
+def test_infeasible_root_with_a_verified_incumbent_raises():
+    # an Infeasible root verdict contradicts the adopted initial point, so it
+    # is solver trouble, not an infeasible MILP
+    initial = np.array([0.0, 1.0, 1.0])
+
+    def infeasible_root(lp_problem, **kwargs):
+        return LpResult(LpStatus.INFEASIBLE, np.inf, np.zeros(lp_problem.ncols), 0)
+
+    with mock.patch.object(bnb, "solve_lp", infeasible_root), \
+            pytest.raises(RuntimeError, match="infeasible"):
+        solve_milp(_milp(**KNAPSACK), time_limit=30, gap_target=0.0, initial=initial)
+
+
 def test_deterministic_replay():
     a = solve_milp(_milp(**KNAPSACK), time_limit=30, gap_target=0.0)
     b = solve_milp(_milp(**KNAPSACK), time_limit=30, gap_target=0.0)

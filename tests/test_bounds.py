@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import importlib.util
 from pathlib import Path
 from unittest import mock
@@ -12,8 +13,10 @@ import pytest
 from fairbins import bounds as bounds_mod
 from fairbins.bounds import BoundsError, tighten, tighten_mass_bounds, tighten_rate_bounds
 from fairbins.data import Dataset, compute_bin_stats, quantile_bin
-from fairbins.lp import solve_lp
+from fairbins.frontier import sweep
+from fairbins.lp import FEAS_TOL, LpProblem, point_violation, solve_lp
 from fairbins.model import ModelConfig, build_model
+from fairbins.nmdt import power_for_precision
 
 from .conftest import tiny_stats
 from .oracle_helpers import grid_rate_bounds
@@ -144,3 +147,75 @@ def test_warm_chained_tightening_matches_cold_solves(stats, config):
     GB = model.stats.ngroups * model.stats.nbins
     assert starts == [False] + [True] * (2 * GB - 1) + [False, True] * GB
     assert warm_pivots < cold_pivots
+
+
+def test_crossed_rate_bounds_raise():
+    # a min LP that answers above its max LP is numerical trouble; the box
+    # must not be collapsed into a pinned rate that may cut off the optimum
+    m = build_model(tiny_stats(), LOOSE)
+    v_lo, v_hi = tighten_mass_bounds(m)
+    calls = []
+
+    def crossing(problem, **kwargs):
+        res = solve_lp(problem, **kwargs)
+        calls.append(res)
+        if len(calls) == 3:  # the min LP of the second (group, dest) pair
+            res = dataclasses.replace(res, objective=1.0)
+        return res
+
+    with mock.patch.object(bounds_mod, "solve_lp", crossing), \
+            pytest.raises(BoundsError, match="cross") as caught:
+        tighten_rate_bounds(m, v_lo, v_hi)
+    assert (caught.value.group, caught.value.dest) == (m.links[1].group, m.links[1].dest)
+
+
+BENCH = ModelConfig(eps_dp=0.06, eps_eodds=0.06, eps_prp=0.06, retention=0.5, window=3)
+
+
+@pytest.mark.parametrize("stats, config", [
+    (tiny_stats, ModelConfig(eps_dp=0.1, eps_eodds=0.1, eps_prp=0.1, retention=0.5, window=2)),
+    (lambda: _bench_file_stats(1, 0, 4), BENCH),
+    (lambda: _bench_file_stats(9, 7, 4), BENCH),
+], ids=["tiny", "bench-seed-1-file-0", "bench-seed-9-file-7"])
+def test_every_rate_bound_is_attained_by_a_real_plan(stats, config):
+    model = build_model(stats(), config)
+    nx = model.nx
+    answers = []
+
+    def recording(problem, **kwargs):
+        res = solve_lp(problem, **kwargs)
+        if problem.ncols == nx + 1:  # a rate LP: [scaled plan columns, phi]
+            answers.append(res)
+        return res
+
+    with mock.patch.object(bounds_mod, "solve_lp", recording):
+        tb = tighten(model)
+    assert len(answers) == 2 * len(model.links)
+    rows = model.linear_rows(include_rate_rows=False)
+    polytope = LpProblem(np.zeros(model.ncols), rows.a, rows.senses, rows.rhs,
+                         model.lo, model.hi)
+    for k, res in enumerate(answers):
+        link = model.links[k // 2]
+        # undo the substitution: x = y / phi, and each mass through its link
+        point = np.zeros(model.ncols)
+        point[:nx] = res.x[:nx] / res.x[nx]
+        for other in model.links:
+            point[other.v_col] = other.n @ point[other.x_cols]
+        assert point_violation(polytope, point) <= FEAS_TOL
+        rate = (link.npos @ point[link.x_cols]) / point[link.v_col]
+        reported = (tb.t_lo, tb.t_hi)[k % 2][link.group, link.dest]
+        padded = rate - bounds_mod._PAD if k % 2 == 0 else rate + bounds_mod._PAD
+        assert abs(np.clip(padded, 0.0, 1.0) - reported) <= 1e-9
+
+
+def test_bench_seed_9_file_7_sweeps_to_optimal():
+    # its rate bounds once moved in their last digits and sent the cold root
+    # LP of the first point to a wrong Infeasible verdict
+    grid = (0.06,), (0.06,), (0.06, 0.08)
+    points = sweep(_bench_file_stats(9, 7, 4), *grid, budget_per_solve=300, retention=0.5,
+                   window=3, power=power_for_precision(0.25), mode="exact")
+    assert [p.configured for p in points] == [(0.06, 0.06, 0.06), (0.06, 0.06, 0.08)]
+    for p in points:
+        assert (p.status, p.gap) == ("Optimal", 0.0)
+        assert p.eps_dp <= p.configured[0] + 1e-6
+        assert p.eps_eodds <= p.configured[1] + 1e-6

@@ -495,7 +495,7 @@ def test_fixed_column_leaving_the_basis_matches_reference_bit_for_bit():
 def test_node_lps_match_reference_bit_for_bit():
     config = ModelConfig(eps_dp=0.1, eps_eodds=0.1, eps_prp=0.1, retention=0.5, window=2)
     model = build_model(tiny_stats(), config)
-    milp = build_milp(model, tighten(model), power=-2, mode="exact").problem
+    milp = build_milp(model, tighten(model), power=-3, mode="exact").problem
     nodes = []
 
     def recording(problem, **kwargs):
