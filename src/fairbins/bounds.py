@@ -50,12 +50,17 @@ _PAD = 1e-7
 
 
 class BoundsError(RuntimeError):
-    """A bound subproblem failed; carries the (group, dest) it belongs to."""
+    """A bound subproblem failed; carries the (group, dest) it belongs to and
+    the status its LP ended with, or None where no LP failed (a crossed rate
+    box, an arriving mass that can reach zero). Only ``LpStatus.INFEASIBLE``
+    proves that the configured constraints admit no plan."""
 
-    def __init__(self, message: str, group: int | None = None, dest: int | None = None):
+    def __init__(self, message: str, group: int | None = None, dest: int | None = None,
+                 status: LpStatus | None = None):
         super().__init__(message)
         self.group = group
         self.dest = dest
+        self.status = status
 
 
 @dataclass(frozen=True)
@@ -81,6 +86,7 @@ def _min_max(
                 f"ended {res.status.value}",
                 group=link.group,
                 dest=link.dest,
+                status=res.status,
             )
         values.append(sign * res.objective)
         start = res.basis

@@ -16,7 +16,6 @@ import contextlib
 import csv
 import json
 import math
-import operator
 import sys
 from pathlib import Path
 
@@ -233,9 +232,8 @@ def cmd_apply(args: argparse.Namespace) -> int:
 
     with open(args.output, "w") if args.output else contextlib.nullcontext(sys.stdout) as fh:
         fh.write(f"# seed={seed}\n")
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(data.header + ["new_score", "new_bin"])
-        writer.writerows(map(operator.add, data.records, zip(new_scores, bins.tolist())))
+        csv.writer(fh, lineterminator="\n").writerow(data.header + ["new_score", "new_bin"])
+        fh.writelines(map("{},{},{}\n".format, data.records, new_scores, bins.tolist()))
     return 0
 
 

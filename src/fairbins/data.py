@@ -5,9 +5,12 @@ from __future__ import annotations
 import csv
 import io
 import json
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
-from itertools import repeat
+from itertools import chain, groupby, islice, repeat
+from operator import add
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -58,15 +61,17 @@ class ColumnSchema:
 @dataclass(eq=False)
 class Dataset:
     """Validated rows as column arrays in file order: float ``score``, 0/1
-    ``label`` and dense ``group`` ids 1..G. ``header`` and ``records`` are
-    the parsed CSV fields that ``apply`` writes back; a dataset built from
+    ``label`` and dense ``group`` ids 1..G. ``header`` holds the parsed
+    header fields and ``records`` one string per row: its fields as
+    ``apply`` writes them, comma-separated, before the two fields it
+    appends (for plain input, the input line itself). A dataset built from
     arrays has neither."""
 
     score: np.ndarray
     label: np.ndarray
     group: np.ndarray
     header: list[str] = field(default_factory=list)
-    records: list[tuple[str, ...]] = field(default_factory=list)
+    records: Iterable[str] = field(default_factory=list)
 
     def __post_init__(self):
         self.score = np.asarray(self.score, dtype=float)
@@ -101,6 +106,122 @@ def _row_problem(score, label, group) -> str | None:
     return None
 
 
+# lines parsed at a time: only one block's fields are alive at once
+_BLOCK_LINES = 1 << 14
+
+
+class _Memo(dict):
+    """``fn`` of each distinct key, computed on first lookup."""
+
+    def __init__(self, fn):
+        super().__init__()
+        self.fn = fn
+
+    def __missing__(self, key):
+        self[key] = value = self.fn(key)
+        return value
+
+
+class _Written:
+    """Record strings of rows that are plain lines or field tuples. A tuple,
+    a row ``csv.reader`` parsed, is written by ``csv.writer`` only when the
+    records are iterated: writing costs more than the parse, and only
+    ``apply`` reads the records."""
+
+    def __init__(self, rows: list[str | tuple[str, ...]]):
+        self.rows = rows
+
+    def __len__(self) -> int:
+        return len(self.rows)
+
+    def __iter__(self) -> Iterator[str]:
+        return chain.from_iterable(self._blocks())
+
+    def _blocks(self) -> Iterator[Iterable[str]]:
+        written: list[str] = []
+        writer = csv.writer(SimpleNamespace(write=written.append), lineterminator="\n")
+        for kind, rows in groupby(self.rows, type):
+            if kind is str:
+                yield rows
+                continue
+            while block := list(islice(rows, _BLOCK_LINES)):
+                # the extra empty field keeps a row whose only field is empty
+                # from being written as "", which the writer does only for a
+                # row on its own
+                writer.writerows(map(add, block, repeat(("",))))
+                yield [text[:-2] for text in written]
+                written.clear()
+
+
+def _is_plain(text: str, block: list[str]) -> bool:
+    """Whether splitting the lines of ``text`` at commas gives exactly the
+    fields ``csv.reader`` gives: no quote, no carriage return, and no line
+    long enough for a field over the reader's size limit."""
+    return ('"' not in text and "\r" not in text
+            and max(map(len, block), default=0) <= csv.field_size_limit())
+
+
+def _columns_of_rows(rows: list[tuple[str, ...]] | list[list[str]]):
+    """Column getter over field lists: each row's field j, None where the
+    row is too short."""
+    return lambda j: [r[j] if j < len(r) else None for r in rows]
+
+
+def _columns_of_lines(texts: list[str]):
+    """Column getter over plain lines. When every line has one width, the
+    columns are slices of one split of the joined block, which creates no
+    list per row."""
+    counts = set(map(str.count, texts, repeat(",")))
+    if len(counts) == 1:
+        width = counts.pop() + 1
+        flat = ",".join(texts).split(",")
+        return lambda j: flat[j::width] if j < width else [None] * len(texts)
+    return _columns_of_rows([t.split(",") for t in texts])
+
+
+def _parse(source: Iterable[str], delimiter: str):
+    """Yield the header's fields, then one ``(rows, column)`` pair per block
+    of non-blank body rows: each row as its line or its field tuple, and a
+    getter of one column's raw fields. Comment lines are dropped. Blocks of
+    plain lines are split at commas and their rows are their lines; from
+    the first other block on, ``csv.reader`` parses the rest and its rows
+    are field tuples."""
+    source = iter(source)
+    header = None
+    while block := list(islice(source, _BLOCK_LINES)):
+        text = "".join(block)
+        if "#" in text:
+            block = [line for line in block if not line.startswith("#")]
+            text = "".join(block)
+        if delimiter != "," or not _is_plain(text, block):
+            break
+        if not block:
+            continue
+        texts = text.split("\n")
+        if text.endswith("\n"):
+            texts.pop()
+        if header is None:
+            header = texts[0].split(",") if texts[0] else []
+            yield header
+            del texts[0]
+        texts = list(filter(None, texts))
+        yield texts, _columns_of_lines(texts)
+    else:  # every block was plain
+        return
+
+    lines = chain(block, (line for line in source if not line.startswith("#")))
+    reader = csv.reader(lines, delimiter=delimiter)
+    if header is None:
+        header = next(reader, None)
+        if header is None:
+            return
+        yield header
+    # tuples of strings drop out of the garbage collector's scans; lists would not
+    body = map(tuple, filter(None, reader))
+    while rows := list(islice(body, _BLOCK_LINES)):
+        yield rows, _columns_of_rows(rows)
+
+
 def load_dataset(
     source: str | Path | io.TextIOBase,
     schema: ColumnSchema = ColumnSchema(),
@@ -112,41 +233,68 @@ def load_dataset(
     numbers, lexicographic otherwise). Lines starting with ``#`` are
     treated as comments and skipped, and so are blank rows. A short row
     reads its missing fields as None; the first bad row raises.
+
+    The text is read a block of lines at a time. A plain block (the
+    delimiter is ``,`` and the block holds no ``"``, no carriage return and
+    no line longer than ``csv.field_size_limit()``) is split at commas,
+    which gives exactly the fields ``csv.reader`` gives, and each row's
+    record is its input line. From the first block that is not plain on,
+    ``csv.reader`` parses the rest, and each of those rows' records is its
+    fields written by ``csv.writer`` when the records are read.
     """
     if isinstance(source, (str, Path)):
         with open(source, newline="") as fh:
             return load_dataset(fh, schema)
 
-    filtered = (line for line in source if not line.startswith("#"))
-    reader = csv.reader(filtered, delimiter=schema.delimiter)
-    header = next(reader, None)
+    blocks = _parse(source, schema.delimiter)
+    header = next(blocks, None)
     if header is None:
         raise SchemaError("empty input: no header row")
     names = (schema.score, schema.label, schema.group)
     for col in names:
         if col not in header:
             raise SchemaError(f"missing column {col!r}; available: {header}")
-    # tuples of strings drop out of the garbage collector's scans; lists would not
-    records = list(map(tuple, filter(None, reader)))
     # a column name that repeats in the header reads its last copy
     columns = [len(header) - 1 - header[::-1].index(col) for col in names]
-    score_tok, label_tok, group_tok = (
-        [r[j].strip() if j < len(r) else "" for r in records] for j in columns)
-    try:
-        score = np.fromiter(map(float, score_tok), dtype=float, count=len(records))
-    except ValueError:  # some score is no number: the row checks below find it
-        score = np.full(len(records), np.nan)
-    label = np.fromiter(map({"0": 0, "1": 1}.get, label_tok, repeat(-1)), np.int64, len(records))
-    groups = _group_sort_key(set(group_tok) - {""})
-    gid = {tok: k for k, tok in enumerate(groups, start=1)}
-    group = np.fromiter(map(gid.get, group_tok, repeat(0)), np.int64, len(records))
-    for i in np.flatnonzero(~((score >= 0.0) & (score <= 1.0)) | (label < 0) | (group == 0)):
-        problem = _row_problem(*(records[i][j] if j < len(records[i]) else None for j in columns))
-        if problem:
-            raise RowValidationError(int(i), problem)
-    if len(groups) < 2:
-        raise SchemaError(f"need at least 2 groups, found {len(groups)}")
-    return Dataset(score, label, group, header=header, records=records)
+    labels = _Memo(lambda tok: {"0": 0, "1": 1}.get((tok or "").strip(), -1))
+    # each raw group token's stripped name, numbered in order of first
+    # sight; 0 is the blank name of a missing or empty group
+    group_names = {"": 0}
+    groups = _Memo(lambda tok: group_names.setdefault((tok or "").strip(), len(group_names)))
+    records: list[str | tuple[str, ...]] = []
+    score, label, group = [np.empty(0)], [np.empty(0, np.int64)], [np.empty(0, np.int64)]
+    problem = None
+    for rows, column in blocks:
+        n = len(rows)
+        score_tok, label_tok, group_tok = map(column, columns)
+        try:
+            s = np.fromiter(map(float, score_tok), dtype=float, count=n)
+        except (TypeError, ValueError):  # some score is no number: the row checks find it
+            s = np.full(n, np.nan)
+        y = np.fromiter(map(labels.__getitem__, label_tok), np.int64, n)
+        g = np.fromiter(map(groups.__getitem__, group_tok), np.int64, n)
+        if problem is None:
+            # the first bad row raises, but only once every row has parsed
+            for i in np.flatnonzero(~((s >= 0.0) & (s <= 1.0)) | (y < 0) | (g == 0)):
+                message = _row_problem(score_tok[i], label_tok[i], group_tok[i])
+                if message:
+                    problem = RowValidationError(len(records) + int(i), message)
+                    break
+        records += rows
+        score.append(s)
+        label.append(y)
+        group.append(g)
+    if problem:
+        raise problem
+    order = _group_sort_key(set(group_names) - {""})
+    if len(order) < 2:
+        raise SchemaError(f"need at least 2 groups, found {len(order)}")
+    gid = {tok: k for k, tok in enumerate(order, start=1)}
+    dense = np.array([gid.get(tok, 0) for tok in group_names], dtype=np.int64)
+    if records and type(records[-1]) is tuple:
+        records = _Written(records)
+    return Dataset(np.concatenate(score), np.concatenate(label),
+                   dense[np.concatenate(group)], header=header, records=records)
 
 
 @dataclass(frozen=True)

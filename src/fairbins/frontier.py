@@ -20,7 +20,7 @@ import numpy as np
 from .bnb import MilpStatus, SolveReport, solve_milp
 from .bounds import BoundsError, TightBounds, tighten
 from .data import BinStats
-from .lp import LpBasis
+from .lp import LpBasis, LpStatus
 from .model import FairnessModel, ModelConfig, build_model
 from .nmdt import NmdtMilp, build_milp, certified_rate_slack, completion_start
 from .postprocess import (
@@ -180,7 +180,11 @@ def sweep(
         if key not in cache:
             try:
                 cache[key] = tighten(build_model(stats, config))
-            except BoundsError:
+            except BoundsError as e:
+                # only a bound LP that proved infeasibility makes a point;
+                # other trouble is an error here as it is for one solve
+                if e.status != LpStatus.INFEASIBLE:
+                    raise
                 cache[key] = None
         bounds = cache[key]
         if bounds is None:

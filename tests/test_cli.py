@@ -2,14 +2,22 @@
 
 from __future__ import annotations
 
+import csv
 import hashlib
+import io
 import json
+import operator
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from fairbins import cli
 from fairbins.cli import DEFAULTS, _resolve, build_parser, main
+from fairbins.data import BinSpec, Dataset, _Written
 from fairbins.postprocess import TransitionPlan
 
 from .conftest import FIXTURES
@@ -348,8 +356,9 @@ def test_pipeline_runs_are_byte_identical(tmp_path):
     assert blobs[0] == blobs[1]
 
 
-# Bytes that `apply` wrote before its data path moved to column arrays; a
-# stochastic or interpolated output must not change by a single byte.
+# Bytes that `apply` wrote before its data path moved to column arrays (and,
+# for expected mode, before it wrote each row's record string instead of
+# re-serializing its fields); no output may change by a single byte.
 PINNED_PLAN = TransitionPlan(
     edges=(0.0, 0.25, 0.5, 0.75, 1.0),
     groups=np.array([
@@ -360,6 +369,7 @@ PINNED_PLAN = TransitionPlan(
     ]),
 )
 PINNED_SHA256 = {
+    "expected": "fe8a404634039c773d53cbea29a89d3c322bbf813e1020015bd265a49c3cf448",
     "stochastic": "5ac4fcb7d7dad78c3819b35e8dcd0e863b0f07984d4479aa6b4c4ff8cfd6a299",
     "interpolated": "929b2cbbdd97d5b02224c518923b03b0c814f36a55c5ffa6ea1393f2f57392fe",
 }
@@ -393,3 +403,49 @@ def test_apply_rewrites_each_record_and_appends_two_fields(tmp_path):
         b'# seed=3\nscore,label,group,note,new_score,new_bin\n0.1,0,"x,y",first,0.25,0\n'
         b'0.6,1,z,"say ""hi""",0.25,0\n0.35,1,"x,y",,0.75,1\n0.9,0,z,"two\nlines",0.25,0\n'
     )
+
+
+@st.composite
+def field_rows(draw):
+    """Field tuples with commas, quotes, carriage returns, newlines and empty
+    fields, among them a row whose only field is empty; a row that splits
+    back into its fields at commas may come as its line, as a plain input
+    row does."""
+    rows = draw(st.lists(st.lists(st.text(',"\r\nab ', max_size=4), min_size=1, max_size=4)
+                         .map(tuple), min_size=1, max_size=12))
+    rows.insert(draw(st.integers(0, len(rows))), ("",))
+    records = []
+    for row in rows:
+        line = ",".join(row)
+        plain = line and not any(c in line for c in '"\r\n') and line.split(",") == list(row)
+        records.append(line if plain and draw(st.booleans()) else row)
+    return rows, records
+
+
+@settings(max_examples=100, deadline=None)
+@given(rows_records=field_rows(),
+       scores=st.lists(st.floats(0.0, 1.0), min_size=13, max_size=13))
+def test_apply_writes_what_csv_writer_wrote_for_each_record(rows_records, scores, tmp_path_factory):
+    rows, records = rows_records
+    score = np.array(scores[:len(rows)])
+    group = np.arange(len(rows)) % 2 + 1
+    header = ["score", "a,b", 'say "hi"']
+    data = Dataset(score, np.zeros(len(rows)), group, header=header, records=_Written(records))
+    d = tmp_path_factory.mktemp("apply")
+    plan = d / "identity.json"
+    plan.write_text(TransitionPlan(edges=(0.0, 0.5, 1.0),
+                                   groups=np.tile(np.eye(2), (2, 1, 1))).to_json())
+    out = d / "out.csv"
+    with mock.patch.object(cli, "load_dataset", lambda *args: data):
+        assert main(["apply", "in.csv", "--plan", str(plan), "--mode", "stochastic",
+                     "--seed", "4", "--output", str(out)]) == 0
+    # under the identity plan each row keeps its bin and scores its midpoint
+    spec = BinSpec((0.0, 0.5, 1.0))
+    bins = spec.assign(score)
+    new_scores = [repr(m) for m in spec.midpoints[bins].tolist()]
+    want = io.StringIO()
+    want.write("# seed=4\n")
+    writer = csv.writer(want, lineterminator="\n")
+    writer.writerow(header + ["new_score", "new_bin"])
+    writer.writerows(map(operator.add, rows, zip(new_scores, bins.tolist())))
+    assert out.read_bytes() == want.getvalue().encode()

@@ -4,12 +4,14 @@ from __future__ import annotations
 
 import io
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fairbins import data as data_mod
 from fairbins.data import (
     BinSpec,
     BinStats,
@@ -270,3 +272,85 @@ def test_bin_stats_equal_a_row_by_row_tally(rows, nbins):
         n[g - 1, b] += 1
         npos[g - 1, b] += y
     assert np.array_equal(stats.n, n) and np.array_equal(stats.npos, npos)
+
+
+NAMES = ("score", "label", "group", "note")
+# each name's tokens, the valid ones first
+TOKENS = {
+    "score": ["0", "1", "0.25", " 0.5", "0.75 ", "1.5", "-0.1", "nan", "x", "", " "],
+    "label": ["0", "1", " 1 ", "0 ", "2", "", "x"],
+    "group": ["a", "b", " a ", "10", "2", "", " "],
+    "note": ["", " ", "n", "x y", "#", "score", "\t"],
+}
+VALID = {"score": 5, "label": 4, "group": 5, "note": 7}
+
+
+# ways to write a field that only csv.reader parses
+QUOTINGS = ['"{}"', '"{},z"', '"{}""q"""', '"{}\nn"']
+
+
+@st.composite
+def plain_inputs(draw, switch=False):
+    """Comma-separated text with no quote and no carriage return: padded,
+    empty, missing and extra fields, comment and blank lines, repeated
+    header names, and maybe no final newline. With ``switch``, one to three
+    rows after the header hold a quoted field and maybe end in a carriage
+    return, so the parse changes to ``csv.reader`` partway through."""
+    header = list(draw(st.permutations(NAMES)))
+    header += draw(st.lists(st.sampled_from(NAMES), max_size=2))  # repeats
+    if draw(st.integers(0, 9)) == 0:
+        header.remove(draw(st.sampled_from(NAMES[:3])))  # a missing column
+    every_token = sorted({t for tokens in TOKENS.values() for t in tokens})
+    lines = draw(st.lists(st.just("#c"), max_size=2))
+    lines.append(",".join(header) if draw(st.integers(0, 19)) else "")
+    first_body = len(lines)
+
+    def valid_fields():
+        return [draw(st.sampled_from(TOKENS[name][:VALID[name]])) for name in header]
+
+    for _ in range(draw(st.integers(0, 12))):
+        kind = draw(st.integers(0, 9))
+        if kind == 0:
+            lines.append("# a, comment")
+        elif kind == 1:
+            lines.append("")
+        elif kind == 2:  # any tokens, any length
+            lines.append(",".join(draw(st.lists(st.sampled_from(every_token), max_size=6))))
+        else:
+            fields = valid_fields()
+            if kind == 3:  # a short or long row
+                cut = draw(st.integers(-2, 2))
+                fields = fields[:len(fields) + cut] if cut < 0 else fields + ["x"] * cut
+            lines.append(",".join(fields))
+    for _ in range(draw(st.integers(1, 3)) if switch else 0):
+        fields = valid_fields() or [""]
+        j = draw(st.integers(0, len(fields) - 1))
+        fields[j] = draw(st.sampled_from(QUOTINGS)).format(fields[j])
+        row = ",".join(fields) + draw(st.sampled_from(["", "\r"]))
+        lines.insert(draw(st.integers(first_body, len(lines))), row)
+    return "\n".join(lines) + ("\n" if draw(st.booleans()) else "")
+
+
+def load_outcome(text: str):
+    """The error load_dataset raises on text, or what it returns."""
+    try:
+        data = load_dataset(io.StringIO(text))
+    except Exception as e:
+        return type(e), str(e)
+    return (data.header, data.score.tolist(), data.label.tolist(), data.group.tolist(),
+            list(data.records), type(data.records))
+
+
+@settings(max_examples=400, deadline=None)
+@given(text=st.one_of(plain_inputs(), plain_inputs(switch=True)),
+       block=st.sampled_from([1, 2, 3, 5, 1 << 14]))
+def test_plain_parse_equals_the_csv_reader_path(text, block):
+    with mock.patch.object(data_mod, "_BLOCK_LINES", block):
+        parsed = load_outcome(text)
+        with mock.patch.object(data_mod, "_is_plain", lambda text, block: False):
+            reader = load_outcome(text)
+    if isinstance(parsed[0], type) or '"' in text or "\r" in text:
+        assert parsed == reader
+    else:
+        assert parsed[-1] is list  # each record is its input line
+        assert parsed[:-1] == reader[:-1]

@@ -12,8 +12,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fairbins import frontier
+from fairbins import bounds, frontier
 from fairbins.bnb import solve_milp
+from fairbins.bounds import BoundsError
 from fairbins.frontier import (
     FrontierPoint,
     compare_models,
@@ -24,7 +25,8 @@ from fairbins.frontier import (
     sweep,
     tradeoff_query,
 )
-from fairbins.model import ModelConfig
+from fairbins.lp import LpStatus, solve_lp
+from fairbins.model import ModelConfig, build_model
 from fairbins.postprocess import auc_from_bins
 
 from .conftest import tiny_stats
@@ -251,6 +253,31 @@ def test_sweep_records_infeasible_triples():
     assert not pts[0].has_metrics
     text = frontier_csv(pts)
     assert parse_frontier_csv(text)[0].auc is None
+
+
+@pytest.mark.parametrize("trouble, message", [
+    ({"objective": 1.0}, "cross"),
+    ({"status": LpStatus.ITERATION_LIMIT}, "ended IterationLimit"),
+])
+def test_sweep_raises_bound_trouble_that_proves_nothing(trouble, message):
+    # a crossed rate box or a bound LP cut off by its limit is numerical
+    # trouble, not a proof that the triple is infeasible
+    stats = tiny_stats()
+    config = ModelConfig(eps_dp=0.1, eps_eodds=0.1, eps_prp=0.1, retention=0.5, window=2)
+    first_min_rate_lp = 2 * len(build_model(stats, config).links) + 1
+    calls = []
+
+    def troubled(problem, **kwargs):
+        res = solve_lp(problem, **kwargs)
+        calls.append(res)
+        if len(calls) == first_min_rate_lp:
+            res = replace(res, **trouble)
+        return res
+
+    with mock.patch.object(bounds, "solve_lp", troubled), \
+            pytest.raises(BoundsError, match=message):
+        sweep(stats, [0.1], [0.1], [0.1], retention=0.5, window=2, power=-2,
+              budget_per_solve=60.0)
 
 
 def test_multi_cell_sweep_matches_independent_solves():
