@@ -1,21 +1,23 @@
 """Best-bound branch and bound over the binary columns of a bounded LP.
 
-All node LPs of one MILP share one simplex matrix, built once, and a
-store of the basis inverses of the last few node LPs (`lp._Shared`).
-The root LP is solved cold, or warm from `root_start`: the optimal root
-basis of a MILP with the same matrix and costs, which `SolveReport.root_basis`
-hands back. Every other node carries its parent's optimal basis and
-warm-starts from it, from a copy of the parent's inverse when it is still
-stored; after fixing one binary that takes a few dual simplex pivots
-instead of a full two-phase solve. `solve_lp` checks each warm answer and
-falls back to a cold solve when it cannot. Heap entries hold only the
-`LpBasis`. An integral node point or a pinned pattern point becomes the
-incumbent only when it meets the MILP's rows and bounds to `FEAS_TOL`; an
-integral node that fails is split like a node whose LP hit its pivot cap.
-The kernel is deterministic, so a given problem always explores the same
-tree in the same order. The search certifies optimality through bound
-exhaustion: when no open node can beat the incumbent, the lower bound is
-lifted to the incumbent value and the reported gap is exactly zero.
+A node is its column box, the `lo`/`hi` handed to `LpProblem`: the LP's
+own box at the root, with binaries pinned (`lo == hi`) below it; a binary
+is open while `lo < hi`. All node LPs of one MILP share one simplex
+matrix, built once, and a store of the basis inverses of the last few node
+LPs (`lp._Shared`). The root LP is solved cold, or warm from `root_start`:
+the optimal root basis of a MILP with the same matrix and costs, which
+`SolveReport.root_basis` hands back. Every other node warm-starts from its
+parent's optimal basis, from a copy of the parent's inverse when it is
+still stored; `solve_lp` checks each warm answer and falls back to a cold
+solve when it cannot. An integral node point or a pinned pattern point
+becomes the incumbent only when it meets the MILP's rows and bounds to
+`FEAS_TOL`. A node leaves the search only once its box is resolved: pruned
+by bound, infeasible, or its integral point adopted. One that is not, with
+no open binary left to split on, is set aside; its bound caps the reported
+one and the search ends `GapLimit`. The kernel is deterministic, so a
+given problem always explores the same tree in the same order. When no
+open node can beat the incumbent, the lower bound is lifted to the
+incumbent value and the reported gap is exactly zero.
 """
 
 from __future__ import annotations
@@ -69,6 +71,13 @@ def _is_integral(values: np.ndarray) -> bool:
     return bool(np.all(np.abs(values - np.round(values)) <= _INT_TOL))
 
 
+def _pinned(lo: np.ndarray, hi: np.ndarray, cols, values) -> tuple[np.ndarray, np.ndarray]:
+    """A copy of the box (lo, hi) with `cols` pinned to `values`."""
+    lo, hi = lo.copy(), hi.copy()
+    lo[cols] = hi[cols] = values
+    return lo, hi
+
+
 def solve_milp(
     milp: MilpProblem,
     time_limit: float,
@@ -87,14 +96,6 @@ def solve_milp(
     def elapsed() -> float:
         return time.monotonic() - t0
 
-    def restricted(fixes: tuple[tuple[int, float], ...]) -> LpProblem:
-        lo = lp.lo.copy()
-        hi = lp.hi.copy()
-        for col, val in fixes:
-            lo[col] = val
-            hi[col] = val
-        return LpProblem(lp.c, lp.a, lp.senses, lp.rhs, lo, hi)
-
     incumbent: np.ndarray | None = None
     best_obj = np.inf
     if initial is not None:
@@ -110,132 +111,121 @@ def solve_milp(
     nodes = 0
     shared = _Shared(lp)
 
-    def solve_node(fixes, start: LpBasis | None = None) -> LpResult:
+    def solve_node(lo: np.ndarray, hi: np.ndarray, start: LpBasis | None) -> LpResult:
         nonlocal nodes
         nodes += 1
-        return solve_lp(restricted(fixes), deadline=deadline, start=start, _shared=shared)
+        box = LpProblem(lp.c, lp.a, lp.senses, lp.rhs, lo, hi)
+        return solve_lp(box, deadline=deadline, start=start, _shared=shared)
 
-    root = solve_node((), root_start)
-    if root.status == LpStatus.INFEASIBLE:
-        if incumbent is not None:
-            raise RuntimeError(
-                "relaxation reported infeasible, yet the initial point meets its rows"
-            )
-        return SolveReport(
-            MilpStatus.INFEASIBLE, None, np.inf, np.inf, 0.0, nodes, elapsed()
-        )
-    if root.status == LpStatus.UNBOUNDED:
-        raise RuntimeError("relaxation is unbounded; the model lost its box bounds")
-
-    # heap entries: (bound, insertion counter, fixes, cached root result or
-    # None, the parent's optimal basis to warm-start from or None)
-    root_bound = root.objective if root.status == LpStatus.OPTIMAL else -np.inf
-    heap: list[tuple[float, int, tuple, LpResult | None, LpBasis | None]] = [
-        (root_bound, 0, (), root, None)
+    # heap entries: (bound, insertion counter, the node's column box lo and
+    # hi, the parent's optimal basis to warm-start from or None)
+    heap: list[tuple[float, int, np.ndarray, np.ndarray, LpBasis | None]] = [
+        (-np.inf, 0, lp.lo, lp.hi, root_start)
     ]
     counter = 1
+    # the least bound of the nodes set aside unresolved: no usable LP answer
+    # or no verified integral point, and no open binary left to split on
+    stuck = np.inf
+    root_basis: LpBasis | None = None
 
-    def branch(bound: float, fixes: tuple, col: int, start: LpBasis | None) -> None:
+    def push(bound: float, lo: np.ndarray, hi: np.ndarray, start: LpBasis | None) -> None:
         nonlocal counter
+        heapq.heappush(heap, (bound, counter, lo, hi, start))
+        counter += 1
+
+    def branch(bound: float, lo, hi, col: int, start: LpBasis | None) -> None:
         for value in (0.0, 1.0):
-            heapq.heappush(heap, (bound, counter, fixes + ((col, value),), None, start))
-            counter += 1
+            push(bound, *_pinned(lo, hi, col, value), start)
 
-    def split(bound: float, fixes: tuple, start: LpBasis | None) -> None:
+    def split(bound: float, lo, hi, start: LpBasis | None) -> None:
         # a node whose LP gave no usable answer: keep completeness by
-        # splitting on the first unfixed binary, reusing the parent bound
+        # splitting on the first open binary, reusing the parent bound
         # since this node's own value is unknown
-        fixed_cols = {c for c, _ in fixes}
-        open_cols = [c for c in bins.tolist() if c not in fixed_cols]
-        if open_cols:
-            branch(bound, fixes, open_cols[0], start)
-
-    status = MilpStatus.OPTIMAL
-    lower = root_bound
+        nonlocal stuck
+        open_bins = lo[bins] < hi[bins]
+        if open_bins.any():
+            branch(bound, lo, hi, int(bins[np.argmax(open_bins)]), start)
+        else:
+            stuck = min(stuck, bound)
 
     while True:
+        lower = min(heap[0][0] if heap else best_obj, stuck)
+        gap = np.inf
+        if incumbent is not None:
+            gap = max((best_obj - lower) / max(abs(best_obj), 1e-9), 0.0)
         if elapsed() > time_limit:
             status = MilpStatus.TIME_LIMIT
-            lower = heap[0][0] if heap else best_obj
             break
-        if not heap:
-            if incumbent is None:
-                return SolveReport(
-                    MilpStatus.INFEASIBLE, None, np.inf, np.inf, 0.0, nodes, elapsed()
-                )
+        if not heap and incumbent is None and stuck == np.inf:
+            return SolveReport(
+                MilpStatus.INFEASIBLE, None, np.inf, np.inf, 0.0, nodes, elapsed()
+            )
+        if incumbent is not None and lower >= best_obj - OPT_TOL:
             status = MilpStatus.OPTIMAL
-            lower = best_obj
+            lower, gap = best_obj, 0.0
             break
-        lower = heap[0][0]
-        if incumbent is not None:
-            if lower >= best_obj - OPT_TOL:
-                status = MilpStatus.OPTIMAL
-                lower = best_obj
-                break
-            gap_now = (best_obj - lower) / max(abs(best_obj), 1e-9)
-            if gap_now <= gap_target:
-                status = MilpStatus.GAP_LIMIT
-                break
+        # an empty heap here means unresolved nodes were set aside, and
+        # their bound is the proven one
+        if not heap or (incumbent is not None and gap <= gap_target):
+            status = MilpStatus.GAP_LIMIT
+            break
 
-        bound, _, fixes, cached, start = heapq.heappop(heap)
-        res = cached if cached is not None else solve_node(fixes, start)
+        bound, _, lo, hi, start = heapq.heappop(heap)
+        res = solve_node(lo, hi, start)
+        if nodes == 1:  # the root
+            root_basis = res.basis
+            if res.status == LpStatus.INFEASIBLE and incumbent is not None:
+                raise RuntimeError(
+                    "relaxation reported infeasible, yet the initial point meets its rows"
+                )
+        if res.status == LpStatus.UNBOUNDED:
+            raise RuntimeError("relaxation is unbounded; the model lost its box bounds")
         if res.status == LpStatus.INFEASIBLE:
             continue
         if res.status == LpStatus.TIME_LIMIT:
             # the node stays open, so its bound still caps the reported one
-            heapq.heappush(heap, (bound, counter, fixes, None, start))
-            counter += 1
+            push(bound, lo, hi, start)
             continue
         if res.status == LpStatus.ITERATION_LIMIT:
-            split(bound, fixes, start)
+            split(bound, lo, hi, start)
             continue
 
         if res.objective >= best_obj - OPT_TOL:
             continue
         zvals = res.x[bins]
         off = np.abs(zvals - np.round(zvals))
-        if np.all(off <= _INT_TOL):
-            if np.max(off, initial=0.0) == 0.0:
-                # an incumbent is adopted only once it meets the rows
-                if point_violation(lp, res.x) <= FEAS_TOL:
-                    incumbent = res.x
-                    best_obj = res.objective
-                else:
-                    split(bound, fixes, start)
-            else:
-                # near-integral is not integral: a 1e-6 sliver of a binary can
-                # prop up a cheaper objective than any 0/1 point admits. Pin
-                # the rounded pattern as an incumbent heuristic, then branch
-                # anyway so the subtree's true optimum stays reachable.
-                pattern = np.round(zvals)
-                res2 = solve_node(tuple(zip(bins.tolist(), pattern.tolist())), res.basis)
-                if (
-                    res2.status == LpStatus.OPTIMAL
-                    and res2.objective < best_obj - OPT_TOL
-                    and point_violation(lp, res2.x) <= FEAS_TOL
-                ):
-                    incumbent = res2.x
-                    best_obj = res2.objective
-                fixed_cols = {c for c, _ in fixes}
-                open_off = np.where(
-                    np.isin(bins, list(fixed_cols)), -1.0, off
-                )
-                pick = int(np.argmax(open_off))
-                if open_off[pick] < 0.0:
-                    # every binary is already pinned; res2 was this subtree's
-                    # only integer point, so the node is exhausted
-                    continue
-                branch(res.objective, fixes, int(bins[pick]), res.basis)
-        else:
+        if np.any(off > _INT_TOL):
             frac_ids = np.flatnonzero(off > _INT_TOL)
             pick = frac_ids[np.argmin(np.abs(zvals[frac_ids] - 0.5))]
-            branch(res.objective, fixes, int(bins[pick]), res.basis)
+            branch(res.objective, lo, hi, int(bins[pick]), res.basis)
+        elif np.max(off, initial=0.0) == 0.0:
+            # an incumbent is adopted only once it meets the rows
+            if point_violation(lp, res.x) <= FEAS_TOL:
+                incumbent = res.x
+                best_obj = res.objective
+            else:
+                split(bound, lo, hi, start)
+        else:
+            # near-integral is not integral: a 1e-6 sliver of a binary can
+            # prop up a cheaper objective than any 0/1 point admits. Pin
+            # the rounded pattern as an incumbent heuristic, then branch
+            # anyway so the subtree's true optimum stays reachable.
+            res2 = solve_node(*_pinned(lo, hi, bins, np.round(zvals)), res.basis)
+            if (
+                res2.status == LpStatus.OPTIMAL
+                and res2.objective < best_obj - OPT_TOL
+                and point_violation(lp, res2.x) <= FEAS_TOL
+            ):
+                incumbent = res2.x
+                best_obj = res2.objective
+            open_off = np.where(lo[bins] < hi[bins], off, -1.0)
+            pick = int(np.argmax(open_off))
+            if open_off[pick] >= 0.0:
+                branch(res.objective, lo, hi, int(bins[pick]), res.basis)
+            elif res2.status != LpStatus.INFEASIBLE and not (
+                    res2.status == LpStatus.OPTIMAL and res2.objective >= best_obj - OPT_TOL):
+                # every binary is pinned, so res2 was the box's only integer
+                # point, and it was neither ruled out nor adopted
+                stuck = min(stuck, res.objective)
 
-    if status == MilpStatus.OPTIMAL and incumbent is not None:
-        gap = 0.0
-    elif incumbent is not None and np.isfinite(lower):
-        gap = (best_obj - lower) / max(abs(best_obj), 1e-9)
-        gap = max(gap, 0.0)
-    else:
-        gap = np.inf
-    return SolveReport(status, incumbent, best_obj, lower, gap, nodes, elapsed(), root.basis)
+    return SolveReport(status, incumbent, best_obj, lower, gap, nodes, elapsed(), root_basis)

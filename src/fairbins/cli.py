@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import csv
 import json
 import math
 import sys
@@ -29,6 +28,7 @@ from .data import (
     RowValidationError,
     SchemaError,
     compute_bin_stats,
+    csv_line,
     load_dataset,
     quantile_bin,
     validate_overlap,
@@ -231,8 +231,7 @@ def cmd_apply(args: argparse.Namespace) -> int:
         raise CliError(2, f"unknown apply mode {mode!r}")
 
     with open(args.output, "w") if args.output else contextlib.nullcontext(sys.stdout) as fh:
-        fh.write(f"# seed={seed}\n")
-        csv.writer(fh, lineterminator="\n").writerow(data.header + ["new_score", "new_bin"])
+        fh.write(f"# seed={seed}\n{csv_line(data.header + ['new_score', 'new_bin'])}\n")
         fh.writelines(map("{},{},{}\n".format, data.records, new_scores, bins.tolist()))
     return 0
 

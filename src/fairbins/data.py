@@ -126,7 +126,9 @@ class _Written:
     """Record strings of rows that are plain lines or field tuples. A tuple,
     a row ``csv.reader`` parsed, is written by ``csv.writer`` only when the
     records are iterated: writing costs more than the parse, and only
-    ``apply`` reads the records."""
+    ``apply`` reads the records. The writer ends its lines with ``\r\n``,
+    cut off again, so that it quotes a field holding a ``\r`` as it does
+    one holding a ``\n``."""
 
     def __init__(self, rows: list[str | tuple[str, ...]]):
         self.rows = rows
@@ -139,7 +141,7 @@ class _Written:
 
     def _blocks(self) -> Iterator[Iterable[str]]:
         written: list[str] = []
-        writer = csv.writer(SimpleNamespace(write=written.append), lineterminator="\n")
+        writer = csv.writer(SimpleNamespace(write=written.append), lineterminator="\r\n")
         for kind, rows in groupby(self.rows, type):
             if kind is str:
                 yield rows
@@ -149,8 +151,14 @@ class _Written:
                 # from being written as "", which the writer does only for a
                 # row on its own
                 writer.writerows(map(add, block, repeat(("",))))
-                yield [text[:-2] for text in written]
+                yield [text[:-3] for text in written]
                 written.clear()
+
+
+def csv_line(fields: Iterable[str]) -> str:
+    """One CSV line of ``fields``, without its line end, quoted as ``apply``
+    writes a record."""
+    return next(iter(_Written([tuple(fields)])))
 
 
 def _is_plain(text: str, block: list[str]) -> bool:

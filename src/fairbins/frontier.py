@@ -174,8 +174,7 @@ def sweep(
     roots: dict[tuple[float, float], LpBasis | None] = {}
     points: list[FrontierPoint] = []
     for config in configs:
-        eps_dp, eps_eodds, eps_prp = config.eps_dp, config.eps_eodds, config.eps_prp
-        key = (eps_dp, eps_eodds)
+        key = (config.eps_dp, config.eps_eodds)
         t0 = time.monotonic()
         if key not in cache:
             try:
@@ -186,34 +185,20 @@ def sweep(
                 if e.status != LpStatus.INFEASIBLE:
                     raise
                 cache[key] = None
-        bounds = cache[key]
-        if bounds is None:
-            points.append(FrontierPoint(
-                configured=(eps_dp, eps_eodds, eps_prp),
-                status=MilpStatus.INFEASIBLE.value,
-                gap=float("inf"),
-                solve_seconds=time.monotonic() - t0,
-            ))
-            continue
-        out = solve_once(
-            stats, config, power=power, mode=mode, time_limit=budget_per_solve,
-            gap_target=gap_target, bounds=bounds, root_start=roots.get(key),
-        )
-        roots[key] = out.report.root_basis
+        report = plan = None
+        if cache[key] is not None:
+            out = solve_once(
+                stats, config, power=power, mode=mode, time_limit=budget_per_solve,
+                gap_target=gap_target, bounds=cache[key], root_start=roots.get(key),
+            )
+            roots[key] = out.report.root_basis
+            report, plan = out.report, out.plan
         elapsed = time.monotonic() - t0
-        if out.plan is None:
-            points.append(FrontierPoint(
-                configured=(eps_dp, eps_eodds, eps_prp),
-                status=out.report.status.value,
-                gap=out.report.gap,
-                solve_seconds=elapsed,
-            ))
-            continue
-        auc, dp, eodds, prp = _evaluate(out.plan, stats)
+        auc, dp, eodds, prp = (None,) * 4 if plan is None else _evaluate(plan, stats)
         points.append(FrontierPoint(
-            configured=(eps_dp, eps_eodds, eps_prp),
-            status=out.report.status.value,
-            gap=out.report.gap,
+            configured=(config.eps_dp, config.eps_eodds, config.eps_prp),
+            status=MilpStatus.INFEASIBLE.value if report is None else report.status.value,
+            gap=float("inf") if report is None else report.gap,
             solve_seconds=elapsed,
             auc=auc,
             eps_dp=dp,

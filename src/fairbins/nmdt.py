@@ -129,18 +129,13 @@ def build_milp(
     hi = np.ones(width)
     lo[: model.ncols] = model.lo
     hi[: model.ncols] = model.hi
-    for g in range(G):
-        for bp in range(B):
-            lo[model.v_col(g, bp)] = bounds.v_lo[g, bp]
-            hi[model.v_col(g, bp)] = bounds.v_hi[g, bp]
-            lo[model.t_col(g, bp)] = bounds.t_lo[g, bp]
-            hi[model.t_col(g, bp)] = bounds.t_hi[g, bp]
 
     extra = _RowBag(width)
     for link, cols in zip(model.links, layout):
         g, bp = cols.group, cols.dest
         v_lo, v_hi = bounds.v_lo[g, bp], bounds.v_hi[g, bp]
         t_lo, t_hi = bounds.t_lo[g, bp], bounds.t_hi[g, bp]
+        lo[cols.v_col], hi[cols.v_col], lo[cols.t_col], hi[cols.t_col] = v_lo, v_hi, t_lo, t_hi
         x_part = {int(c): float(p) for c, p in zip(link.x_cols, link.npos)}
 
         if cols.fixed:
@@ -202,41 +197,59 @@ def build_milp(
     )
 
 
-def initial_point(nm: NmdtMilp) -> np.ndarray:
-    """The identity plan completed with digits, products, and remainders.
+def _lift(nm: NmdtMilp, plan: np.ndarray, rates: np.ndarray) -> np.ndarray:
+    """The full MILP point of `plan` with each link's rate set to `rates`.
 
-    In exact mode this point satisfies every linearization row whenever the
-    plan itself meets the fairness rows. In approx mode the balance row
-    drops the remainder product, so the point generally violates it; the
-    solver then simply rejects it as a starting incumbent.
+    Each unfixed link's rate is lifted into its digits, digit products and
+    remainder: the digits floor the scaled rate onto the dyadic grid and
+    the remainder carries the rest. Approx mode has no remainder product in
+    its balance row, so there the scaled rate is rounded onto the grid and
+    the remainder is zero.
     """
-    base = identity_plan(nm.model)
-    x = np.zeros(nm.problem.lp.ncols)
-    x[: nm.model.ncols] = base
     tb = nm.bounds
+    step = 2.0**nm.power
+    levels = 2**-nm.power
+    x = np.zeros(nm.problem.lp.ncols)
+    x[: nm.model.ncols] = plan
     for cols in nm.links:
         g, bp = cols.group, cols.dest
-        rate = float(np.clip(base[cols.t_col], tb.t_lo[g, bp], tb.t_hi[g, bp]))
-        x[cols.t_col] = rate
+        x[cols.t_col] = rates[g, bp]
         if cols.fixed:
             continue
-        span = tb.t_hi[g, bp] - tb.t_lo[g, bp]
-        lam = (rate - tb.t_lo[g, bp]) / span
-        x[cols.lam] = lam
+        lam = (rates[g, bp] - tb.t_lo[g, bp]) / (tb.t_hi[g, bp] - tb.t_lo[g, bp])
+        if nm.mode != "exact":
+            k = int(min(round(lam / step), levels - 1))
+            lam = k * step
+            dlam = 0.0
+        else:
+            k = int(min(math.floor(lam / step + 1e-12), levels - 1))
+            dlam = lam - k * step
         v = x[cols.v_col]
-        # peel digits from the most significant end down
-        rem = lam
-        for j in range(len(cols.z) - 1, -1, -1):
-            weight = 2.0 ** (nm.power + j)
-            bit = 1.0 if rem >= weight - 1e-15 else 0.0
-            x[cols.z[j]] = bit
-            x[cols.w[j]] = bit * v
-            rem -= bit * weight
-        rem = min(max(rem, 0.0), 2.0**nm.power)
-        x[cols.dlam] = rem
+        x[cols.lam] = lam
+        x[cols.dlam] = dlam
+        for j, (zc, wc) in enumerate(zip(cols.z, cols.w)):
+            bit = (k >> j) & 1
+            x[zc] = float(bit)
+            x[wc] = bit * v
         if cols.r >= 0:
-            x[cols.r] = rem * v
+            x[cols.r] = dlam * v
     return x
+
+
+def initial_point(nm: NmdtMilp) -> np.ndarray:
+    """The identity plan at its own rates, clipped to their boxes and lifted.
+
+    In exact mode this point satisfies every linearization row whenever the
+    plan itself meets the fairness rows. In approx mode the lift rounds
+    each rate's digits onto the grid while the rate column keeps the
+    identity rate, so the point generally breaks the rate-digit and balance
+    rows; the solver then simply rejects it as a starting incumbent.
+    """
+    base = identity_plan(nm.model)
+    tb = nm.bounds
+    t_start = nm.model.t_start
+    rates = base[t_start : t_start + tb.t_lo.size].reshape(tb.t_lo.shape)
+    return _lift(nm, base, np.clip(rates, tb.t_lo, tb.t_hi))
 
 
 # the rate boxes are padded outward when tightened; targets must stay off
@@ -302,15 +315,12 @@ def _grid_quantize(nm: NmdtMilp, targets: np.ndarray) -> np.ndarray:
     return q
 
 
-def _completion_lp(
-    nm: NmdtMilp, rate_eq: np.ndarray, rate_pin: np.ndarray, *, elastic: bool
-) -> LpProblem:
-    """LP over the plan block with every link's rate pinned.
+def _completion_lp(nm: NmdtMilp, rates: np.ndarray, *, elastic: bool) -> LpProblem:
+    """LP over the plan block with every link's rate pinned to `rates`.
 
-    `rate_eq` sits in the balance equalities, `rate_pin` in the rate-column
-    bounds; the two differ only in approx mode where the balance must land
-    on the dyadic grid. Elastic form adds signed slack per balance row and
-    minimizes it; the hard form minimizes the movement objective.
+    The rates sit both in the balance equalities and in the rate-column
+    bounds. Elastic form adds signed slack per balance row and minimizes
+    it; the hard form minimizes the movement objective.
     """
     model = nm.model
     tb = nm.bounds
@@ -331,10 +341,10 @@ def _completion_lp(
     for i, link in enumerate(model.links):
         # written, not added: `+=` on a zero row would turn the -0.0 of a
         # rate pinned at exactly 0 into +0.0
-        rows.a[first + i, link.v_col] = -rate_eq[link.group, link.dest]
+        rows.a[first + i, link.v_col] = -rates[link.group, link.dest]
         lo[link.v_col] = tb.v_lo[link.group, link.dest]
         hi[link.v_col] = tb.v_hi[link.group, link.dest]
-        lo[link.t_col] = hi[link.t_col] = rate_pin[link.group, link.dest]
+        lo[link.t_col] = hi[link.t_col] = rates[link.group, link.dest]
     if elastic:
         c = np.concatenate([np.zeros(model.ncols), np.ones(extra)])
     else:
@@ -350,8 +360,8 @@ def completion_start(nm: NmdtMilp) -> np.ndarray | None:
     targets start at the empirical positive fractions, get repaired into
     the rate rows, and an elastic LP loop moves them onto rates the mass
     constraints can actually realize. The hard completion then picks the
-    cheapest plan at those rates and the point is lifted link by link into
-    digits, digit products, and remainders.
+    cheapest plan at those rates, and `_lift` writes its digits, digit
+    products and remainders as it does for the identity.
     """
     lp = nm.problem.lp
     x0 = initial_point(nm)
@@ -361,13 +371,10 @@ def completion_start(nm: NmdtMilp) -> np.ndarray | None:
     model = nm.model
     tb = nm.bounds
     stats = model.stats
-    step = 2.0**nm.power
-    levels = 2**-nm.power
     quantize = nm.mode != "exact"
-    span_all = tb.t_hi - tb.t_lo
     # approx mode pins rates on the grid, so the gap band must leave room
     # for quantization drift plus one rank-repair bump per link
-    margin = 3.0 * step * float(span_all.max()) if quantize else 1e-10
+    margin = 3.0 * 2.0**nm.power * float((tb.t_hi - tb.t_lo).max()) if quantize else 1e-10
 
     seed = np.divide(
         stats.npos.astype(float),
@@ -379,7 +386,7 @@ def completion_start(nm: NmdtMilp) -> np.ndarray | None:
     for _ in range(_COMPLETION_ROUNDS):
         if quantize:
             targets = _grid_quantize(nm, targets)
-        res = solve_lp(_completion_lp(nm, targets, targets, elastic=True))
+        res = solve_lp(_completion_lp(nm, targets, elastic=True))
         if res.status != LpStatus.OPTIMAL:
             return None
         if res.objective <= 1e-9:
@@ -393,35 +400,11 @@ def completion_start(nm: NmdtMilp) -> np.ndarray | None:
     else:
         return None
 
-    res = solve_lp(_completion_lp(nm, targets, targets, elastic=False))
+    res = solve_lp(_completion_lp(nm, targets, elastic=False))
     if res.status != LpStatus.OPTIMAL:
         return None
 
-    full = np.zeros(lp.ncols)
-    full[: model.ncols] = res.x[: model.ncols]
-    for cols in nm.links:
-        g, bp = cols.group, cols.dest
-        full[cols.t_col] = targets[g, bp]
-        if cols.fixed:
-            continue
-        span = span_all[g, bp]
-        lam = (targets[g, bp] - tb.t_lo[g, bp]) / span
-        if quantize:
-            k = int(min(round(lam / step), levels - 1))
-            lam = k * step
-            dlam = 0.0
-        else:
-            k = int(min(math.floor(lam / step + 1e-12), levels - 1))
-            dlam = lam - k * step
-        v = full[cols.v_col]
-        full[cols.lam] = lam
-        full[cols.dlam] = dlam
-        for j, (zc, wc) in enumerate(zip(cols.z, cols.w)):
-            bit = (k >> j) & 1
-            full[zc] = float(bit)
-            full[wc] = bit * v
-        if cols.r >= 0:
-            full[cols.r] = dlam * v
+    full = _lift(nm, res.x[: model.ncols], targets)
     if point_violation(lp, full) <= FEAS_TOL:
         return full
     return None

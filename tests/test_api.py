@@ -3,16 +3,18 @@
 The solver's tolerances and iteration caps are constants of `fairbins.lp`,
 the one yardstick every layer judges LP answers by: no public function or
 method takes one as a parameter. The fairness rows are written once, in
-`fairbins.model`: bound tightening derives its LPs from them."""
+`fairbins.model`: bound tightening derives its LPs from them. Branch and
+bound knows only the LP layer, never the model it is handed."""
 
 from __future__ import annotations
 
+import ast
 import importlib
 import inspect
 import pkgutil
 
 import fairbins
-from fairbins import bounds, lp
+from fairbins import bnb, bounds, lp
 
 KNOBS = {"feas_tol", "opt_tol", "max_iters", "max_rounds", "tol"}
 
@@ -55,4 +57,21 @@ def test_bounds_writes_no_model_row_itself():
     source = inspect.getsource(bounds)
     found = [name for name in ("_RowBag", "_window_span", "x_index", "model.config")
              if name in source]
+    assert found == []
+
+
+def test_bnb_knows_no_model():
+    # branch and bound takes any bounded LP with binary columns: an import
+    # from the package other than the LP layer, or a name of the model or
+    # its linearization, would tie it to one model
+    source = inspect.getsource(bnb)
+    imported = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom):
+            imported.append("." * node.level + (node.module or ""))
+        elif isinstance(node, ast.Import):
+            imported += [alias.name for alias in node.names]
+    package = [name for name in imported if name.startswith((".", "fairbins"))]
+    assert package == [".lp"]
+    found = [name for name in ("nmdt", "LinkCols", "FairnessModel") if name in source]
     assert found == []

@@ -443,9 +443,27 @@ def test_apply_writes_what_csv_writer_wrote_for_each_record(rows_records, scores
     spec = BinSpec((0.0, 0.5, 1.0))
     bins = spec.assign(score)
     new_scores = [repr(m) for m in spec.midpoints[bins].tolist()]
-    want = io.StringIO()
-    want.write("# seed=4\n")
-    writer = csv.writer(want, lineterminator="\n")
-    writer.writerow(header + ["new_score", "new_bin"])
-    writer.writerows(map(operator.add, rows, zip(new_scores, bins.tolist())))
-    assert out.read_bytes() == want.getvalue().encode()
+
+    def line(fields) -> str:
+        # a "\r\n" terminator makes the writer quote a field holding "\r" as
+        # well as one holding "\n"; the line then ends in "\n" as the file does
+        want = io.StringIO()
+        csv.writer(want, lineterminator="\r\n").writerow(fields)
+        return want.getvalue()[:-2] + "\n"
+
+    body = map(line, map(operator.add, rows, zip(new_scores, bins.tolist())))
+    want = "# seed=4\n" + line(header + ["new_score", "new_bin"]) + "".join(body)
+    assert out.read_bytes() == want.encode()
+
+
+def test_apply_output_with_a_carriage_return_in_a_field_reads_back(tmp_path):
+    source = tmp_path / "in.csv"
+    source.write_bytes(b'score,label,group,note\n0.2,0,a,"x\ry"\n0.8,1,b,z\n')
+    plan = tmp_path / "plan.json"
+    plan.write_text(TransitionPlan(edges=(0.0, 0.5, 1.0),
+                                   groups=np.tile(np.eye(2), (2, 1, 1))).to_json())
+    out = tmp_path / "out.csv"
+    assert main(["apply", str(source), "--plan", str(plan), "--output", str(out)]) == 0
+    assert b'0.2,0,a,"x\ry",' in out.read_bytes()
+    assert main(["audit", str(out), "--score-column", "new_score", "--eval-bins", "2",
+                 "--output", str(tmp_path / "audit.json")]) == 0
