@@ -186,7 +186,7 @@ def solve_milp(
             # the node stays open, so its bound still caps the reported one
             push(bound, lo, hi, start)
             continue
-        if res.status == LpStatus.ITERATION_LIMIT:
+        if res.status in (LpStatus.ITERATION_LIMIT, LpStatus.NUMERICAL):
             split(bound, lo, hi, start)
             continue
 

@@ -4,7 +4,8 @@ Exit codes, kept distinct so scripts can branch on failure class:
   0  solved (optimal, gap-limit, or time-limit with an incumbent) / success
   2  bad input data, bad flags, or a broken config file
   3  a bin is missing members of some group (overlap failure)
-  4  a bound-tightening subproblem is infeasible
+  4  bound tightening failed: a bound LP ended Infeasible, IterationLimit or
+     Numerical, or the bounds found leave no usable box
   5  the solver proved infeasibility or ran out of time with no plan
   6  plan and dataset disagree (edges, groups, or malformed plan)
 """
@@ -89,6 +90,12 @@ def _resolve(args: argparse.Namespace) -> dict:
         unknown = set(loaded) - set(DEFAULTS)
         if unknown:
             raise CliError(2, f"config {config_path} has unknown keys {sorted(unknown)}")
+        for key, value in loaded.items():
+            # bool is an int subclass, but `true` is no number of bins
+            kind, want = ("a string", str) if key == "mode" else ("a number", (int, float))
+            if isinstance(value, bool) or not isinstance(value, want):
+                raise CliError(2, f"config {config_path}: {key} must be {kind}, "
+                                  f"got {json.dumps(value)}")
         merged.update(loaded)
     for key in DEFAULTS:
         flag = getattr(args, key, None)

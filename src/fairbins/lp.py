@@ -7,15 +7,21 @@ identical inputs produce identical pivot sequences, values, and statuses.
 Each pivot does three matrix-vector products: the duals `Binv.T @ c_B`,
 the reduced costs through `A.T @ y`, and the entering column
 `Binv @ A[:, q]`. The dense basis inverse then takes a rank-1 update on
-the rows where that column is nonzero, and is refactored from scratch
-every 100 basis changes.
+the rows where that column is nonzero, and is factored afresh every 100
+basis changes. A singular basis there, or a pivot too small to take, ends
+the solve with status NUMERICAL. The matrix `A` depends on the constraint
+matrix `a` alone (`_Shared`): `a` row-scaled, then one identity block of
+slack and one of artificial columns. Every engine over the same `a`, cold
+or warm, reads one such matrix, and none writes to it.
 
 A cold solve starts from a slack crash basis (Bixby, "Implementing the
 simplex method: the initial basis", ORSA J. Comput. 4, 1992): each
 inequality row whose slack can hold the residual of the nonbasic start
 point begins with that slack basic, and only the other rows begin on an
 artificial, so phase 1 has only those artificials to drive out. A problem
-whose start point meets every row skips phase 1's pivots altogether.
+whose start point meets every row skips phase 1's pivots altogether. The
+residual's sign lives in the artificial's bounds and phase-1 cost: a row
+whose residual is negative gets an artificial in (-inf, 0] costing -1.
 
 A solve may also start from an earlier optimal basis (`LpResult.basis`) of
 a problem with the same matrix, and either the same costs or the same
@@ -29,20 +35,18 @@ constraints and new costs, as in bound tightening, the basis stays primal
 feasible: the dual simplex has nothing to do, and the primal loop
 re-optimizes the new objective from it. The dual keeps its reduced
 costs up to date from the pivot row it already computes, and recomputes
-them at each refactorization. A warm answer is used only once it checks
-out: an optimal point must satisfy the problem's own rows and bounds to
-`FEAS_TOL` (1e-7), and an infeasibility verdict must survive a fresh
-factorization. Anything else (a pivot cap, a failed check, a singular
-basis) falls back to the cold two-phase solve, which is the same code
-with or without a start.
+them at each factorization. An infeasibility verdict of the dual must
+survive a fresh factorization. Every optimum, cold or warm, must satisfy
+the problem's own rows and bounds to `FEAS_TOL` (1e-7). A warm answer
+that cannot vouch for itself (a pivot cap, a failed check, a singular
+basis) falls back to the cold two-phase solve, which is the same code with
+or without a start; a cold optimum that fails the check is NUMERICAL.
 
 Branch and bound hands every node LP of one MILP the same `_Shared`
-object: the row-scaled, padded matrix, built once, and the basis
-inverses of its last `_INVERSES_KEPT` optimal node LPs. A warm start
-whose basis is stored copies that inverse instead of factoring, once a
-residual check shows it still inverts the basis matrix. Warm engines only
-read the shared matrix; a cold solve builds its own, and stores its
-inverse only when its matrix equals the shared one bit for bit.
+object, which also keeps the basis inverses of the last `_INVERSES_KEPT`
+verified optima over its matrix. A warm start whose basis is stored
+copies that inverse instead of factoring, once a residual check shows it
+still inverts the basis matrix.
 """
 
 from __future__ import annotations
@@ -94,7 +98,7 @@ _DUAL_FEAS_TOL = 1e-11
 # pivots a warm start may spend, as a multiple of rows plus columns, before
 # the cold solve takes over
 _WARM_SHARE = 1.0
-# basis inverses of recent warm LPs kept for their children to start from,
+# basis inverses of recent optimal LPs kept for their children to start from,
 # and the largest residual |Binv @ (B @ 1) - 1| at which one is adopted
 _INVERSES_KEPT = 4
 _INVERSE_TOL = 1e-9
@@ -106,9 +110,10 @@ class LpStatus(str, Enum):
     UNBOUNDED = "Unbounded"
     ITERATION_LIMIT = "IterationLimit"
     TIME_LIMIT = "TimeLimit"
+    NUMERICAL = "Numerical"  # a singular basis, a tiny pivot or an unverified optimum
 
 
-_STOPPED = (LpStatus.ITERATION_LIMIT, LpStatus.TIME_LIMIT)
+_UNFINISHED = (LpStatus.ITERATION_LIMIT, LpStatus.TIME_LIMIT, LpStatus.NUMERICAL)
 
 
 @dataclass
@@ -159,6 +164,11 @@ class LpBasis:
 
 @dataclass(frozen=True)
 class LpResult:
+    """A solve's answer. An OPTIMAL point meets the problem's rows and
+    bounds to `FEAS_TOL`, cold or warm; NUMERICAL means the simplex could
+    not vouch for any answer (a singular basis, a pivot too small to take,
+    or an optimum that failed that check)."""
+
     status: LpStatus
     objective: float
     x: np.ndarray
@@ -190,17 +200,24 @@ def _inverts(inverse: np.ndarray, cols: np.ndarray) -> bool:
 
 
 class _Shared:
-    """What the LPs of one MILP can share: the row-scaled constraint matrix
-    padded with slack and artificial columns, built once by a cold engine
-    over `problem` (whose artificial signs it keeps), and the basis
-    inverses of the last `_INVERSES_KEPT` optimal LPs solved over it, each
-    stored with the `LpBasis` it inverts. Warm engines only read the
-    matrix; a cold solve builds its own."""
+    """What the LPs over one constraint matrix share: the read-only engine
+    matrix `[a / scale | I | I]` (row-scaled structural columns, then the
+    slack and the artificial columns), and the basis inverses of the last
+    `_INVERSES_KEPT` verified optima over it, each stored with the
+    `LpBasis` it inverts."""
 
     def __init__(self, problem: LpProblem):
-        eng = _Engine(problem, 0, None)
-        self.a = problem.a
-        self.scale, self.A = eng.scale, eng.A
+        a = self.a = problem.a
+        m, n = a.shape
+        # row equilibration only; column scaling would distort the bounds
+        scale = np.abs(a).max(axis=1) if n else np.zeros(m)
+        self.scale = np.where(scale > 1e-12, scale, 1.0)
+        self.A = np.zeros((m, n + 2 * m))
+        self.A[:, :n] = a / self.scale[:, None]
+        rows = np.arange(m)
+        self.A[rows, n + rows] = 1.0
+        self.A[rows, n + m + rows] = 1.0
+        self.A.flags.writeable = False
         self.inverses: deque[tuple[LpBasis, np.ndarray]] = deque(maxlen=_INVERSES_KEPT)
 
     def inverse(self, basis: LpBasis) -> np.ndarray | None:
@@ -211,7 +228,9 @@ class _Shared:
 
 
 class _Engine:
-    """Two-phase simplex state: full column matrix, basis, dense inverse."""
+    """Two-phase simplex state over the shared matrix: bounds, basis and a
+    dense basis inverse. The artificials start fixed at zero; `crash` opens
+    them for a cold start, `install` sets a warm one."""
 
     def __init__(self, problem: LpProblem, max_iters: int, deadline: float | None,
                  shared: _Shared | None = None):
@@ -223,63 +242,46 @@ class _Engine:
 
         m, n = problem.a.shape
         self.m, self.nstruct = m, n
-        ntot = n + 2 * m
-        rows = np.arange(m)
-        if shared is None:
-            # row equilibration only; column scaling would distort the bounds
-            scale = np.abs(problem.a).max(axis=1) if n else np.zeros(m)
-            scale = np.where(scale > 1e-12, scale, 1.0)
-            self.scale = scale
-            self.A = np.zeros((m, ntot))
-            self.A[:, :n] = problem.a / scale[:, None]
-            self.A[rows, n + rows] = 1.0
-        else:
-            self.scale, self.A = shared.scale, shared.A
+        shared = _Shared(problem) if shared is None else shared
+        self.scale, self.A = shared.scale, shared.A
         self.rhs = problem.rhs / self.scale
 
-        self.lo = np.full(ntot, -np.inf)
-        self.hi = np.full(ntot, np.inf)
-        self.lo[:n] = problem.lo
-        self.hi[:n] = problem.hi
-        slack = n + rows
-        self.lo[slack[problem.senses != SENSE_GE]] = 0.0
-        self.hi[slack[problem.senses != SENSE_LE]] = 0.0
+        ge, le = problem.senses == SENSE_GE, problem.senses == SENSE_LE
+        self.lo = np.concatenate([problem.lo, np.where(ge, -np.inf, 0.0), np.zeros(m)])
+        self.hi = np.concatenate([problem.hi, np.where(le, np.inf, 0.0), np.zeros(m)])
 
-        # nonbasic start: finite lower bound, else finite upper, else free at 0
-        self.pos = np.full(ntot, _AT_LO, dtype=np.int8)
-        self.val = np.zeros(ntot)
+    def place(self, up: np.ndarray | bool) -> None:
+        """Put every column at a bound: its upper one where `up` asks for
+        it, or where only the upper one is finite; else its finite lower
+        bound; else free at 0."""
+        fin_lo, fin_hi = np.isfinite(self.lo), np.isfinite(self.hi)
+        at_up = fin_hi & (up | ~fin_lo)
+        self.pos = np.where(at_up, _AT_UP, np.where(fin_lo, _AT_LO, _FREE)).astype(np.int8)
+        self.val = np.where(at_up, self.hi, np.where(fin_lo, self.lo, 0.0))
+
+    def crash(self) -> np.ndarray:
+        """Set the cold start: each column at a bound, an inequality row
+        whose slack can hold the start residual on that slack, every other
+        row on its artificial, opened from zero toward that residual.
+        Returns the artificials' phase-1 costs, +1 on one that ranges over
+        [0, inf) and -1 on one over (-inf, 0]."""
+        m, n = self.m, self.nstruct
+        self.place(False)
         head = slice(0, n + m)
-        fin_lo = np.isfinite(self.lo[head])
-        fin_hi = np.isfinite(self.hi[head])
-        self.pos[head] = np.where(fin_lo, _AT_LO, np.where(fin_hi, _AT_UP, _FREE))
-        start = np.where(fin_lo, np.nan_to_num(self.lo[head], neginf=0.0), 0.0)
-        start = np.where(~fin_lo & fin_hi, np.nan_to_num(self.hi[head], posinf=0.0), start)
-        self.val[head] = start
-        if shared is not None:
-            return  # the shared matrix is read-only; `install` sets the basis
-
         resid = self.rhs - self.A[:, head] @ self.val[head]
-        sigma = np.where(resid >= 0.0, 1.0, -1.0)
-        art = n + m + rows
-        self.A[rows, art] = sigma
-        self.lo[art] = 0.0
-
-        # crash basis: an inequality row whose slack can hold the start
-        # residual starts on that slack, every other row on its artificial
+        slack = n + np.arange(m)
+        art = slack + m
+        falls = resid < 0.0
+        self.lo[art[falls]] = -np.inf
+        self.hi[art[~falls]] = np.inf
+        self.pos[art[falls]] = _AT_UP
         fits = (self.lo[slack] <= resid) & (resid <= self.hi[slack])
-        crash = (problem.senses != SENSE_EQ) & fits
+        crash = (self.problem.senses != SENSE_EQ) & fits
         self.basis = np.where(crash, slack, art)
         self.pos[self.basis] = _BASIC
-        self.xB = np.where(crash, resid, np.abs(resid))
-        self.Binv = np.diag(np.where(crash, 1.0, sigma))
-
-    def refactor(self) -> None:
-        cols = self.A[:, self.basis]
-        try:
-            self.Binv = np.linalg.inv(cols)
-        except np.linalg.LinAlgError:
-            self.Binv = np.linalg.pinv(cols)
-        self.solve_basics()
+        self.xB = resid
+        self.Binv = np.eye(m)
+        return np.where(falls, -1.0, 1.0)
 
     def point(self) -> np.ndarray:
         full = self.val.copy()
@@ -290,22 +292,15 @@ class _Engine:
         return LpBasis(self.basis.copy(), self.pos.copy())
 
     def install(self, start: LpBasis, inverse: np.ndarray | None = None) -> bool:
-        """Replace the crash start by `start`, with the artificials
-        fixed at zero and each nonbasic column at the bound its code names
-        (or its other finite bound, or free at 0). A stored `inverse` of
-        the start's basis matrix is adopted, as a copy, when it passes
+        """Set the warm start `start`: the artificials stay fixed at zero
+        and each nonbasic column sits at the bound its code names (or its
+        other finite bound, or free at 0). A stored `inverse` of the
+        start's basis matrix is adopted, as a copy, when it passes
         `_inverts`; otherwise the basis is factored. False when the basis
         does not fit this problem or its matrix is singular."""
-        art = slice(self.nstruct + self.m, None)
-        self.lo[art] = 0.0
-        self.hi[art] = 0.0
-        if start.basic.shape != (self.m,) or start.pos.shape != self.pos.shape:
+        if start.basic.shape != (self.m,) or start.pos.shape != self.lo.shape:
             return False
-        lo, hi = self.lo, self.hi
-        fin_lo, fin_hi = np.isfinite(lo), np.isfinite(hi)
-        at_up = fin_hi & ((start.pos == _AT_UP) | ~fin_lo)
-        self.pos[:] = np.where(at_up, _AT_UP, np.where(fin_lo, _AT_LO, _FREE))
-        self.val[:] = np.where(at_up, hi, np.where(fin_lo, lo, 0.0))
+        self.place(start.pos == _AT_UP)
         self.basis = start.basic.astype(np.intp)
         self.pos[self.basis] = _BASIC
         if inverse is not None and _inverts(inverse, self.A[:, self.basis]):
@@ -315,7 +310,10 @@ class _Engine:
         return self.factor()
 
     def factor(self) -> bool:
-        """Refactor without the `pinv` fallback; False on a singular basis."""
+        """Invert the basis matrix afresh and recompute the basic values;
+        False on a singular basis."""
+        # fresh: Binv and xB come from a factorization, not from updates
+        self.updates, self.fresh = 0, True
         try:
             self.Binv = np.linalg.inv(self.A[:, self.basis])
         except np.linalg.LinAlgError:
@@ -329,7 +327,51 @@ class _Engine:
         nb[self.basis] = 0.0
         self.xB = self.Binv @ (self.rhs - self.A @ nb)
 
-    def dual(self, c: np.ndarray) -> LpStatus | None:
+    def begin(self, c: np.ndarray) -> None:
+        """Pricing state of a pivot loop over costs `c`: a weight per column
+        (+1 at the lower bound, -1 at the upper, 0 when basic or fixed),
+        and the cost and bounds of each basic slot, kept in step with the
+        basis by `exchange` instead of gathered every pivot."""
+        pos, basis = self.pos, self.basis
+        self.c, self.fixed = c, (self.hi - self.lo) <= 0.0
+        self.sign = np.where(pos == _AT_LO, 1.0, np.where(pos == _AT_UP, -1.0, 0.0))
+        self.sign[self.fixed] = 0.0
+        self.cB, self.blo, self.bhi = c[basis], self.lo[basis], self.hi[basis]
+        self.updates, self.fresh = 0, True
+
+    def exchange(self, r: int, q: int, step: float, w: np.ndarray, up: bool) -> bool:
+        """Column `q`, the entering column `w = Binv @ A[:, q]`, takes basic
+        slot `r` after moving by `step` (the basic values move by
+        `-step * w`); the leaving column rests at its upper bound when
+        `up`, else at its lower one. The inverse takes a rank-1 update and
+        is factored afresh every `_REFACTOR_EVERY` exchanges; False when
+        that factorization finds the basis singular."""
+        basis, pos, val, sign, xB, Binv = (
+            self.basis, self.pos, self.val, self.sign, self.xB, self.Binv)
+        lv = int(basis[r])
+        entering = val[q] + step
+        xB -= step * w
+        pos[lv] = _AT_UP if up else _AT_LO
+        val[lv] = self.hi[lv] if up else self.lo[lv]
+        sign[lv] = 0.0 if self.fixed[lv] else (-1.0 if up else 1.0)
+        basis[r] = q
+        xB[r] = entering
+        pos[q] = _BASIC
+        sign[q] = 0.0
+        self.cB[r], self.blo[r], self.bhi[r] = self.c[q], self.lo[q], self.hi[q]
+
+        # rank-1 update of the inverse on the rows where w is nonzero:
+        # elsewhere it subtracts zeros, which can flip the sign of a
+        # zero entry but changes no bit of any product read from Binv
+        row = Binv[r] / w[r]
+        nz = w.nonzero()[0]
+        Binv[nz] -= w[nz, None] * row
+        Binv[r] = row
+        self.fresh = False
+        self.updates += 1
+        return self.updates < _REFACTOR_EVERY or self.factor()
+
+    def dual(self, c: np.ndarray) -> LpStatus:
         """Dual simplex on costs `c` until every basic variable is within
         `_DUAL_FEAS_TOL` of its bounds (OPTIMAL here means primal feasible).
 
@@ -338,21 +380,15 @@ class _Engine:
         can move the leaving variable toward its bound, ties to the largest
         |alpha_j|, then the lowest index. INFEASIBLE means no column can
         move it, also on a fresh factorization; the row is left in
-        `proof_row`. None means a pivot too small to take or a singular
-        refactor."""
-        A, lo, hi, val, pos, basis = self.A, self.lo, self.hi, self.val, self.pos, self.basis
+        `proof_row`. NUMERICAL means a pivot too small to take or a
+        singular factorization."""
+        self.begin(c)
+        A, pos, sign, cB, blo, bhi = self.A, self.pos, self.sign, self.cB, self.blo, self.bhi
         xB, Binv = self.xB, self.Binv
         deadline = self.deadline
-        fixed = (hi - lo) <= 0.0
-        sign = np.where(pos == _AT_LO, 1.0, np.where(pos == _AT_UP, -1.0, 0.0))
-        sign[fixed] = 0.0
-        free = (pos == _FREE) & ~fixed
-        cB = c[basis]
+        free = (pos == _FREE) & ~self.fixed
         d = c - A.T @ (Binv.T @ cB)
-        since_refactor = 0
-        fresh = True  # Binv and xB come from a factorization, not updates
         while True:
-            blo, bhi = lo[basis], hi[basis]
             below = blo - xB
             viol = np.maximum(below, xB - bhi)
             r = int(viol.argmax())
@@ -372,20 +408,17 @@ class _Engine:
                 (sign * alpha < -_DUAL_PIVOT_TOL) | (free & (np.abs(alpha) > _DUAL_PIVOT_TOL))
             ).nonzero()[0]
             if cand.size == 0:
-                if fresh:
+                if self.fresh:
                     self.proof_row = r
                     return LpStatus.INFEASIBLE
                 # the violation may be drift of the updated inverse: look
                 # again from a fresh factorization before calling it a proof
                 if not self.factor():
-                    return None
+                    return LpStatus.NUMERICAL
                 xB, Binv = self.xB, self.Binv
                 d = c - A.T @ (Binv.T @ cB)
-                since_refactor = 0
-                fresh = True
                 continue
             self.iterations += 1
-            fresh = False
             size = np.abs(alpha[cand])
             ratios = np.maximum(sign[cand] * d[cand], 0.0) / size
             tied = (ratios <= ratios.min()).nonzero()[0]
@@ -393,37 +426,18 @@ class _Engine:
 
             w = Binv @ A[:, q]
             if abs(w[r]) <= _DUAL_PIVOT_TOL:
-                return None
+                return LpStatus.NUMERICAL
             target = blo[r] if rises else bhi[r]
             step = (xB[r] - target) / w[r]
-            lv = int(basis[r])
-            entering = val[q] + step
-            xB -= step * w
-            pos[lv] = _AT_LO if rises else _AT_UP
-            val[lv] = target
-            sign[lv] = 0.0 if fixed[lv] else s
-            basis[r] = q
-            xB[r] = entering
-            pos[q] = _BASIC
-            sign[q] = 0.0
             free[q] = False
-            cB[r] = c[q]
             # the pivot row prices the basis change: d -= (d_q / alpha_rq) alpha_r
             d -= (d[q] / alpha[q]) * alpha
             d[q] = 0.0
-
-            row = Binv[r] / w[r]
-            nz = w.nonzero()[0]
-            Binv[nz] -= w[nz, None] * row
-            Binv[r] = row
-            since_refactor += 1
-            if since_refactor >= _REFACTOR_EVERY:
-                since_refactor = 0
-                if not self.factor():
-                    return None
-                xB, Binv = self.xB, self.Binv
+            if not self.exchange(r, q, step, w, not rises):
+                return LpStatus.NUMERICAL
+            xB, Binv = self.xB, self.Binv
+            if self.fresh:
                 d = c - A.T @ (Binv.T @ cB)
-                fresh = True
 
     def certifies(self, r: int) -> bool:
         """Whether row slot `r`, re-derived from a fresh factorization,
@@ -464,25 +478,19 @@ class _Engine:
         return bool((short - gain.sum()) * unit > FEAS_TOL)
 
     def run(self, c: np.ndarray) -> LpStatus:
-        A, lo, hi, val, pos, basis = self.A, self.lo, self.hi, self.val, self.pos, self.basis
+        self.begin(c)
+        A, lo, hi, val, pos, sign = self.A, self.lo, self.hi, self.val, self.pos, self.sign
+        cB, blo, bhi, basis = self.cB, self.blo, self.bhi, self.basis
         xB, Binv = self.xB, self.Binv
         opt_tol, deadline = self.opt_tol, self.deadline
-        fixed = (hi - lo) <= 0.0
-        # pricing weight per column: +1 at the lower bound, -1 at the upper,
-        # 0 when basic or fixed; nonbasic free columns are priced by -|d|.
-        # Multiplying by +-1 is exact, so eff equals a per-position select of
-        # d, -d and 0 (up to the sign of a zero) and picks the same column;
-        # only the columns that move in a pivot have their weight rewritten.
-        sign = np.where(pos == _AT_LO, 1.0, np.where(pos == _AT_UP, -1.0, 0.0))
-        sign[fixed] = 0.0
-        free = ((pos == _FREE) & ~fixed).nonzero()[0]
-        # per-slot cost and bounds of the basic variables, kept in step with
-        # the basis instead of gathered every pivot
-        cB, blo, bhi = c[basis], lo[basis], hi[basis]
+        # nonbasic free columns are priced by -|d|. Multiplying by the +-1
+        # weights is exact, so eff equals a per-position select of d, -d
+        # and 0 (up to the sign of a zero) and picks the same column; only
+        # the columns that move in a pivot have their weight rewritten.
+        free = ((pos == _FREE) & ~self.fixed).nonzero()[0]
         ratios = np.empty(self.m)
         degenerate = 0
         bland = False
-        since_refactor = 0
         while self.iterations < self.max_iters:
             if deadline is not None and time.monotonic() > deadline:
                 return LpStatus.TIME_LIMIT
@@ -525,37 +533,11 @@ class _Engine:
                 # ties resolved toward the lowest variable index: anti-cycling aid
                 tied = (ratios <= theta_basic).nonzero()[0]
                 leave = int(tied[0]) if tied.size == 1 else int(tied[basis[tied].argmin()])
-                lv = int(basis[leave])
-                xB -= theta_basic * delta
-                entering = val[q] + dirn * theta_basic
-                if delta[leave] > 0:
-                    pos[lv] = _AT_LO
-                    val[lv] = lo[lv]
-                    sign[lv] = 0.0 if fixed[lv] else 1.0
-                else:
-                    pos[lv] = _AT_UP
-                    val[lv] = hi[lv]
-                    sign[lv] = 0.0 if fixed[lv] else -1.0
-                basis[leave] = q
-                xB[leave] = entering
-                pos[q] = _BASIC
-                sign[q] = 0.0
                 if entering_free:
                     free = free[free != q]
-                cB[leave], blo[leave], bhi[leave] = c[q], lo[q], hi[q]
-
-                # rank-1 update of the inverse on the rows where w is nonzero:
-                # elsewhere it subtracts zeros, which can flip the sign of a
-                # zero entry but changes no bit of any product read from Binv
-                row = Binv[leave] / w[leave]
-                nz = w.nonzero()[0]
-                Binv[nz] -= w[nz, None] * row
-                Binv[leave] = row
-                since_refactor += 1
-                if since_refactor >= _REFACTOR_EVERY:
-                    since_refactor = 0
-                    self.refactor()
-                    xB, Binv = self.xB, self.Binv
+                if not self.exchange(leave, q, dirn * theta_basic, w, not delta[leave] > 0):
+                    return LpStatus.NUMERICAL
+                xB, Binv = self.xB, self.Binv
                 step = theta_basic
             else:
                 # the entering variable rides to its other bound; basis unchanged
@@ -598,19 +580,22 @@ def solve_lp(
 ) -> LpResult:
     """Minimize over the bounded polyhedron; two-phase, deterministic.
 
-    Answers are judged by `FEAS_TOL` and `OPT_TOL`. Past `deadline`, a
-    `time.monotonic()` reading, pivoting stops with status TIME_LIMIT;
-    without one, only the cap of 5000 + 25 * (rows + columns) pivots bounds
-    the work, and status ITERATION_LIMIT reports reaching it.
+    Answers are judged by `FEAS_TOL` and `OPT_TOL`: an OPTIMAL result's
+    point meets the problem's rows and bounds to `FEAS_TOL`, and an
+    optimum that does not is reported as NUMERICAL, as is a solve that
+    meets a singular basis. Past `deadline`, a `time.monotonic()` reading,
+    pivoting stops with status TIME_LIMIT; without one, only the cap of
+    5000 + 25 * (rows + columns) pivots bounds the work, and status
+    ITERATION_LIMIT reports reaching it.
     With `start`, the optimal basis of a problem with the same matrix, and
     either the same costs or the same rows, right-hand sides and bounds, a
     verified dual-simplex warm start is tried first; when it
     cannot vouch for its answer, the cold solve runs as if there were no
     start, and the result counts the pivots of both. `_shared`, built by
-    branch and bound over the MILP's own LP, lends a warm start its matrix
-    and any stored inverse of `start`'s basis, and keeps the inverse of an
-    optimum (see `_cold_solve` for a cold one); it is ignored unless
-    `problem.a` is the matrix it was built from.
+    branch and bound over the MILP's own LP, lends both solves its matrix
+    and a warm start any stored inverse of `start`'s basis, and keeps the
+    inverse of an optimum; it is ignored unless `problem.a` is the matrix
+    it was built from.
     """
     m, n = problem.a.shape
     if m == 0:
@@ -618,8 +603,8 @@ def solve_lp(
     if np.any(problem.lo > problem.hi + FEAS_TOL):
         return LpResult(LpStatus.INFEASIBLE, np.nan, np.full(n, np.nan), 0)
     max_iters = 5000 + 25 * (m + n)
-    if _shared is not None and problem.a is not _shared.a:
-        _shared = None
+    if _shared is None or problem.a is not _shared.a:
+        _shared = _Shared(problem)
     spent = 0
     if start is not None:
         warm, spent = _warm_solve(problem, start, max_iters, deadline, _shared)
@@ -629,18 +614,27 @@ def solve_lp(
     return replace(res, iterations=res.iterations + spent) if spent else res
 
 
+def _optimum(eng: _Engine, x: np.ndarray, shared: _Shared) -> LpResult | None:
+    """The engine's optimum `x`, its basis inverse kept in `shared`; None
+    when `x` breaks a row or bound of the problem by more than `FEAS_TOL`."""
+    if point_violation(eng.problem, x) > FEAS_TOL:
+        return None
+    res = LpResult(LpStatus.OPTIMAL, float(eng.problem.c @ x), x, eng.iterations, eng.snapshot())
+    shared.inverses.append((res.basis, eng.Binv))
+    return res
+
+
 def _warm_solve(
     problem: LpProblem, start: LpBasis, max_iters: int, deadline: float | None,
-    shared: _Shared | None,
+    shared: _Shared,
 ) -> tuple[LpResult | None, int]:
     """Dual simplex from `start`, then a primal polish. Returns the result
     if it is verified (or stopped by the deadline), else None, and the
-    pivots spent either way. A verified optimum's inverse joins the
-    shared store."""
+    pivots spent either way."""
     m, n = problem.a.shape
     budget = min(max_iters, int(_WARM_SHARE * (m + n)))
     eng = _Engine(problem, budget, deadline, shared)
-    if not eng.install(start, shared.inverse(start) if shared is not None else None):
+    if not eng.install(start, shared.inverse(start)):
         return None, 0
     cost = np.zeros(n + 2 * m)
     cost[:n] = problem.c
@@ -648,32 +642,24 @@ def _warm_solve(
     if st == LpStatus.OPTIMAL:
         st = eng.run(cost)
     x = eng.point()[:n]
-    res = None
-    if st == LpStatus.TIME_LIMIT:
-        res = LpResult(st, np.nan, x, eng.iterations)
-    elif st == LpStatus.OPTIMAL and point_violation(problem, x) <= FEAS_TOL:
-        res = LpResult(st, float(problem.c @ x), x, eng.iterations, eng.snapshot())
-        if shared is not None:
-            shared.inverses.append((res.basis, eng.Binv))
-    elif st == LpStatus.INFEASIBLE and eng.certifies(eng.proof_row):
-        res = LpResult(st, np.nan, x, eng.iterations)
-    return res, eng.iterations
+    if st == LpStatus.OPTIMAL:
+        return _optimum(eng, x, shared), eng.iterations
+    if st == LpStatus.TIME_LIMIT or (
+            st == LpStatus.INFEASIBLE and eng.certifies(eng.proof_row)):
+        return LpResult(st, np.nan, x, eng.iterations), eng.iterations
+    return None, eng.iterations
 
 
 def _cold_solve(
-    problem: LpProblem, max_iters: int, deadline: float | None, shared: _Shared | None = None,
+    problem: LpProblem, max_iters: int, deadline: float | None, shared: _Shared,
 ) -> LpResult:
-    """Two-phase solve from the slack crash basis, over a matrix of its
-    own: rows the start point meets begin on their slacks, the others on
-    artificials, which phase 1 drives to zero. An optimum's inverse joins
-    the shared store when that matrix equals the shared one bit for bit,
-    as the root's does."""
+    """Two-phase solve from the slack crash basis: rows the start point
+    meets begin on their slacks, the others on artificials, which phase 1
+    drives to zero."""
     m, n = problem.a.shape
-    eng = _Engine(problem, max_iters, deadline)
-    ntot = n + 2 * eng.m
-
-    phase1 = np.zeros(ntot)
-    phase1[n + eng.m :] = 1.0
+    eng = _Engine(problem, max_iters, deadline, shared)
+    phase1 = np.zeros(n + 2 * m)
+    phase1[n + m :] = eng.crash()
     # judge phase 1 by the same yardstick callers apply to the answer: the
     # structural point's worst row violation, not the artificial sum, which
     # scales with rhs magnitude and can bless real infeasibility. Stopping
@@ -683,7 +669,7 @@ def _cold_solve(
     for tol in (OPT_TOL, 1e-12):
         eng.opt_tol = tol
         st = eng.run(phase1)
-        if st in _STOPPED:
+        if st in _UNFINISHED:
             return LpResult(st, np.nan, eng.point()[:n], eng.iterations)
         if st == LpStatus.UNBOUNDED:
             raise RuntimeError("phase-1 objective is bounded below; pivot logic broke")
@@ -694,18 +680,15 @@ def _cold_solve(
         return LpResult(LpStatus.INFEASIBLE, np.nan, x1, eng.iterations)
     eng.opt_tol = OPT_TOL
 
-    eng.lo[n + eng.m :] = 0.0
-    eng.hi[n + eng.m :] = 0.0
-    eng.val[n + eng.m :] = 0.0
+    eng.lo[n + m :] = 0.0
+    eng.hi[n + m :] = 0.0
+    eng.val[n + m :] = 0.0
 
-    phase2 = np.zeros(ntot)
+    phase2 = np.zeros(n + 2 * m)
     phase2[:n] = problem.c
     st = eng.run(phase2)
     x = eng.point()[:n]
-    if st == LpStatus.UNBOUNDED:
-        return LpResult(st, -np.inf, x, eng.iterations)
-    obj = float(problem.c @ x)
-    basis = eng.snapshot() if st == LpStatus.OPTIMAL else None
-    if basis is not None and shared is not None and np.array_equal(eng.A, shared.A):
-        shared.inverses.append((basis, eng.Binv))
-    return LpResult(st, obj, x, eng.iterations, basis)
+    if st == LpStatus.OPTIMAL:
+        return _optimum(eng, x, shared) or LpResult(LpStatus.NUMERICAL, np.nan, x, eng.iterations)
+    obj = {LpStatus.UNBOUNDED: -np.inf, LpStatus.NUMERICAL: np.nan}.get(st, float(problem.c @ x))
+    return LpResult(st, obj, x, eng.iterations)

@@ -4,7 +4,8 @@ The solver's tolerances and iteration caps are constants of `fairbins.lp`,
 the one yardstick every layer judges LP answers by: no public function or
 method takes one as a parameter. The fairness rows are written once, in
 `fairbins.model`: bound tightening derives its LPs from them. Branch and
-bound knows only the LP layer, never the model it is handed."""
+bound knows only the LP layer, never the model it is handed. The simplex
+factors a basis in one place, and never swaps in a pseudo-inverse."""
 
 from __future__ import annotations
 
@@ -75,3 +76,16 @@ def test_bnb_knows_no_model():
     assert package == [".lp"]
     found = [name for name in ("nmdt", "LinkCols", "FairnessModel") if name in source]
     assert found == []
+
+
+def test_lp_factors_in_one_place():
+    # one factorization: no pseudo-inverse fallback, no second refactor
+    # method, and a single call site of the dense inverse
+    tree = ast.parse(inspect.getsource(lp))
+    names = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    names |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+    names |= {node.name for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)}
+    assert {"pinv", "refactor"} & names == set()
+    inv_calls = [node for node in ast.walk(tree) if isinstance(node, ast.Call)
+                 and ast.unparse(node.func) in ("np.linalg.inv", "numpy.linalg.inv")]
+    assert len(inv_calls) == 1

@@ -310,15 +310,17 @@ def test_near_integral_root_pins_its_pattern_and_still_finds_the_optimum():
     assert report.incumbent_objective == pytest.approx(best_obj, abs=1e-9)
 
 
-def test_a_pinned_leaf_without_an_answer_caps_the_bound():
+@pytest.mark.parametrize("status", [LpStatus.ITERATION_LIMIT, LpStatus.NUMERICAL],
+                         ids=lambda status: status.value)
+def test_a_pinned_leaf_without_an_answer_caps_the_bound(status):
     # the LP over the fully pinned box (0, 1, 1), the optimum, stops at its
-    # pivot cap; no binary is left to split on, so the node stays unresolved
-    # and its bound keeps the reported gap honest
+    # pivot cap or on a singular basis; no binary is left to split on, so
+    # the node stays unresolved and its bound keeps the reported gap honest
     pinned = np.array([0.0, 1.0, 1.0])
 
     def capped_leaf(lp_problem, **kwargs):
         if np.array_equal(lp_problem.lo, pinned) and np.array_equal(lp_problem.hi, pinned):
-            return LpResult(LpStatus.ITERATION_LIMIT, np.nan, np.full(3, np.nan), 0)
+            return LpResult(status, np.nan, np.full(3, np.nan), 0)
         return solve_lp(lp_problem, **kwargs)
 
     with mock.patch.object(bnb, "solve_lp", capped_leaf):

@@ -74,6 +74,27 @@ def test_broken_config_json_is_exit_2(tmp_path):
     assert main(solve_args(tmp_path, "--config", str(config))) == 2
 
 
+@pytest.mark.parametrize("command, doc", [
+    pytest.param("solve", {"time_limit": None}, id="solve-time_limit-null"),
+    pytest.param("solve", {"eps_dp": "x"}, id="solve-eps_dp-string"),
+    pytest.param("bin-stats", {"bins": [4]}, id="bin-stats-bins-list"),
+    pytest.param("solve", {"gap": True}, id="solve-gap-bool"),
+    pytest.param("solve", {"mode": 1}, id="solve-mode-number"),
+])
+def test_config_value_of_the_wrong_type_is_exit_2(command, doc, tmp_path, capsys):
+    config = tmp_path / "conf.json"
+    config.write_text(json.dumps(doc))
+    if command == "solve":
+        argv = ["solve", TINY, "--bins", "2", "--window", "2", "--precision", "0.25",
+                "--plan-out", str(tmp_path / "plan.json"),
+                "--report-out", str(tmp_path / "report.json")]
+    else:
+        argv = ["bin-stats", TINY]
+    assert main([*argv, "--config", str(config)]) == 2
+    [key] = doc
+    assert f"{key} must be" in capsys.readouterr().err
+
+
 def test_bin_stats_prints_tallies(capsys):
     rc = main(["bin-stats", TINY, "--bins", "2"])
     assert rc == 0

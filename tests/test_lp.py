@@ -284,7 +284,8 @@ class _ReferenceEngine(lp._Engine):
                 since_refactor += 1
                 if since_refactor >= _REFACTOR_EVERY:
                     since_refactor = 0
-                    self.refactor()
+                    if not self.factor():
+                        return LpStatus.NUMERICAL
                 step = theta_basic
             else:
                 # the entering variable rides to its other bound; basis unchanged
@@ -306,9 +307,9 @@ class _ReferenceEngine(lp._Engine):
 class _CountingEngine(lp._Engine):
     refactors = 0
 
-    def refactor(self) -> None:
+    def factor(self) -> bool:
         _CountingEngine.refactors += 1
-        super().refactor()
+        return super().factor()
 
 
 def _fingerprint(problem: LpProblem) -> tuple:
@@ -403,6 +404,7 @@ def test_cold_engine_starts_on_the_slacks_of_rows_the_start_point_meets():
     problem = _degenerate_cone(0, 40, 20)
     m, n = problem.a.shape
     eng = lp._Engine(problem, 0, None)
+    eng.crash()
     # the origin meets every row of the cone, so no artificial is basic
     assert np.array_equal(eng.basis, n + np.arange(m))
     assert np.all(eng.pos[n + m:] == _AT_LO)
@@ -420,6 +422,7 @@ def test_cold_engine_starts_on_the_slacks_of_rows_the_start_point_meets():
         np.concatenate([problem.rhs, [1.0, 1.0, 0.0]]), problem.lo, problem.hi,
     )
     eng = lp._Engine(grown, 0, None)
+    eng.crash()
     M = m + 3
     art = n + M + np.arange(M)
     assert np.array_equal(eng.basis[:m], n + np.arange(m))
@@ -471,6 +474,77 @@ def test_refactor_crossing_matches_reference_bit_for_bit():
         solve_lp(problem)
     assert _CountingEngine.refactors >= 2
     _assert_same_bits(problem)
+
+
+def test_a_singular_periodic_refactor_ends_numerical():
+    # the cold solve of this cone crosses at least two periodic refactors;
+    # the second finds the basis singular, and no pseudo-inverse steps in
+    inv, calls = np.linalg.inv, []
+
+    def second_fails(matrix):
+        calls.append(matrix.shape)
+        if len(calls) == 2:
+            raise np.linalg.LinAlgError("Singular matrix")
+        return inv(matrix)
+
+    with mock.patch.object(lp.np.linalg, "inv", second_fails):
+        res = solve_lp(_degenerate_cone(0, 60, 40))
+    assert len(calls) == 2
+    assert res.status == LpStatus.NUMERICAL
+    assert np.isnan(res.objective) and res.basis is None
+    assert res.iterations >= 2 * _REFACTOR_EVERY
+
+
+class _DriftingEngine(lp._Engine):
+    """Moves the basic values off the optimum that phase 2 (the run with
+    structural costs) reports, as drift of an updated inverse would."""
+
+    def run(self, c: np.ndarray) -> LpStatus:
+        status = super().run(c)
+        if status == LpStatus.OPTIMAL and c[: self.nstruct].any():
+            self.xB = self.xB + 1e-3
+        return status
+
+
+def test_a_cold_optimum_that_breaks_a_row_ends_numerical():
+    p = _problem([-2, -3], [[1, 1], [1, 2]], "<<", [4, 6], [0, 0], [10, 10])
+    with mock.patch.object(lp, "_Engine", _DriftingEngine):
+        res = solve_lp(p)
+    assert point_violation(p, res.x) > lp.FEAS_TOL
+    assert res.status == LpStatus.NUMERICAL
+    assert np.isnan(res.objective) and res.basis is None
+
+
+def test_the_padded_matrix_depends_on_a_alone():
+    # other right-hand sides, bounds and costs flip the sign of every start
+    # residual, which once went into the artificial columns
+    p = _random_bounded(np.random.default_rng(5))
+    other = LpProblem(-p.c, p.a, p.senses, -p.rhs - 1.0, p.lo - 1.0, p.hi + 2.0)
+    assert lp._Shared(p).A.tobytes() == lp._Shared(other).A.tobytes()
+
+    config = ModelConfig(eps_dp=0.1, eps_eodds=0.1, eps_prp=0.1, retention=0.5, window=2)
+    model = build_model(tiny_stats(), config)
+    milp = build_milp(model, tighten(model), power=-3, mode="exact").problem
+    shares, engines = [], []
+
+    def sharing(problem):
+        shares.append(lp._Shared(problem))
+        return shares[-1]
+
+    class Recording(lp._Engine):
+        def __init__(self, *args):
+            super().__init__(*args)
+            engines.append(self)
+
+    with mock.patch.object(bnb, "_Shared", sharing), mock.patch.object(lp, "_Engine", Recording):
+        report = solve_milp(milp, time_limit=120, gap_target=0.0)
+    [shared] = shares
+    assert report.nodes_explored > 5
+    assert not shared.A.flags.writeable
+    assert shared.A.tobytes() == lp._Shared(milp.lp).A.tobytes()
+    # every engine, cold or warm, read that one matrix
+    assert len(engines) >= report.nodes_explored
+    assert all(eng.A is shared.A for eng in engines)
 
 
 def test_fixed_column_leaving_the_basis_matches_reference_bit_for_bit():
