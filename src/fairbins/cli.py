@@ -8,6 +8,10 @@ Exit codes, kept distinct so scripts can branch on failure class:
      Numerical, or the bounds found leave no usable box
   5  the solver proved infeasibility or ran out of time with no plan
   6  plan and dataset disagree (edges, groups, or malformed plan)
+
+The solver layers are imported inside the commands that run them, so
+`bin-stats`, `apply` and `audit` load only the data and post-processing
+layers.
 """
 
 from __future__ import annotations
@@ -17,34 +21,21 @@ import contextlib
 import json
 import math
 import sys
+from itertools import islice
 from pathlib import Path
 
 import numpy as np
 
-from .bounds import BoundsError
 from .data import (
-    BinningError,
+    _BLOCK_LINES,
     BinSpec,
     ColumnSchema,
-    RowValidationError,
-    SchemaError,
     compute_bin_stats,
     csv_line,
     load_dataset,
     quantile_bin,
     validate_overlap,
 )
-from .frontier import (
-    FrontierPoint,
-    compare_models,
-    frontier_csv,
-    parse_frontier_csv,
-    solve_once,
-    sweep,
-    tradeoff_query,
-)
-from .model import ModelBuildError, ModelConfig
-from .nmdt import power_for_precision
 from .postprocess import (
     PlanError,
     TransitionPlan,
@@ -68,6 +59,8 @@ DEFAULTS = {
     "seed": 0,
     "eval_bins": 100,
 }
+# settings that count something: a config value for one must be a whole number
+_WHOLE = ("bins", "window", "seed", "eval_bins")
 
 
 class CliError(Exception):
@@ -95,6 +88,9 @@ def _resolve(args: argparse.Namespace) -> dict:
             kind, want = ("a string", str) if key == "mode" else ("a number", (int, float))
             if isinstance(value, bool) or not isinstance(value, want):
                 raise CliError(2, f"config {config_path}: {key} must be {kind}, "
+                                  f"got {json.dumps(value)}")
+            if key in _WHOLE and not (isinstance(value, int) or value.is_integer()):
+                raise CliError(2, f"config {config_path}: {key} must be a whole number, "
                                   f"got {json.dumps(value)}")
         merged.update(loaded)
     for key in DEFAULTS:
@@ -133,7 +129,9 @@ def _require_overlap(stats) -> None:
         raise CliError(3, f"overlap check failed: {report.describe()}")
 
 
-def _model_config(settings: dict) -> ModelConfig:
+def _model_config(settings: dict):
+    from .model import ModelConfig
+
     return ModelConfig(
         eps_dp=settings["eps_dp"],
         eps_eodds=settings["eps_eodds"],
@@ -163,6 +161,9 @@ def cmd_bin_stats(args: argparse.Namespace) -> int:
 
 
 def cmd_solve(args: argparse.Namespace) -> int:
+    from .frontier import solve_once
+    from .nmdt import power_for_precision
+
     settings = _resolve(args)
     _, _, stats = _binned_stats(args.input, int(settings["bins"]), _schema(args))
     _require_overlap(stats)
@@ -224,22 +225,35 @@ def cmd_apply(args: argparse.Namespace) -> int:
     plan = _read_plan(args.plan)
     data = load_dataset(args.input, _schema(args))
     mode = args.mode or "expected"
+    # a line is its record, then "," and the repr of its new score, then a
+    # line end looked up by its new bin: ",{bin}\n", or in stochastic mode,
+    # where the new score is the bin's midpoint, ",{midpoint!r},{bin}\n"
     if mode == "stochastic":
         bins = apply_stochastic(plan, data, seed)
-        # each new score is its bin's midpoint, so format each midpoint once
-        mids = [repr(m) for m in plan.spec.midpoints.tolist()]
-        new_scores = map(mids.__getitem__, bins.tolist())
+        scores = None
+        ends = [f",{m!r},{b}\n" for b, m in enumerate(plan.spec.midpoints.tolist())]
     elif mode in ("interpolated", "expected"):
         scores = (apply_interpolated(plan, data, seed) if mode == "interpolated"
                   else apply_expected_score(plan, data))
         bins = plan.spec.assign(scores)
-        new_scores = map(repr, scores.tolist())
+        ends = [f",{b}\n" for b in range(plan.nbins)]
     else:
         raise CliError(2, f"unknown apply mode {mode!r}")
 
+    width = 2 if scores is None else 4  # record, [",", score,] line end
+    records = iter(data.records)
     with open(args.output, "w") if args.output else contextlib.nullcontext(sys.stdout) as fh:
         fh.write(f"# seed={seed}\n{csv_line(data.header + ['new_score', 'new_bin'])}\n")
-        fh.writelines(map("{},{},{}\n".format, data.records, new_scores, bins.tolist()))
+        # one join per block of lines, so only one block's strings are alive
+        for start in range(0, len(bins), _BLOCK_LINES):
+            block = slice(start, start + _BLOCK_LINES)
+            new_bins = bins[block].tolist()
+            parts = [","] * (width * len(new_bins))
+            parts[0::width] = islice(records, len(new_bins))
+            if scores is not None:
+                parts[2::width] = map(repr, scores[block].tolist())
+            parts[width - 1::width] = map(ends.__getitem__, new_bins)
+            fh.write("".join(parts))
     return 0
 
 
@@ -266,6 +280,9 @@ def _grid(text: str, flag: str) -> list[float]:
 
 
 def cmd_frontier(args: argparse.Namespace) -> int:
+    from .frontier import frontier_csv, sweep
+    from .nmdt import power_for_precision
+
     settings = _resolve(args)
     grids = (_grid(args.grid_dp, "--grid-dp"), _grid(args.grid_eodds, "--grid-eodds"),
              _grid(args.grid_prp, "--grid-prp"))
@@ -290,7 +307,9 @@ def cmd_frontier(args: argparse.Namespace) -> int:
     return 0
 
 
-def _operating_point(text: str) -> FrontierPoint:
+def _operating_point(text: str):
+    from .frontier import FrontierPoint
+
     parts = text.split(",")
     if len(parts) != 4:
         raise CliError(2, "--operating expects auc,dp,eodds,prp")
@@ -304,7 +323,9 @@ def _operating_point(text: str) -> FrontierPoint:
     )
 
 
-def _read_frontier(path: str) -> list[FrontierPoint]:
+def _read_frontier(path: str):
+    from .frontier import parse_frontier_csv
+
     try:
         return parse_frontier_csv(Path(path).read_text())
     except OSError as e:
@@ -314,6 +335,8 @@ def _read_frontier(path: str) -> list[FrontierPoint]:
 
 
 def cmd_tradeoff(args: argparse.Namespace) -> int:
+    from .frontier import tradeoff_query
+
     frontier = _read_frontier(args.frontier)
     try:
         found = tradeoff_query(frontier, _operating_point(args.operating),
@@ -327,6 +350,8 @@ def cmd_tradeoff(args: argparse.Namespace) -> int:
 
 
 def cmd_compare(args: argparse.Namespace) -> int:
+    from .frontier import compare_models
+
     record = compare_models(
         _read_frontier(args.frontier_a),
         _read_frontier(args.frontier_b),
@@ -440,11 +465,14 @@ def main(argv: list[str] | None = None) -> int:
     except CliError as e:
         print(f"error: {e}", file=sys.stderr)
         return e.code
-    except (SchemaError, RowValidationError, BinningError, ModelBuildError,
-            ValueError) as e:
+    except ValueError as e:  # every data, model and plan error is one
         print(f"error: {e}", file=sys.stderr)
         return 6 if isinstance(e, PlanError) else 2
-    except BoundsError as e:
+    except RuntimeError as e:
+        from .bounds import BoundsError
+
+        if not isinstance(e, BoundsError):
+            raise
         print(f"error: {e}", file=sys.stderr)
         return 4
     except OSError as e:

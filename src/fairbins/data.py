@@ -106,8 +106,12 @@ def _row_problem(score, label, group) -> str | None:
     return None
 
 
-# lines parsed at a time: only one block's fields are alive at once
+# rows parsed by csv.reader, or written, at a time: only one block's fields
+# are alive at once
 _BLOCK_LINES = 1 << 14
+# characters read and split at a time; below csv.field_size_limit()'s
+# default, so that a chunk's length alone mostly shows that no line passes it
+_CHUNK_CHARS = 1 << 16
 
 
 class _Memo(dict):
@@ -161,12 +165,27 @@ def csv_line(fields: Iterable[str]) -> str:
     return next(iter(_Written([tuple(fields)])))
 
 
-def _is_plain(text: str, block: list[str]) -> bool:
-    """Whether splitting the lines of ``text`` at commas gives exactly the
-    fields ``csv.reader`` gives: no quote, no carriage return, and no line
-    long enough for a field over the reader's size limit."""
+def _chunks(source: io.TextIOBase) -> Iterator[str]:
+    """The source's text about ``_CHUNK_CHARS`` characters at a time, each
+    piece read on to the end of its last line."""
+    while text := source.read(_CHUNK_CHARS):
+        text += source.readline()
+        yield text
+
+
+def _lines(text: str) -> io.StringIO:
+    """The lines of ``text`` with their ends, split where ``open(newline="")``
+    splits a file: at ``\n``, ``\r\n`` and a bare ``\r``."""
+    return io.StringIO(text, newline="")
+
+
+def _is_plain(text: str, lines: list[str]) -> bool:
+    """Whether splitting ``lines``, the lines of ``text``, at commas gives
+    exactly the fields ``csv.reader`` gives: no quote, no carriage return,
+    and no line long enough for a field over the reader's size limit."""
+    limit = csv.field_size_limit()
     return ('"' not in text and "\r" not in text
-            and max(map(len, block), default=0) <= csv.field_size_limit())
+            and (len(text) <= limit or max(map(len, lines)) <= limit))
 
 
 def _columns_of_rows(rows: list[tuple[str, ...]] | list[list[str]]):
@@ -175,50 +194,52 @@ def _columns_of_rows(rows: list[tuple[str, ...]] | list[list[str]]):
     return lambda j: [r[j] if j < len(r) else None for r in rows]
 
 
-def _columns_of_lines(texts: list[str]):
-    """Column getter over plain lines. When every line has one width, the
-    columns are slices of one split of the joined block, which creates no
-    list per row."""
-    counts = set(map(str.count, texts, repeat(",")))
-    if len(counts) == 1:
-        width = counts.pop() + 1
-        flat = ",".join(texts).split(",")
-        return lambda j: flat[j::width] if j < width else [None] * len(texts)
-    return _columns_of_rows([t.split(",") for t in texts])
+def _columns_of_lines(lines: list[str]):
+    """Column getter over plain lines. Joined with ``",\n,"``, the lines
+    split at commas into one flat list in which each line break is a field
+    of its own. With ``n`` lines and the first line's width ``w``, every
+    line has ``w`` fields exactly when the list holds ``n*(w+1) - 1`` fields
+    and every ``(w+1)``-th is a line break; then column ``j`` is the slice
+    ``flat[j::w+1]``, and no list is created per row."""
+    n, width = len(lines), lines[0].count(",") + 1
+    flat = ",\n,".join(lines).split(",")
+    if len(flat) == n * (width + 1) - 1 and flat[width::width + 1].count("\n") == n - 1:
+        return lambda j: flat[j::width + 1] if j < width else [None] * n
+    return _columns_of_rows([line.split(",") for line in lines])
 
 
-def _parse(source: Iterable[str], delimiter: str):
+def _parse(source: io.TextIOBase, delimiter: str):
     """Yield the header's fields, then one ``(rows, column)`` pair per block
     of non-blank body rows: each row as its line or its field tuple, and a
-    getter of one column's raw fields. Comment lines are dropped. Blocks of
-    plain lines are split at commas and their rows are their lines; from
-    the first other block on, ``csv.reader`` parses the rest and its rows
-    are field tuples."""
-    source = iter(source)
+    getter of one column's raw fields. A block is a plain chunk, whose rows
+    are its lines, or ``_BLOCK_LINES`` rows that ``csv.reader`` parsed from
+    the first other chunk on, whose rows are field tuples. Comment lines
+    are dropped. See ``load_dataset``."""
+    chunks = _chunks(source)
     header = None
-    while block := list(islice(source, _BLOCK_LINES)):
-        text = "".join(block)
+    for text in chunks:
         if "#" in text:
-            block = [line for line in block if not line.startswith("#")]
-            text = "".join(block)
-        if delimiter != "," or not _is_plain(text, block):
-            break
-        if not block:
-            continue
-        texts = text.split("\n")
+            # comment lines are lines as a file opened with newline="" reads them
+            text = "".join(line for line in _lines(text) if not line.startswith("#"))
+            if not text:
+                continue
+        lines = text.split("\n")
         if text.endswith("\n"):
-            texts.pop()
+            lines.pop()
+        if delimiter != "," or not _is_plain(text, lines):
+            break
         if header is None:
-            header = texts[0].split(",") if texts[0] else []
+            header = lines[0].split(",") if lines[0] else []
             yield header
-            del texts[0]
-        texts = list(filter(None, texts))
-        yield texts, _columns_of_lines(texts)
-    else:  # every block was plain
+            del lines[0]
+        lines = list(filter(None, lines))
+        if lines:
+            yield lines, _columns_of_lines(lines)
+    else:  # every chunk was plain
         return
 
-    lines = chain(block, (line for line in source if not line.startswith("#")))
-    reader = csv.reader(lines, delimiter=delimiter)
+    rest = (line for text in chunks for line in _lines(text) if not line.startswith("#"))
+    reader = csv.reader(chain(_lines(text), rest), delimiter=delimiter)
     if header is None:
         header = next(reader, None)
         if header is None:
@@ -242,13 +263,20 @@ def load_dataset(
     treated as comments and skipped, and so are blank rows. A short row
     reads its missing fields as None; the first bad row raises.
 
-    The text is read a block of lines at a time. A plain block (the
-    delimiter is ``,`` and the block holds no ``"``, no carriage return and
-    no line longer than ``csv.field_size_limit()``) is split at commas,
-    which gives exactly the fields ``csv.reader`` gives, and each row's
-    record is its input line. From the first block that is not plain on,
-    ``csv.reader`` parses the rest, and each of those rows' records is its
-    fields written by ``csv.writer`` when the records are read.
+    The text is read in chunks of about ``_CHUNK_CHARS`` characters, each
+    read on to the end of its last line. Its lines end where a file opened
+    with ``newline=""`` ends them: at ``\n``, ``\r\n`` or a bare ``\r``. A
+    plain chunk (the delimiter is ``,`` and, once comment lines are gone,
+    the chunk holds no ``"``, no carriage return and no line longer than
+    ``csv.field_size_limit()``) is split into lines once, and each row's
+    record is its input line. Its fields come from one split of its lines
+    joined by ``",\n,"``, which gives exactly the fields ``csv.reader``
+    gives; when the line breaks in that split do not fall every ``w + 1``
+    fields, for the first line's width ``w``, the lines are split one by
+    one. From the first chunk that is not plain on, ``csv.reader`` parses
+    the rest, fed the lines as ``open(newline="")`` reads them, and each of
+    those rows' records is its fields written by ``csv.writer`` when the
+    records are read.
     """
     if isinstance(source, (str, Path)):
         with open(source, newline="") as fh:

@@ -4,11 +4,14 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .data import BinSpec, BinStats, Dataset
-from .model import FairnessModel, plan_matrices
+
+if TYPE_CHECKING:  # the model layer is imported only by the one function that reads it
+    from .model import FairnessModel
 
 __all__ = [
     "PlanError",
@@ -117,6 +120,8 @@ class TransitionPlan:
 
 def extract_plan(solution: np.ndarray, model: FairnessModel) -> TransitionPlan:
     """Read the plan block out of a solution, clean roundoff, renormalize."""
+    from .model import plan_matrices
+
     if not model.stats.edges:
         raise PlanError("model statistics carry no bin edges")
     raw = plan_matrices(model, solution)

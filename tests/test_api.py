@@ -5,17 +5,28 @@ the one yardstick every layer judges LP answers by: no public function or
 method takes one as a parameter. The fairness rows are written once, in
 `fairbins.model`: bound tightening derives its LPs from them. Branch and
 bound knows only the LP layer, never the model it is handed. The simplex
-factors a basis in one place, and never swaps in a pseudo-inverse."""
+factors a basis in one place, and never swaps in a pseudo-inverse. The data
+commands load no layer of the solver."""
 
 from __future__ import annotations
 
 import ast
 import importlib
 import inspect
+import os
 import pkgutil
+import subprocess
+import sys
+from pathlib import Path
+
+import numpy as np
 
 import fairbins
-from fairbins import bnb, bounds, lp
+from fairbins import bnb, bounds, cli, lp, postprocess
+from fairbins.postprocess import TransitionPlan
+
+TINY = str(Path(__file__).parent / "fixtures" / "tiny.csv")
+SOLVER = {"lp", "bounds", "bnb", "nmdt", "model", "frontier"}
 
 KNOBS = {"feas_tol", "opt_tol", "max_iters", "max_rounds", "tol"}
 
@@ -61,19 +72,23 @@ def test_bounds_writes_no_model_row_itself():
     assert found == []
 
 
+def _package_imports(nodes) -> list[str]:
+    """The modules of the package that the import statements among ``nodes`` name."""
+    imported = []
+    for node in nodes:
+        if isinstance(node, ast.ImportFrom):
+            imported.append("." * node.level + (node.module or ""))
+        elif isinstance(node, ast.Import):
+            imported += [alias.name for alias in node.names]
+    return [name for name in imported if name.startswith((".", "fairbins"))]
+
+
 def test_bnb_knows_no_model():
     # branch and bound takes any bounded LP with binary columns: an import
     # from the package other than the LP layer, or a name of the model or
     # its linearization, would tie it to one model
     source = inspect.getsource(bnb)
-    imported = []
-    for node in ast.walk(ast.parse(source)):
-        if isinstance(node, ast.ImportFrom):
-            imported.append("." * node.level + (node.module or ""))
-        elif isinstance(node, ast.Import):
-            imported += [alias.name for alias in node.names]
-    package = [name for name in imported if name.startswith((".", "fairbins"))]
-    assert package == [".lp"]
+    assert _package_imports(ast.walk(ast.parse(source))) == [".lp"]
     found = [name for name in ("nmdt", "LinkCols", "FairnessModel") if name in source]
     assert found == []
 
@@ -89,3 +104,35 @@ def test_lp_factors_in_one_place():
     inv_calls = [node for node in ast.walk(tree) if isinstance(node, ast.Call)
                  and ast.unparse(node.func) in ("np.linalg.inv", "numpy.linalg.inv")]
     assert len(inv_calls) == 1
+
+
+def test_data_commands_load_no_solver(tmp_path):
+    # bin-stats, apply and audit run on every scored row a model emits; the
+    # solver layers' import alone would cost each of them tens of ms
+    plan = tmp_path / "plan.json"
+    plan.write_text(TransitionPlan(edges=(0.0, 0.5, 1.0),
+                                   groups=np.tile(np.eye(2), (2, 1, 1))).to_json())
+    out = str(tmp_path / "out.csv")
+    runs = [["bin-stats", TINY, "--bins", "2", "--output", str(tmp_path / "stats.json")],
+            ["apply", TINY, "--plan", str(plan), "--output", out],
+            ["audit", out, "--eval-bins", "2", "--output", str(tmp_path / "audit.json")]]
+    script = ("import sys\nfrom fairbins.cli import main\n"
+              f"assert [main(argv) for argv in {runs!r}] == [0, 0, 0]\n"
+              "print(' '.join(sys.modules))")
+    src = str(Path(fairbins.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
+    loaded = subprocess.run([sys.executable, "-c", script], env=env, check=True,
+                            capture_output=True, text=True).stdout.split()
+    assert {"fairbins.data", "fairbins.postprocess"} <= set(loaded)
+    assert sorted(SOLVER & {name.removeprefix("fairbins.") for name in loaded
+                            if name.startswith("fairbins.")}) == []
+
+
+def test_data_commands_import_only_the_data_layers():
+    # at module level the modules the data commands load import only each
+    # other; the solver layers are imported inside the code that runs them
+    module_level = {m.__name__: _package_imports(ast.parse(inspect.getsource(m)).body)
+                    for m in (cli, postprocess)}
+    assert module_level == {"fairbins.cli": [".data", ".postprocess"],
+                            "fairbins.postprocess": [".data"]}

@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 from fairbins import cli
 from fairbins.cli import DEFAULTS, _resolve, build_parser, main
 from fairbins.data import BinSpec, Dataset, _Written
-from fairbins.postprocess import TransitionPlan
+from fairbins.postprocess import TransitionPlan, apply_expected_score
 
 from .conftest import FIXTURES
 
@@ -93,6 +93,29 @@ def test_config_value_of_the_wrong_type_is_exit_2(command, doc, tmp_path, capsys
     assert main([*argv, "--config", str(config)]) == 2
     [key] = doc
     assert f"{key} must be" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, text", [
+    pytest.param("bin-stats", '{"bins": 2.7}', id="bins-fraction"),
+    pytest.param("apply", '{"seed": 1.5}', id="seed-fraction"),
+    pytest.param("audit", '{"eval_bins": 10.9}', id="eval_bins-fraction"),
+    pytest.param("solve", '{"window": 1e400}', id="window-inf"),
+])
+def test_config_count_that_is_no_whole_number_is_exit_2(command, text, tmp_path, capsys):
+    # a fraction was once cut to an integer silently, and inf ended in an
+    # OverflowError traceback
+    config = tmp_path / "conf.json"
+    config.write_text(text)
+    argv = {
+        "bin-stats": ["bin-stats", TINY],
+        "apply": ["apply", TINY, "--plan", str(identity_plan_file(tmp_path))],
+        "audit": ["audit", TINY],
+        "solve": ["solve", TINY, "--plan-out", str(tmp_path / "plan.json"),
+                  "--report-out", str(tmp_path / "report.json")],
+    }[command]
+    assert main([*argv, "--config", str(config)]) == 2
+    [key] = json.loads(text)
+    assert f"{key} must be a whole number" in capsys.readouterr().err
 
 
 def test_bin_stats_prints_tallies(capsys):
@@ -445,8 +468,11 @@ def field_rows(draw):
 
 @settings(max_examples=100, deadline=None)
 @given(rows_records=field_rows(),
-       scores=st.lists(st.floats(0.0, 1.0), min_size=13, max_size=13))
-def test_apply_writes_what_csv_writer_wrote_for_each_record(rows_records, scores, tmp_path_factory):
+       scores=st.lists(st.floats(0.0, 1.0), min_size=13, max_size=13),
+       mode=st.sampled_from(["stochastic", "expected"]),
+       block=st.sampled_from([1, 2, 5]))
+def test_apply_writes_what_csv_writer_wrote_for_each_record(rows_records, scores, mode, block,
+                                                            tmp_path_factory):
     rows, records = rows_records
     score = np.array(scores[:len(rows)])
     group = np.arange(len(rows)) % 2 + 1
@@ -454,16 +480,23 @@ def test_apply_writes_what_csv_writer_wrote_for_each_record(rows_records, scores
     data = Dataset(score, np.zeros(len(rows)), group, header=header, records=_Written(records))
     d = tmp_path_factory.mktemp("apply")
     plan = d / "identity.json"
-    plan.write_text(TransitionPlan(edges=(0.0, 0.5, 1.0),
-                                   groups=np.tile(np.eye(2), (2, 1, 1))).to_json())
+    identity = TransitionPlan(edges=(0.0, 0.5, 1.0), groups=np.tile(np.eye(2), (2, 1, 1)))
+    plan.write_text(identity.to_json())
     out = d / "out.csv"
-    with mock.patch.object(cli, "load_dataset", lambda *args: data):
-        assert main(["apply", "in.csv", "--plan", str(plan), "--mode", "stochastic",
+    # the writer's blocks are patched small, so that the rows span blocks
+    with mock.patch.object(cli, "load_dataset", lambda *args: data), \
+            mock.patch.object(cli, "_BLOCK_LINES", block):
+        assert main(["apply", "in.csv", "--plan", str(plan), "--mode", mode,
                      "--seed", "4", "--output", str(out)]) == 0
-    # under the identity plan each row keeps its bin and scores its midpoint
     spec = BinSpec((0.0, 0.5, 1.0))
-    bins = spec.assign(score)
-    new_scores = [repr(m) for m in spec.midpoints[bins].tolist()]
+    if mode == "stochastic":
+        # under the identity plan each row keeps its bin and scores its midpoint
+        bins = spec.assign(score)
+        new_scores = [repr(m) for m in spec.midpoints[bins].tolist()]
+    else:
+        expected = apply_expected_score(identity, data)
+        bins = spec.assign(expected)
+        new_scores = list(map(repr, expected.tolist()))
 
     def line(fields) -> str:
         # a "\r\n" terminator makes the writer quote a field holding "\r" as

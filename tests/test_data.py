@@ -229,6 +229,10 @@ PARITY_CASES = {
         "score,label,group\r\n0.2,0,a\r\n0.8,1,b\r\n",
         ([0.2, 0.8], [0, 1], [1, 2]),
     ),
+    "comment_after_a_bare_carriage_return": (
+        "score,label,group\r0.1,0,a\r#c\n0.2,1,b\n",
+        ([0.1, 0.2], [0, 1], [1, 2]),
+    ),
     "quoted_group_with_delimiter": (
         'score,label,group\n0.2,0,"x,y"\n0.8,1,z\n0.5,1,"x,y"\n',
         ([0.2, 0.8, 0.5], [0, 1, 1], [1, 2, 1]),
@@ -295,7 +299,9 @@ def plain_inputs(draw, switch=False):
     empty, missing and extra fields, comment and blank lines, repeated
     header names, and maybe no final newline. With ``switch``, one to three
     rows after the header hold a quoted field and maybe end in a carriage
-    return, so the parse changes to ``csv.reader`` partway through."""
+    return, before the ``\n`` or as the only end of the row, which then
+    starts the next line; so the parse changes to ``csv.reader`` partway
+    through."""
     header = list(draw(st.permutations(NAMES)))
     header += draw(st.lists(st.sampled_from(NAMES), max_size=2))  # repeats
     if draw(st.integers(0, 9)) == 0:
@@ -327,7 +333,11 @@ def plain_inputs(draw, switch=False):
         j = draw(st.integers(0, len(fields) - 1))
         fields[j] = draw(st.sampled_from(QUOTINGS)).format(fields[j])
         row = ",".join(fields) + draw(st.sampled_from(["", "\r"]))
-        lines.insert(draw(st.integers(first_body, len(lines))), row)
+        at = draw(st.integers(first_body, len(lines)))
+        if row.endswith("\r") and at < len(lines) and draw(st.booleans()):
+            lines[at] = row + lines[at]  # a bare "\r" ends the row
+        else:
+            lines.insert(at, row)
     return "\n".join(lines) + ("\n" if draw(st.booleans()) else "")
 
 
@@ -341,18 +351,32 @@ def load_outcome(text: str):
             list(data.records), type(data.records))
 
 
+def file_lines(source):
+    """The lines a file opened with newline="" reads, one chunk each."""
+    return io.StringIO(source.read(), newline="")
+
+
 @settings(max_examples=400, deadline=None)
 @given(text=st.one_of(plain_inputs(), plain_inputs(switch=True)),
+       chunk=st.sampled_from([1, 2, 3, 7, data_mod._CHUNK_CHARS]),
        block=st.sampled_from([1, 2, 3, 5, 1 << 14]))
-@example(text='note,group,label,score\n#,"a",0,0\n,a,0,0\n,b,0,0', block=1)
-def test_plain_parse_equals_the_csv_reader_path(text, block):
+@example(text='note,group,label,score\n#,"a",0,0\n,a,0,0\n,b,0,0', chunk=1, block=1)
+# a comment line that starts after a bare carriage return is dropped
+@example(text="score,label,group\r0.1,0,a\r#c\n0.2,1,b\n", chunk=data_mod._CHUNK_CHARS,
+         block=1 << 14)
+def test_plain_parse_equals_the_csv_reader_path(text, chunk, block):
     with mock.patch.object(data_mod, "_BLOCK_LINES", block):
-        parsed = load_outcome(text)
-        with mock.patch.object(data_mod, "_is_plain", lambda text, block: False):
+        with mock.patch.object(data_mod, "_CHUNK_CHARS", chunk):
+            parsed = load_outcome(text)
+        # the reader path is fed, line by line, what a file opened with
+        # newline="" reads, as csv.reader expects
+        with mock.patch.object(data_mod, "_is_plain", lambda text, lines: False), \
+                mock.patch.object(data_mod, "_chunks", file_lines):
             reader = load_outcome(text)
     # comment lines are dropped before the parse, so a quote or carriage
     # return on one of them leaves the rest plain
-    body = "\n".join(line for line in text.split("\n") if not line.startswith("#"))
+    body = "".join(line for line in file_lines(io.StringIO(text))
+                   if not line.startswith("#"))
     if isinstance(parsed[0], type) or '"' in body or "\r" in body:
         assert parsed == reader
     else:
