@@ -26,7 +26,7 @@ The LPs run as a warm chain: where two LPs share their rows, right-hand
 sides and bounds and differ only in the objective, the later one passes
 the earlier one's optimal basis to `solve_lp` as `start=`. That basis is
 still feasible, so the primal simplex re-optimizes from it instead of
-rerunning phase 1. All 2·G·B mass LPs share one polytope, so each starts
+restoring feasibility from the slack basis. All 2·G·B mass LPs share one polytope, so each starts
 from the one before it. The rate LPs of different (group, dest) pairs
 differ in their norm row, so each pair's min LP is solved cold and its
 max LP starts from it. `solve_lp` verifies every warm answer and falls

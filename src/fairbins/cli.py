@@ -165,10 +165,10 @@ def cmd_solve(args: argparse.Namespace) -> int:
     from .nmdt import power_for_precision
 
     settings = _resolve(args)
+    power = power_for_precision(float(settings["precision"]))
     _, _, stats = _binned_stats(args.input, int(settings["bins"]), _schema(args))
     _require_overlap(stats)
     config = _model_config(settings)
-    power = power_for_precision(float(settings["precision"]))
     out = solve_once(
         stats,
         config,
@@ -291,6 +291,7 @@ def cmd_frontier(args: argparse.Namespace) -> int:
     else:
         # each cell's solve gets an even share of the time limit
         budget = _seconds(settings["time_limit"], "time_limit") / math.prod(map(len, grids))
+    power = power_for_precision(float(settings["precision"]))
     _, _, stats = _binned_stats(args.input, int(settings["bins"]), _schema(args))
     _require_overlap(stats)
     points = sweep(
@@ -298,7 +299,7 @@ def cmd_frontier(args: argparse.Namespace) -> int:
         *grids,
         retention=float(settings["retention"]),
         window=int(settings["window"]),
-        power=power_for_precision(float(settings["precision"])),
+        power=power,
         mode=settings["mode"],
         budget_per_solve=budget,
         gap_target=float(settings["gap"]),

@@ -371,6 +371,25 @@ class BinSpec:
         return np.clip(idx, 0, self.nbins - 1)
 
 
+def _sorted_quantiles(ordered: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """``np.quantile(ordered, q)`` of sorted scores, bit for bit: numpy's
+    "linear" method, index ``(n - 1) * q`` and its ``_lerp``, without the
+    ``numpy.ma`` import that numpy's first quantile call costs."""
+    last = ordered.size - 1
+    index = last * q
+    below = np.floor(index)
+    t = index - below
+    i = below.astype(np.intp)
+    a, b = ordered[i], ordered[np.minimum(i + 1, last)]
+    diff = b - a
+    return np.where(t >= 0.5, b - diff * (1 - t), a + diff * t)
+
+
+def _distinct(ordered: np.ndarray) -> np.ndarray:
+    """The distinct values of a sorted array, as ``np.unique`` gives them."""
+    return ordered[np.concatenate(([True], ordered[1:] != ordered[:-1]))]
+
+
 def quantile_bin(data: Dataset, nbins: int) -> BinSpec:
     """Quantile-discretize scores into ``nbins`` bins over [0, 1].
 
@@ -384,7 +403,8 @@ def quantile_bin(data: Dataset, nbins: int) -> BinSpec:
     scores = data.score
     if scores.size == 0:
         raise BinningError("no observations", achievable=0)
-    distinct = np.unique(scores).size
+    ordered = np.sort(scores)
+    distinct = _distinct(ordered).size
     if distinct < nbins:
         raise BinningError(
             f"only {distinct} distinct score values; achievable bins = {distinct}, "
@@ -392,10 +412,9 @@ def quantile_bin(data: Dataset, nbins: int) -> BinSpec:
             achievable=distinct,
         )
 
-    interior = np.quantile(scores, np.arange(1, nbins) / nbins)
-    edges = np.concatenate(([0.0], interior, [1.0]))
+    interior = _sorted_quantiles(ordered, np.arange(1, nbins) / nbins)
     # collapse duplicates introduced by heavy ties
-    edges = np.unique(edges)
+    edges = _distinct(np.sort(np.concatenate(([0.0], interior, [1.0]))))
     if len(edges) - 1 < 2:
         raise BinningError(
             f"quantile ties collapse the grid to {len(edges) - 1} bin(s)",

@@ -11,36 +11,41 @@ the rows where that column is nonzero, and is factored afresh every 100
 basis changes. A singular basis there, or a pivot too small to take, ends
 the solve with status NUMERICAL. The matrix `A` depends on the constraint
 matrix `a` alone (`_Shared`): `a` row-scaled, then one identity block of
-slack and one of artificial columns. Every engine over the same `a`, cold
-or warm, reads one such matrix, and none writes to it.
+slack columns. Every engine over the same `a`, cold or warm, reads one
+such matrix, and none writes to it.
 
-A cold solve starts from a slack crash basis (Bixby, "Implementing the
-simplex method: the initial basis", ORSA J. Comput. 4, 1992): each
-inequality row whose slack can hold the residual of the nonbasic start
-point begins with that slack basic, and only the other rows begin on an
-artificial, so phase 1 has only those artificials to drive out. A problem
-whose start point meets every row skips phase 1's pivots altogether. The
-residual's sign lives in the artificial's bounds and phase-1 cost: a row
-whose residual is negative gets an artificial in (-inf, 0] costing -1.
+Every solve runs one path: a bounded dual simplex from a dual feasible
+basis restores primal feasibility (Koberstein, *The dual simplex method*,
+2005), and the primal loop then polishes the answer to optimality on the
+true costs. A cold solve starts from the slack basis, B = I, with each
+structural column at the bound its cost prefers. Every column with a
+finite box then has a reduced cost, its own cost, of the sign its position
+needs. A column whose cost pulls it toward an infinite bound, or a free
+column with a cost, is priced at cost 0 by the dual phase alone (cost
+shifting). Either loop turns to Bland's lowest-index rules when it
+stalls: the primal after `_BLAND_AFTER` pivots in a row that move
+nothing, the dual after `_BLAND_AFTER` pivots that leave its objective
+where it was and return to a basis it met before.
 
 A solve may also start from an earlier optimal basis (`LpResult.basis`) of
 a problem with the same matrix, and either the same costs or the same
 rows, right-hand sides and bounds. With the same costs, the column bounds
 and right-hand sides may differ, as a branch-and-bound child differs from
 its parent or one frontier point's root LP from the next one's. Such
-changes leave that basis dual feasible, so a bounded dual simplex restores
-primal feasibility in a few pivots (Koberstein, *The dual simplex method*,
-2005), and the primal loop then polishes it to optimality. With the same
-constraints and new costs, as in bound tightening, the basis stays primal
-feasible: the dual simplex has nothing to do, and the primal loop
-re-optimizes the new objective from it. The dual keeps its reduced
-costs up to date from the pivot row it already computes, and recomputes
-them at each factorization. An infeasibility verdict of the dual must
-survive a fresh factorization. Every optimum, cold or warm, must satisfy
-the problem's own rows and bounds to `FEAS_TOL` (1e-7). A warm answer
-that cannot vouch for itself (a pivot cap, a failed check, a singular
-basis) falls back to the cold two-phase solve, which is the same code with
-or without a start; a cold optimum that fails the check is NUMERICAL.
+changes leave that basis dual feasible, so the dual simplex restores
+primal feasibility in a few pivots. With the same constraints and new
+costs, as in bound tightening, the basis stays primal feasible: the dual
+simplex has nothing to do, and the primal loop re-optimizes the new
+objective from it. The dual keeps its reduced costs up to date from the
+pivot row it already computes, and recomputes them at each factorization.
+
+An infeasibility verdict of the dual must survive a fresh factorization
+and be certified by `_Engine.certifies`; one that is not is looked at
+once more with the smaller pivot tolerance `_PIVOT_TOL`. Every optimum,
+cold or warm, must satisfy the problem's own rows and bounds to
+`FEAS_TOL` (1e-7). A warm answer that cannot vouch for itself (a pivot
+cap, a failed check, a singular basis) falls back to the cold solve, the
+same routine from the slack basis; a cold answer that cannot is NUMERICAL.
 
 Branch and bound hands every node LP of one MILP the same `_Shared`
 object, which also keeps the basis inverses of the last `_INVERSES_KEPT`
@@ -84,16 +89,22 @@ FEAS_TOL = 1e-7
 OPT_TOL = 1e-7
 
 _BASIC, _AT_LO, _AT_UP, _FREE = 0, 1, 2, 3
+# the smallest |pivot| the primal ratio test takes, and the dual's second
+# look at an infeasibility verdict it could not certify
 _PIVOT_TOL = 1e-9
 _DEGENERATE_STEP = 1e-10
 _BLAND_AFTER = 60
 _REFACTOR_EVERY = 100
 _DUAL_PIVOT_TOL = 1e-7
+# the reduced cost by which the dual ratio test may overstep its smallest
+# ratio to take a larger pivot; a larger slack leaves the primal polish
+# reduced costs it accepts (down to -OPT_TOL) but that cost percents of the
+# objective over ranges of thousands
+_HARRIS_TOL = 1e-9
 # a dual-simplex basis counts as primal feasible only when no basic variable
 # is further than this outside its bounds (in engine units: row-scaled for
-# slacks). The cold path never moves a variable out of its box, so
-# `FEAS_TOL` would be too loose here: it admits points the cold solve
-# rightly finds infeasible.
+# slacks). `FEAS_TOL` would be too loose here: it hands the primal polish a
+# basis outside its box, and admits points that are in fact infeasible.
 _DUAL_FEAS_TOL = 1e-11
 # pivots a warm start may spend, as a multiple of rows plus columns, before
 # the cold solve takes over
@@ -111,9 +122,6 @@ class LpStatus(str, Enum):
     ITERATION_LIMIT = "IterationLimit"
     TIME_LIMIT = "TimeLimit"
     NUMERICAL = "Numerical"  # a singular basis, a tiny pivot or an unverified optimum
-
-
-_UNFINISHED = (LpStatus.ITERATION_LIMIT, LpStatus.TIME_LIMIT, LpStatus.NUMERICAL)
 
 
 @dataclass
@@ -156,7 +164,8 @@ class LpProblem:
 @dataclass(frozen=True)
 class LpBasis:
     """A basis to restart from: the basic column of each row slot, and the
-    position code of every engine column (structural, slack, artificial)."""
+    position code of every engine column, the n structural columns and
+    then the m slacks."""
 
     basic: np.ndarray
     pos: np.ndarray
@@ -201,10 +210,9 @@ def _inverts(inverse: np.ndarray, cols: np.ndarray) -> bool:
 
 class _Shared:
     """What the LPs over one constraint matrix share: the read-only engine
-    matrix `[a / scale | I | I]` (row-scaled structural columns, then the
-    slack and the artificial columns), and the basis inverses of the last
-    `_INVERSES_KEPT` verified optima over it, each stored with the
-    `LpBasis` it inverts."""
+    matrix `[a / scale | I]` (row-scaled structural columns, then one slack
+    column per row), and the basis inverses of the last `_INVERSES_KEPT`
+    verified optima over it, each stored with the `LpBasis` it inverts."""
 
     def __init__(self, problem: LpProblem):
         a = self.a = problem.a
@@ -212,11 +220,10 @@ class _Shared:
         # row equilibration only; column scaling would distort the bounds
         scale = np.abs(a).max(axis=1) if n else np.zeros(m)
         self.scale = np.where(scale > 1e-12, scale, 1.0)
-        self.A = np.zeros((m, n + 2 * m))
+        self.A = np.zeros((m, n + m))
         self.A[:, :n] = a / self.scale[:, None]
         rows = np.arange(m)
         self.A[rows, n + rows] = 1.0
-        self.A[rows, n + m + rows] = 1.0
         self.A.flags.writeable = False
         self.inverses: deque[tuple[LpBasis, np.ndarray]] = deque(maxlen=_INVERSES_KEPT)
 
@@ -228,14 +235,14 @@ class _Shared:
 
 
 class _Engine:
-    """Two-phase simplex state over the shared matrix: bounds, basis and a
-    dense basis inverse. The artificials start fixed at zero; `crash` opens
-    them for a cold start, `install` sets a warm one."""
+    """Simplex state over the shared matrix: bounds, basis and a dense
+    basis inverse. `slack_start` sets the cold start, `install` a warm
+    one; `dual` then restores primal feasibility and `run` optimizes."""
 
     def __init__(self, problem: LpProblem, max_iters: int, deadline: float | None,
                  shared: _Shared | None = None):
         self.problem = problem
-        self.opt_tol = OPT_TOL
+        self.pivot_tol = _DUAL_PIVOT_TOL
         self.max_iters = max_iters
         self.deadline = deadline
         self.iterations = 0
@@ -247,8 +254,8 @@ class _Engine:
         self.rhs = problem.rhs / self.scale
 
         ge, le = problem.senses == SENSE_GE, problem.senses == SENSE_LE
-        self.lo = np.concatenate([problem.lo, np.where(ge, -np.inf, 0.0), np.zeros(m)])
-        self.hi = np.concatenate([problem.hi, np.where(le, np.inf, 0.0), np.zeros(m)])
+        self.lo = np.concatenate([problem.lo, np.where(ge, -np.inf, 0.0)])
+        self.hi = np.concatenate([problem.hi, np.where(le, np.inf, 0.0)])
 
     def place(self, up: np.ndarray | bool) -> None:
         """Put every column at a bound: its upper one where `up` asks for
@@ -259,29 +266,21 @@ class _Engine:
         self.pos = np.where(at_up, _AT_UP, np.where(fin_lo, _AT_LO, _FREE)).astype(np.int8)
         self.val = np.where(at_up, self.hi, np.where(fin_lo, self.lo, 0.0))
 
-    def crash(self) -> np.ndarray:
-        """Set the cold start: each column at a bound, an inequality row
-        whose slack can hold the start residual on that slack, every other
-        row on its artificial, opened from zero toward that residual.
-        Returns the artificials' phase-1 costs, +1 on one that ranges over
-        [0, inf) and -1 on one over (-inf, 0]."""
-        m, n = self.m, self.nstruct
-        self.place(False)
-        head = slice(0, n + m)
-        resid = self.rhs - self.A[:, head] @ self.val[head]
-        slack = n + np.arange(m)
-        art = slack + m
-        falls = resid < 0.0
-        self.lo[art[falls]] = -np.inf
-        self.hi[art[~falls]] = np.inf
-        self.pos[art[falls]] = _AT_UP
-        fits = (self.lo[slack] <= resid) & (resid <= self.hi[slack])
-        crash = (self.problem.senses != SENSE_EQ) & fits
-        self.basis = np.where(crash, slack, art)
+    def slack_start(self, c: np.ndarray) -> np.ndarray:
+        """Set the cold start for costs `c`: the slack basis, B = I, with
+        each structural column at the bound its cost prefers (see `place`).
+        Returns the costs the dual phase prices with: `c`, with 0 on each
+        column whose cost pulls it toward an infinite bound or, free, away
+        from 0, so that every nonbasic reduced cost has the sign its
+        position needs."""
+        self.place(c < 0.0)
+        self.basis = self.nstruct + np.arange(self.m)
         self.pos[self.basis] = _BASIC
-        self.xB = resid
-        self.Binv = np.eye(m)
-        return np.where(falls, -1.0, 1.0)
+        self.Binv = np.eye(self.m)
+        self.solve_basics()
+        pos = self.pos
+        pulled = ((pos == _AT_LO) & (c < 0.0)) | ((pos == _AT_UP) & (c > 0.0)) | (pos == _FREE)
+        return np.where(pulled, 0.0, c)
 
     def point(self) -> np.ndarray:
         full = self.val.copy()
@@ -292,9 +291,9 @@ class _Engine:
         return LpBasis(self.basis.copy(), self.pos.copy())
 
     def install(self, start: LpBasis, inverse: np.ndarray | None = None) -> bool:
-        """Set the warm start `start`: the artificials stay fixed at zero
-        and each nonbasic column sits at the bound its code names (or its
-        other finite bound, or free at 0). A stored `inverse` of the
+        """Set the warm start `start`: each nonbasic column sits at the
+        bound its code names (or its other finite bound, or free at 0). A
+        stored `inverse` of the
         start's basis matrix is adopted, as a copy, when it passes
         `_inverts`; otherwise the basis is factored. False when the basis
         does not fit this problem or its matrix is singular."""
@@ -375,25 +374,47 @@ class _Engine:
         """Dual simplex on costs `c` until every basic variable is within
         `_DUAL_FEAS_TOL` of its bounds (OPTIMAL here means primal feasible).
 
-        The leaving row has the largest bound violation; the entering column
-        minimizes |d_j / alpha_j| over the nonbasic, non-fixed columns that
-        can move the leaving variable toward its bound, ties to the largest
-        |alpha_j|, then the lowest index. INFEASIBLE means no column can
-        move it, also on a fresh factorization; the row is left in
-        `proof_row`. NUMERICAL means a pivot too small to take or a
-        singular factorization."""
+        The leaving row has the largest bound violation. The entering column
+        comes from the nonbasic, non-fixed columns that can move the leaving
+        variable toward its bound with |alpha_j| above `pivot_tol`, by
+        Harris' two-pass ratio test (Harris, Math. Prog. 5, 1973): of the
+        columns whose ratio |d_j / alpha_j| is at most the smallest ratio
+        that `_HARRIS_TOL` more reduced cost would allow, the one with the
+        largest |alpha_j|, then the lowest index.
+        A pivot whose ratio is at most `_DEGENERATE_STEP` leaves the dual
+        objective where it was; once `_BLAND_AFTER` such pivots in a row
+        have returned to a basis met earlier in the run, the dual is
+        cycling, and Bland's rule takes over until a ratio is larger: the
+        leaving row is the violated one with the lowest basic column, and
+        ties go to the lowest index. INFEASIBLE means no column can move
+        the leaving variable, also on a fresh factorization; the row is
+        left in `proof_row`. NUMERICAL means a pivot too small to take or
+        a singular factorization."""
         self.begin(c)
         A, pos, sign, cB, blo, bhi = self.A, self.pos, self.sign, self.cB, self.blo, self.bhi
-        xB, Binv = self.xB, self.Binv
-        deadline = self.deadline
+        basis, xB, Binv = self.basis, self.xB, self.Binv
+        deadline, tol = self.deadline, self.pivot_tol
         free = (pos == _FREE) & ~self.fixed
         d = c - A.T @ (Binv.T @ cB)
+        # the bases of the current run of zero-ratio pivots, and how many
+        # of those pivots returned to one. A zero ratio alone is no sign of
+        # cycling: where most costs are zero, as in bound tightening, nearly
+        # every ratio is, and Bland's rule there wanders far from feasible
+        seen: set[int] = set()
+        revisits = 0
         while True:
             below = blo - xB
             viol = np.maximum(below, xB - bhi)
-            r = int(viol.argmax())
-            if viol[r] <= _DUAL_FEAS_TOL:
-                return LpStatus.OPTIMAL
+            bland = revisits >= _BLAND_AFTER
+            if bland:
+                violated = (viol > _DUAL_FEAS_TOL).nonzero()[0]
+                if violated.size == 0:
+                    return LpStatus.OPTIMAL
+                r = int(violated[basis[violated].argmin()])
+            else:
+                r = int(viol.argmax())
+                if viol[r] <= _DUAL_FEAS_TOL:
+                    return LpStatus.OPTIMAL
             if self.iterations >= self.max_iters:
                 return LpStatus.ITERATION_LIMIT
             if deadline is not None and time.monotonic() > deadline:
@@ -404,9 +425,7 @@ class _Engine:
             rises = bool(below[r] > 0.0)
             s = 1.0 if rises else -1.0
             alpha = s * (Binv[r] @ A)
-            cand = (
-                (sign * alpha < -_DUAL_PIVOT_TOL) | (free & (np.abs(alpha) > _DUAL_PIVOT_TOL))
-            ).nonzero()[0]
+            cand = ((sign * alpha < -tol) | (free & (np.abs(alpha) > tol))).nonzero()[0]
             if cand.size == 0:
                 if self.fresh:
                     self.proof_row = r
@@ -420,12 +439,18 @@ class _Engine:
                 continue
             self.iterations += 1
             size = np.abs(alpha[cand])
-            ratios = np.maximum(sign[cand] * d[cand], 0.0) / size
-            tied = (ratios <= ratios.min()).nonzero()[0]
-            q = int(cand[tied[size[tied].argmax()]])
+            dj = np.maximum(sign[cand] * d[cand], 0.0)
+            ratios = dj / size
+            if bland:
+                step_d = ratios.min()
+                q = int(cand[(ratios <= step_d).nonzero()[0][0]])
+            else:
+                near = (ratios <= ((dj + _HARRIS_TOL) / size).min()).nonzero()[0]
+                k = near[size[near].argmax()]
+                q, step_d = int(cand[k]), ratios[k]
 
             w = Binv @ A[:, q]
-            if abs(w[r]) <= _DUAL_PIVOT_TOL:
+            if abs(w[r]) <= tol:
                 return LpStatus.NUMERICAL
             target = blo[r] if rises else bhi[r]
             step = (xB[r] - target) / w[r]
@@ -438,6 +463,13 @@ class _Engine:
             xB, Binv = self.xB, self.Binv
             if self.fresh:
                 d = c - A.T @ (Binv.T @ cB)
+            if step_d > _DEGENERATE_STEP:
+                seen.clear()
+                revisits = 0
+            else:
+                key = hash(np.sort(basis).tobytes())
+                revisits += key in seen
+                seen.add(key)
 
     def certifies(self, r: int) -> bool:
         """Whether row slot `r`, re-derived from a fresh factorization,
@@ -456,9 +488,9 @@ class _Engine:
         s = 1.0 if short > 0.0 else -1.0
         if s < 0.0:
             short = self.xB[r] - self.hi[v]
-        # slack and artificial values are in row-scaled units
+        # slack values are in row-scaled units
         n = self.nstruct
-        unit = 1.0 if v < n else self.scale[(v - n) % self.m]
+        unit = 1.0 if v < n else self.scale[v - n]
         if not short * unit > FEAS_TOL:
             return False
         y = self.Binv[r]
@@ -474,7 +506,7 @@ class _Engine:
         a, nb = a[moving], nb[moving]
         val = self.val[nb]
         gain = np.maximum(a * (self.lo[nb] - val), a * (self.hi[nb] - val))
-        gain[np.isinf(gain) & (np.abs(a) <= _DUAL_PIVOT_TOL)] = 0.0
+        gain[np.isinf(gain) & (np.abs(a) <= self.pivot_tol)] = 0.0
         return bool((short - gain.sum()) * unit > FEAS_TOL)
 
     def run(self, c: np.ndarray) -> LpStatus:
@@ -482,7 +514,7 @@ class _Engine:
         A, lo, hi, val, pos, sign = self.A, self.lo, self.hi, self.val, self.pos, self.sign
         cB, blo, bhi, basis = self.cB, self.blo, self.bhi, self.basis
         xB, Binv = self.xB, self.Binv
-        opt_tol, deadline = self.opt_tol, self.deadline
+        opt_tol, deadline = OPT_TOL, self.deadline
         # nonbasic free columns are priced by -|d|. Multiplying by the +-1
         # weights is exact, so eff equals a per-position select of d, -d
         # and 0 (up to the sign of a zero) and picks the same column; only
@@ -578,24 +610,26 @@ def solve_lp(
     start: LpBasis | None = None,
     _shared: _Shared | None = None,
 ) -> LpResult:
-    """Minimize over the bounded polyhedron; two-phase, deterministic.
+    """Minimize over the bounded polyhedron; dual then primal simplex,
+    deterministic.
 
     Answers are judged by `FEAS_TOL` and `OPT_TOL`: an OPTIMAL result's
     point meets the problem's rows and bounds to `FEAS_TOL`, and an
     optimum that does not is reported as NUMERICAL, as is a solve that
-    meets a singular basis. Past `deadline`, a `time.monotonic()` reading,
-    pivoting stops with status TIME_LIMIT; without one, only the cap of
-    5000 + 25 * (rows + columns) pivots bounds the work, and status
-    ITERATION_LIMIT reports reaching it.
+    meets a singular basis or an infeasibility verdict it cannot certify.
+    Past `deadline`, a `time.monotonic()` reading, pivoting stops with
+    status TIME_LIMIT; without one, only the cap of 5000 + 25 * (rows +
+    columns) pivots bounds the work, and status ITERATION_LIMIT reports
+    reaching it.
     With `start`, the optimal basis of a problem with the same matrix, and
     either the same costs or the same rows, right-hand sides and bounds, a
-    verified dual-simplex warm start is tried first; when it
-    cannot vouch for its answer, the cold solve runs as if there were no
-    start, and the result counts the pivots of both. `_shared`, built by
-    branch and bound over the MILP's own LP, lends both solves its matrix
-    and a warm start any stored inverse of `start`'s basis, and keeps the
-    inverse of an optimum; it is ignored unless `problem.a` is the matrix
-    it was built from.
+    verified warm start is tried first; when it cannot vouch for its
+    answer, the cold solve runs as if there were no start, and the result
+    counts the pivots of both. `_shared`, built by branch and bound over
+    the MILP's own LP, lends both solves its matrix and a warm start any
+    stored inverse of `start`'s basis, and keeps the inverse of an
+    optimum; it is ignored unless `problem.a` is the matrix it was built
+    from.
     """
     m, n = problem.a.shape
     if m == 0:
@@ -607,88 +641,48 @@ def solve_lp(
         _shared = _Shared(problem)
     spent = 0
     if start is not None:
-        warm, spent = _warm_solve(problem, start, max_iters, deadline, _shared)
-        if warm is not None:
+        warm = _solve(problem, start, min(max_iters, int(_WARM_SHARE * (m + n))), deadline,
+                      _shared)
+        if warm.status in (LpStatus.OPTIMAL, LpStatus.INFEASIBLE, LpStatus.TIME_LIMIT):
             return warm
-    res = _cold_solve(problem, max_iters, deadline, _shared)
+        spent = warm.iterations
+    res = _solve(problem, None, max_iters, deadline, _shared)
     return replace(res, iterations=res.iterations + spent) if spent else res
 
 
-def _optimum(eng: _Engine, x: np.ndarray, shared: _Shared) -> LpResult | None:
-    """The engine's optimum `x`, its basis inverse kept in `shared`; None
-    when `x` breaks a row or bound of the problem by more than `FEAS_TOL`."""
-    if point_violation(eng.problem, x) > FEAS_TOL:
-        return None
-    res = LpResult(LpStatus.OPTIMAL, float(eng.problem.c @ x), x, eng.iterations, eng.snapshot())
-    shared.inverses.append((res.basis, eng.Binv))
-    return res
-
-
-def _warm_solve(
-    problem: LpProblem, start: LpBasis, max_iters: int, deadline: float | None,
+def _solve(
+    problem: LpProblem, start: LpBasis | None, max_iters: int, deadline: float | None,
     shared: _Shared,
-) -> tuple[LpResult | None, int]:
-    """Dual simplex from `start`, then a primal polish. Returns the result
-    if it is verified (or stopped by the deadline), else None, and the
-    pivots spent either way."""
+) -> LpResult:
+    """Dual simplex from `start`, or from the slack basis without one, then
+    a primal polish on the true costs, within `max_iters` pivots. An
+    optimum is kept, its basis inverse stored in `shared`, only when its
+    point meets the problem's rows and bounds to `FEAS_TOL`; an infeasible
+    verdict only when `certifies` confirms it, at the second try with
+    pivot tolerance `_PIVOT_TOL`. NUMERICAL when the start does not fit
+    or is singular, or the answer cannot be vouched for."""
     m, n = problem.a.shape
-    budget = min(max_iters, int(_WARM_SHARE * (m + n)))
-    eng = _Engine(problem, budget, deadline, shared)
-    if not eng.install(start, shared.inverse(start)):
-        return None, 0
-    cost = np.zeros(n + 2 * m)
-    cost[:n] = problem.c
-    st = eng.dual(cost)
+    eng = _Engine(problem, max_iters, deadline, shared)
+    cost = np.concatenate([problem.c, np.zeros(m)])
+    if start is None:
+        priced = eng.slack_start(cost)
+    elif eng.install(start, shared.inverse(start)):
+        priced = cost
+    else:
+        return LpResult(LpStatus.NUMERICAL, np.nan, np.full(n, np.nan), 0)
+    st = eng.dual(priced)
+    if st == LpStatus.INFEASIBLE and not eng.certifies(eng.proof_row):
+        eng.pivot_tol = _PIVOT_TOL
+        st = eng.dual(priced)
+        if st == LpStatus.INFEASIBLE and not eng.certifies(eng.proof_row):
+            st = LpStatus.NUMERICAL
     if st == LpStatus.OPTIMAL:
         st = eng.run(cost)
     x = eng.point()[:n]
     if st == LpStatus.OPTIMAL:
-        return _optimum(eng, x, shared), eng.iterations
-    if st == LpStatus.TIME_LIMIT or (
-            st == LpStatus.INFEASIBLE and eng.certifies(eng.proof_row)):
-        return LpResult(st, np.nan, x, eng.iterations), eng.iterations
-    return None, eng.iterations
-
-
-def _cold_solve(
-    problem: LpProblem, max_iters: int, deadline: float | None, shared: _Shared,
-) -> LpResult:
-    """Two-phase solve from the slack crash basis: rows the start point
-    meets begin on their slacks, the others on artificials, which phase 1
-    drives to zero."""
-    m, n = problem.a.shape
-    eng = _Engine(problem, max_iters, deadline, shared)
-    phase1 = np.zeros(n + 2 * m)
-    phase1[n + m :] = eng.crash()
-    # judge phase 1 by the same yardstick callers apply to the answer: the
-    # structural point's worst row violation, not the artificial sum, which
-    # scales with rhs magnitude and can bless real infeasibility. Stopping
-    # inside the optimality tolerance can strand artificial mass on a
-    # feasible problem, so a violated point grinds the tolerance down and
-    # lets the verdict rest on true phase-1 optimality.
-    for tol in (OPT_TOL, 1e-12):
-        eng.opt_tol = tol
-        st = eng.run(phase1)
-        if st in _UNFINISHED:
-            return LpResult(st, np.nan, eng.point()[:n], eng.iterations)
-        if st == LpStatus.UNBOUNDED:
-            raise RuntimeError("phase-1 objective is bounded below; pivot logic broke")
-        x1 = eng.point()[:n]
-        if not point_violation(problem, x1) > FEAS_TOL:
-            break
-    else:
-        return LpResult(LpStatus.INFEASIBLE, np.nan, x1, eng.iterations)
-    eng.opt_tol = OPT_TOL
-
-    eng.lo[n + m :] = 0.0
-    eng.hi[n + m :] = 0.0
-    eng.val[n + m :] = 0.0
-
-    phase2 = np.zeros(n + 2 * m)
-    phase2[:n] = problem.c
-    st = eng.run(phase2)
-    x = eng.point()[:n]
-    if st == LpStatus.OPTIMAL:
-        return _optimum(eng, x, shared) or LpResult(LpStatus.NUMERICAL, np.nan, x, eng.iterations)
-    obj = {LpStatus.UNBOUNDED: -np.inf, LpStatus.NUMERICAL: np.nan}.get(st, float(problem.c @ x))
-    return LpResult(st, obj, x, eng.iterations)
+        if point_violation(problem, x) <= FEAS_TOL:
+            res = LpResult(st, float(problem.c @ x), x, eng.iterations, eng.snapshot())
+            shared.inverses.append((res.basis, eng.Binv))
+            return res
+        st = LpStatus.NUMERICAL
+    return LpResult(st, -np.inf if st == LpStatus.UNBOUNDED else np.nan, x, eng.iterations)

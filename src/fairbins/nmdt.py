@@ -52,12 +52,19 @@ __all__ = [
 _FIXED_SPAN = 1e-12
 # elastic completion LPs `completion_start` runs before it gives up
 _COMPLETION_ROUNDS = 12
+# the finest precision: a finer digit cannot change a rate held in a double
+_FINEST_PRECISION = 2.0**-52
 
 
 def power_for_precision(precision: float) -> int:
-    """Smallest digit count whose remainder box is finer than `precision`."""
-    if not 0.0 < precision < 1.0:
-        raise ValueError(f"precision must lie in (0, 1), got {precision}")
+    """Smallest digit count whose remainder box is finer than `precision`,
+    which lies in [2**-52, 1): a finer digit cannot change a rate in [0, 1]
+    held in a double."""
+    if not _FINEST_PRECISION <= precision < 1.0:
+        raise ValueError(
+            f"precision must lie in [2**-52, 1), got {precision}: digits finer than "
+            "2**-52 cannot change a rate held in a double"
+        )
     return -math.ceil(math.log2(1.0 / precision))
 
 

@@ -5,8 +5,9 @@ the one yardstick every layer judges LP answers by: no public function or
 method takes one as a parameter. The fairness rows are written once, in
 `fairbins.model`: bound tightening derives its LPs from them. Branch and
 bound knows only the LP layer, never the model it is handed. The simplex
-factors a basis in one place, and never swaps in a pseudo-inverse. The data
-commands load no layer of the solver."""
+factors a basis in one place, never swaps in a pseudo-inverse, and starts
+every LP from a basis, never from artificial columns. The data commands
+load no layer of the solver, and `bin-stats` no masked arrays."""
 
 from __future__ import annotations
 
@@ -106,6 +107,18 @@ def test_lp_factors_in_one_place():
     assert len(inv_calls) == 1
 
 
+def _loaded_modules(runs: list[list[str]]) -> list[str]:
+    """The modules a fresh interpreter holds after `main` ran each argv in `runs`."""
+    script = ("import sys\nfrom fairbins.cli import main\n"
+              f"assert [main(argv) for argv in {runs!r}] == {[0] * len(runs)!r}\n"
+              "print(' '.join(sys.modules))")
+    src = str(Path(fairbins.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
+    return subprocess.run([sys.executable, "-c", script], env=env, check=True,
+                          capture_output=True, text=True).stdout.split()
+
+
 def test_data_commands_load_no_solver(tmp_path):
     # bin-stats, apply and audit run on every scored row a model emits; the
     # solver layers' import alone would cost each of them tens of ms
@@ -116,14 +129,7 @@ def test_data_commands_load_no_solver(tmp_path):
     runs = [["bin-stats", TINY, "--bins", "2", "--output", str(tmp_path / "stats.json")],
             ["apply", TINY, "--plan", str(plan), "--output", out],
             ["audit", out, "--eval-bins", "2", "--output", str(tmp_path / "audit.json")]]
-    script = ("import sys\nfrom fairbins.cli import main\n"
-              f"assert [main(argv) for argv in {runs!r}] == [0, 0, 0]\n"
-              "print(' '.join(sys.modules))")
-    src = str(Path(fairbins.__file__).parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
-    loaded = subprocess.run([sys.executable, "-c", script], env=env, check=True,
-                            capture_output=True, text=True).stdout.split()
+    loaded = _loaded_modules(runs)
     assert {"fairbins.data", "fairbins.postprocess"} <= set(loaded)
     assert sorted(SOLVER & {name.removeprefix("fairbins.") for name in loaded
                             if name.startswith("fairbins.")}) == []
@@ -136,3 +142,28 @@ def test_data_commands_import_only_the_data_layers():
                     for m in (cli, postprocess)}
     assert module_level == {"fairbins.cli": [".data", ".postprocess"],
                             "fairbins.postprocess": [".data"]}
+
+
+def test_bin_stats_loads_no_masked_arrays(tmp_path):
+    # np.quantile and np.unique import numpy.ma on first use, about 15 ms
+    # in every bin-stats, solve and frontier process
+    loaded = _loaded_modules([["bin-stats", TINY, "--bins", "2",
+                               "--output", str(tmp_path / "stats.json")]])
+    assert "fairbins.data" in loaded
+    assert "numpy.ma" not in loaded
+
+
+def test_every_lp_starts_from_a_basis():
+    # the engine matrix is [a / scale | I]: one slack per row and no
+    # artificial column, and no crash basis or phase-1 cost stands in for
+    # the slack start
+    rng = np.random.default_rng(0)
+    m, n = 5, 7
+    p = lp.LpProblem(rng.normal(size=n), rng.normal(size=(m, n)), np.zeros(m, np.int8),
+                     np.zeros(m), np.zeros(n), np.ones(n))
+    assert lp._Shared(p).A.shape == (m, n + m)
+    tree = ast.parse(inspect.getsource(lp))
+    defined = {node.name for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)}
+    names = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    assert "crash" not in defined
+    assert not {name for name in names if "phase" in name.lower()}

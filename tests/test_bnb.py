@@ -231,41 +231,42 @@ def test_an_integral_node_point_that_breaks_a_row_is_not_adopted():
 
 
 # (status, nodes_explored, repr(incumbent_objective), repr(best_lower_bound))
-# of KNAPSACK, LOOSE_KNAPSACK and the thirty instances above, recorded before
-# node boxes replaced fix lists; the same under 1 and 2 OpenBLAS threads
+# of KNAPSACK, LOOSE_KNAPSACK and the thirty instances above, recorded once
+# cold LPs started from the slack basis; the same under 1 and 2 OpenBLAS
+# threads
 PINNED_TREES = [
-    ("Optimal", 2, "-0.8999999999999999", "-0.8999999999999999"),
-    ("Optimal", 11, "-0.6", "-0.6"),
-    ("Optimal", 3, "-0.9", "-0.9"),
-    ("Optimal", 1, "-3.0900000000000003", "-3.0900000000000003"),
-    ("Optimal", 3, "0.03", "0.03"),
-    ("Optimal", 7, "-5.630000000000001", "-5.630000000000001"),
-    ("Optimal", 5, "-2.92", "-2.92"),
-    ("Optimal", 5, "-1.1900000000000002", "-1.1900000000000002"),
-    ("Optimal", 3, "-2.13", "-2.13"),
-    ("Optimal", 1, "-5.46", "-5.46"),
-    ("Optimal", 1, "-3.38", "-3.38"),
-    ("Optimal", 1, "-0.05", "-0.05"),
-    ("Optimal", 5, "-0.5899999999999999", "-0.5899999999999999"),
-    ("Optimal", 5, "-2.0300000000000002", "-2.0300000000000002"),
-    ("Optimal", 1, "-1.97", "-1.97"),
-    ("Optimal", 5, "1.08", "1.08"),
-    ("Optimal", 1, "-1.5600893257287591", "-1.5600893257287591"),
-    ("Optimal", 1, "-6.300000000000001", "-6.300000000000001"),
-    ("Optimal", 1, "-2.75", "-2.75"),
-    ("Optimal", 3, "-2.6", "-2.6"),
-    ("Optimal", 13, "-0.7346455384115775", "-0.7346455384115775"),
-    ("Optimal", 3, "-0.86", "-0.86"),
-    ("Optimal", 3, "-1.7422268905909912", "-1.7422268905909912"),
-    ("Optimal", 5, "-2.37", "-2.37"),
-    ("Optimal", 1, "-0.22061492798873375", "-0.22061492798873375"),
-    ("Optimal", 1, "-1.2799999999999998", "-1.2799999999999998"),
-    ("Optimal", 1, "-1.02", "-1.02"),
-    ("Optimal", 3, "-1.6466084426628353", "-1.6466084426628353"),
-    ("Optimal", 7, "1.57", "1.57"),
-    ("Optimal", 3, "-0.37", "-0.37"),
-    ("Optimal", 1, "-2.93", "-2.93"),
-    ("Optimal", 1, "-2.69", "-2.69"),
+    ('Optimal', 1, '-0.9', '-0.9'),
+    ('Optimal', 11, '-0.6', '-0.6'),
+    ('Optimal', 3, '-0.9', '-0.9'),
+    ('Optimal', 1, '-3.0900000000000003', '-3.0900000000000003'),
+    ('Optimal', 3, '0.03', '0.03'),
+    ('Optimal', 7, '-5.630000000000001', '-5.630000000000001'),
+    ('Optimal', 5, '-2.92', '-2.92'),
+    ('Optimal', 5, '-1.1900000000000002', '-1.1900000000000002'),
+    ('Optimal', 3, '-2.13', '-2.13'),
+    ('Optimal', 1, '-5.46', '-5.46'),
+    ('Optimal', 1, '-3.38', '-3.38'),
+    ('Optimal', 1, '-0.05', '-0.05'),
+    ('Optimal', 5, '-0.5899999999999999', '-0.5899999999999999'),
+    ('Optimal', 5, '-2.0300000000000002', '-2.0300000000000002'),
+    ('Optimal', 1, '-1.97', '-1.97'),
+    ('Optimal', 5, '1.08', '1.08'),
+    ('Optimal', 1, '-1.560089325728759', '-1.560089325728759'),
+    ('Optimal', 1, '-6.300000000000001', '-6.300000000000001'),
+    ('Optimal', 1, '-2.75', '-2.75'),
+    ('Optimal', 3, '-2.6', '-2.6'),
+    ('Optimal', 13, '-0.7346455384115775', '-0.7346455384115775'),
+    ('Optimal', 3, '-0.86', '-0.86'),
+    ('Optimal', 3, '-1.7422268905909912', '-1.7422268905909912'),
+    ('Optimal', 5, '-2.37', '-2.37'),
+    ('Optimal', 1, '-0.22061492798873414', '-0.22061492798873414'),
+    ('Optimal', 1, '-1.2799999999999998', '-1.2799999999999998'),
+    ('Optimal', 1, '-1.02', '-1.02'),
+    ('Optimal', 3, '-1.6466084426628351', '-1.6466084426628351'),
+    ('Optimal', 7, '1.57', '1.57'),
+    ('Optimal', 3, '-0.37', '-0.37'),
+    ('Optimal', 1, '-2.93', '-2.93'),
+    ('Optimal', 1, '-2.69', '-2.69'),
 ]
 
 
@@ -313,20 +314,24 @@ def test_near_integral_root_pins_its_pattern_and_still_finds_the_optimum():
 @pytest.mark.parametrize("status", [LpStatus.ITERATION_LIMIT, LpStatus.NUMERICAL],
                          ids=lambda status: status.value)
 def test_a_pinned_leaf_without_an_answer_caps_the_bound(status):
-    # the LP over the fully pinned box (0, 1, 1), the optimum, stops at its
-    # pivot cap or on a singular basis; no binary is left to split on, so
-    # the node stays unresolved and its bound keeps the reported gap honest
-    pinned = np.array([0.0, 1.0, 1.0])
+    # the LP over the fully pinned box (1, 0, 0), the optimum of
+    # LOOSE_KNAPSACK, stops at its pivot cap or on a singular basis; no
+    # binary is left to split on, so the node stays unresolved and its bound
+    # keeps the reported gap honest
+    pinned = np.array([1.0, 0.0, 0.0])
+    leaves = []
 
     def capped_leaf(lp_problem, **kwargs):
         if np.array_equal(lp_problem.lo, pinned) and np.array_equal(lp_problem.hi, pinned):
+            leaves.append(lp_problem)
             return LpResult(status, np.nan, np.full(3, np.nan), 0)
         return solve_lp(lp_problem, **kwargs)
 
     with mock.patch.object(bnb, "solve_lp", capped_leaf):
-        report = solve_milp(_milp(**KNAPSACK), time_limit=30, gap_target=0.0)
+        report = solve_milp(_milp(**LOOSE_KNAPSACK), time_limit=30, gap_target=0.0)
+    assert len(leaves) == 1
     assert report.status == MilpStatus.GAP_LIMIT
-    assert report.incumbent_objective == pytest.approx(-0.6, abs=1e-9)
-    assert report.best_lower_bound <= -0.9 + 1e-9
+    assert report.incumbent_objective == pytest.approx(-0.5, abs=1e-9)
+    assert report.best_lower_bound <= -0.6 + 1e-9
     assert report.gap == pytest.approx(
-        (report.incumbent_objective - report.best_lower_bound) / 0.6)
+        (report.incumbent_objective - report.best_lower_bound) / 0.5)

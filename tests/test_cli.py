@@ -189,6 +189,20 @@ def test_non_finite_tolerance_is_exit_2(flag, tmp_path, capsys):
     assert not (tmp_path / "plan.json").exists()
 
 
+def test_precision_past_the_last_double_digit_is_exit_2(tmp_path, capsys):
+    # the later --precision wins; 1e-100 would build a MILP of 333 digits
+    rc = main(solve_args(tmp_path, "--precision", "1e-100"))
+    assert rc == 2
+    assert "precision must lie in [2**-52, 1)" in capsys.readouterr().err
+    assert not (tmp_path / "plan.json").exists()
+    # refused before the input is read: a missing file is never opened
+    rc = main(["frontier", str(tmp_path / "missing.csv"), *FAST, "--precision", "1e-100",
+               "--grid-dp", "0.25", "--grid-eodds", "0.25", "--grid-prp", "0.25",
+               "--output", str(tmp_path / "front.csv")])
+    assert rc == 2
+    assert "precision must lie in [2**-52, 1)" in capsys.readouterr().err
+
+
 def test_non_finite_frontier_grid_is_exit_2_before_any_solve(tmp_path, capsys):
     out = tmp_path / "front.csv"
     rc = main(["frontier", TINY, *FAST, "--grid-dp", "0.25", "--grid-eodds",

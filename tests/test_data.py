@@ -186,6 +186,27 @@ def test_quantile_bin_partitions_all_scores(scores, nbins):
     assert (counts > 0).all()
 
 
+@settings(max_examples=200, deadline=None)
+@given(
+    scores=st.lists(
+        st.floats(min_value=0.0, max_value=1.0, allow_nan=False), min_size=1, max_size=300
+    ),
+    digits=st.sampled_from([None, 0, 1, 2]),
+    nbins=st.integers(min_value=2, max_value=60),
+)
+def test_quantile_edges_match_numpy_bit_for_bit(scores, digits, nbins):
+    # quantile_bin computes numpy's quantiles and unique values itself, to
+    # keep numpy.ma out of the process; rounding makes ties
+    s = np.array(scores) if digits is None else np.round(scores, digits)
+    ordered = np.sort(s)
+    q = np.arange(1, nbins) / nbins
+    interior = data_mod._sorted_quantiles(ordered, q)
+    assert interior.tobytes() == np.quantile(s, q).tobytes()
+    edges = np.concatenate(([0.0], interior, [1.0]))
+    assert data_mod._distinct(np.sort(edges)).tobytes() == np.unique(edges).tobytes()
+    assert data_mod._distinct(ordered).size == np.unique(s).size
+
+
 # Each input's outcome, a (scores, labels, groups) triple or the error, was
 # recorded from the earlier row-at-a-time loader, whose behaviour this keeps.
 PARITY_CASES = {

@@ -161,9 +161,9 @@ def test_deterministic_resolve():
     assert first.iterations == second.iterations
 
 
-def _random_bounded(rng: np.random.Generator):
-    m = int(rng.integers(2, 12))
-    n = int(rng.integers(2, 10))
+def _random_bounded(rng: np.random.Generator, m: int | None = None, n: int | None = None):
+    m = int(rng.integers(2, 12)) if m is None else m
+    n = int(rng.integers(2, 10)) if n is None else n
     a = np.round(rng.normal(size=(m, n)), 3)
     senses = rng.choice([SENSE_LE, SENSE_EQ, SENSE_GE], size=m, p=[0.6, 0.2, 0.2])
     interior = rng.uniform(0.1, 0.9, size=n)
@@ -227,13 +227,13 @@ class _ReferenceEngine(lp._Engine):
             eff = np.where(self.pos == _AT_LO, d, np.where(self.pos == _AT_UP, -d, -np.abs(d)))
             eff[(self.pos == _BASIC) | fixed] = 0.0
             if bland:
-                eligible = np.flatnonzero(eff < -self.opt_tol)
+                eligible = np.flatnonzero(eff < -lp.OPT_TOL)
                 if eligible.size == 0:
                     return LpStatus.OPTIMAL
                 q = int(eligible[0])
             else:
                 q = int(np.argmin(eff))
-                if eff[q] >= -self.opt_tol:
+                if eff[q] >= -lp.OPT_TOL:
                     return LpStatus.OPTIMAL
 
             if self.pos[q] == _AT_LO:
@@ -400,43 +400,41 @@ def _degenerate_cone(seed: int, m: int, n: int) -> LpProblem:
     )
 
 
-def test_cold_engine_starts_on_the_slacks_of_rows_the_start_point_meets():
-    problem = _degenerate_cone(0, 40, 20)
-    m, n = problem.a.shape
-    eng = lp._Engine(problem, 0, None)
-    eng.crash()
-    # the origin meets every row of the cone, so no artificial is basic
-    assert np.array_equal(eng.basis, n + np.arange(m))
-    assert np.all(eng.pos[n + m:] == _AT_LO)
-    assert np.array_equal(eng.Binv, np.eye(m))
+def _open_cone(seed: int, m: int, n: int) -> LpProblem:
+    # the cone with no upper bound on its negative-cost columns: the slack
+    # start is already primal feasible, so the primal polish does all the
+    # work, stalling at the origin as the cone's rows allow
+    p = _degenerate_cone(seed, m, n)
+    return LpProblem(p.c, p.a, p.senses, p.rhs, p.lo, np.where(p.c < 0, np.inf, 1.0))
 
-    # x0 + x1 >= 1 and x0 = 1 are violated at the origin and 0 <= x2 is
-    # met with a zero residual: only the inequality keeps its slack
-    extra = np.zeros((3, n))
-    extra[0, :2] = 1.0
-    extra[1, 0] = 1.0
-    extra[2, 2] = -1.0
-    grown = LpProblem(
-        problem.c, np.vstack([problem.a, extra]),
-        np.concatenate([problem.senses, np.array([SENSE_GE, SENSE_EQ, SENSE_LE], np.int8)]),
-        np.concatenate([problem.rhs, [1.0, 1.0, 0.0]]), problem.lo, problem.hi,
-    )
-    eng = lp._Engine(grown, 0, None)
-    eng.crash()
-    M = m + 3
-    art = n + M + np.arange(M)
-    assert np.array_equal(eng.basis[:m], n + np.arange(m))
-    assert eng.basis[m:].tolist() == [art[m], art[m + 1], n + m + 2]
-    assert eng.xB[m:].tolist() == [1.0, 1.0, 0.0]
-    assert np.array_equal(np.diag(eng.Binv), np.ones(M))
-    res = solve_lp(grown)
-    status, obj, _ = scipy_lp(
-        grown.c, grown.a, [_SENSE_CHAR[int(s)] for s in grown.senses], grown.rhs,
-        grown.lo, grown.hi,
-    )
-    assert res.status.value.lower() == status
-    if status == "optimal":
-        assert res.objective == pytest.approx(obj, abs=1e-9)
+
+def test_the_slack_start_is_dual_feasible():
+    # one column of each kind, at each cost sign: box, lower bound only,
+    # upper bound only, free and fixed
+    lo = np.array([0.0, 0.0, 0.0, 0.0, -np.inf, -np.inf, -np.inf, -np.inf, 2.0, 2.0])
+    hi = np.array([1.0, 1.0, np.inf, np.inf, 1.0, 1.0, np.inf, np.inf, 2.0, 2.0])
+    c = np.array([1.0, -1.0, 1.0, -1.0, 1.0, -1.0, 1.0, -1.0, 1.0, -1.0])
+    rng = np.random.default_rng(3)
+    a = rng.integers(-3, 4, size=(6, 10)).astype(float)
+    senses = np.array([SENSE_LE, SENSE_GE, SENSE_EQ] * 2, dtype=np.int8)
+    problem = LpProblem(c, a, senses, rng.integers(-2, 3, size=6).astype(float), lo, hi)
+    m, n = a.shape
+    eng = lp._Engine(problem, 0, None)
+    cost = np.concatenate([c, np.zeros(m)])
+    priced = eng.slack_start(cost)
+    assert np.array_equal(eng.basis, n + np.arange(m))
+    assert np.array_equal(eng.Binv, np.eye(m))
+    # only a cost that pulls toward an infinite bound, or off a free 0, is shifted
+    assert np.flatnonzero(priced != cost).tolist() == [3, 4, 6, 7]
+    d = priced - eng.A.T @ (eng.Binv.T @ priced[eng.basis])
+    movable = eng.hi > eng.lo
+    assert np.all(d[(eng.pos == _AT_LO) & movable] >= 0.0)
+    assert np.all(d[(eng.pos == _AT_UP) & movable] <= 0.0)
+    assert np.all(d[eng.pos == lp._FREE] == 0.0)
+    assert np.all(d[eng.basis] == 0.0)
+    # the start point sits in every column's box
+    x = eng.point()[:n]
+    assert np.all((lo <= x) & (x <= hi))
 
 
 def test_deadline_stops_pivoting_and_changes_no_bits_before_it():
@@ -460,7 +458,7 @@ def test_beale_example_matches_reference_bit_for_bit():
 
 
 def test_bland_switch_matches_reference_bit_for_bit():
-    problem = _degenerate_cone(0, 80, 30)
+    problem = _open_cone(0, 60, 40)
     mine = _assert_same_bits(problem)
     # the instance does reach the Bland switch: without it the pivots differ
     with mock.patch.object(lp, "_BLAND_AFTER", 10**9):
@@ -468,7 +466,7 @@ def test_bland_switch_matches_reference_bit_for_bit():
 
 
 def test_refactor_crossing_matches_reference_bit_for_bit():
-    problem = _degenerate_cone(0, 60, 40)
+    problem = _open_cone(0, 60, 40)
     _CountingEngine.refactors = 0
     with mock.patch.object(lp, "_Engine", _CountingEngine):
         solve_lp(problem)
@@ -488,7 +486,7 @@ def test_a_singular_periodic_refactor_ends_numerical():
         return inv(matrix)
 
     with mock.patch.object(lp.np.linalg, "inv", second_fails):
-        res = solve_lp(_degenerate_cone(0, 60, 40))
+        res = solve_lp(_open_cone(0, 60, 40))
     assert len(calls) == 2
     assert res.status == LpStatus.NUMERICAL
     assert np.isnan(res.objective) and res.basis is None
@@ -496,8 +494,9 @@ def test_a_singular_periodic_refactor_ends_numerical():
 
 
 class _DriftingEngine(lp._Engine):
-    """Moves the basic values off the optimum that phase 2 (the run with
-    structural costs) reports, as drift of an updated inverse would."""
+    """Moves the basic values off the optimum that the primal polish (the
+    run with structural costs) reports, as drift of an updated inverse
+    would."""
 
     def run(self, c: np.ndarray) -> LpStatus:
         status = super().run(c)
@@ -516,8 +515,8 @@ def test_a_cold_optimum_that_breaks_a_row_ends_numerical():
 
 
 def test_the_padded_matrix_depends_on_a_alone():
-    # other right-hand sides, bounds and costs flip the sign of every start
-    # residual, which once went into the artificial columns
+    # other right-hand sides, bounds and costs leave the slack columns as
+    # they are: the matrix holds no start residual and no cost
     p = _random_bounded(np.random.default_rng(5))
     other = LpProblem(-p.c, p.a, p.senses, -p.rhs - 1.0, p.lo - 1.0, p.hi + 2.0)
     assert lp._Shared(p).A.tobytes() == lp._Shared(other).A.tobytes()
@@ -548,9 +547,9 @@ def test_the_padded_matrix_depends_on_a_alone():
 
 
 def test_fixed_column_leaving_the_basis_matches_reference_bit_for_bit():
-    # the repeated equality rows keep artificials basic at zero into phase
-    # 2, where they are fixed; on this instance one leaves the basis and
-    # must not be priced again
+    # the equality rows start on their slacks, fixed at zero: the dual moves
+    # two of them out of the basis, where they must not be priced again, and
+    # the repeated rows keep theirs basic into the primal polish
     rng = np.random.default_rng(132)
     a = rng.integers(-3, 4, size=(6, 8)).astype(float)
     a = np.vstack([a, a[:2]])
@@ -655,10 +654,10 @@ def test_warm_start_after_changing_the_costs_matches_the_cold_answer(problem, se
         assert warm.basis is not None
 
 
-def _branched_lp() -> tuple[LpProblem, lp.LpBasis]:
+def _branched_lp(m: int | None = None, n: int | None = None) -> tuple[LpProblem, lp.LpBasis]:
     # a random box LP and its child with the most fractional column pinned
     # at zero; the warm start needs a few dual pivots on it
-    p = _random_bounded(np.random.default_rng(7))
+    p = _random_bounded(np.random.default_rng(7), m, n)
     parent = solve_lp(p)
     j = int(np.argmin(np.abs(parent.x - 0.5)))
     child = _fixed_child(p, parent.x, [(j, "lo")])
@@ -666,7 +665,8 @@ def _branched_lp() -> tuple[LpProblem, lp.LpBasis]:
 
 
 def test_warm_start_takes_fewer_pivots_than_cold():
-    child, basis = _branched_lp()
+    # on the default 3x2 child both take 4 pivots; this one is 20x15
+    child, basis = _branched_lp(20, 15)
     warm, cold = solve_lp(child, start=basis), solve_lp(child)
     assert warm.status == cold.status == LpStatus.OPTIMAL
     assert warm.objective == pytest.approx(cold.objective, abs=1e-9)
@@ -734,7 +734,7 @@ def test_warm_started_nodes_take_fewer_pivots_than_cold_nodes():
 
 
 def test_a_corrupted_stored_inverse_is_factored_afresh():
-    child, basis = _branched_lp()
+    child, basis = _branched_lp(20, 15)
     shared = lp._Shared(child)
     first = solve_lp(child, start=basis, _shared=shared)
     assert first.status == LpStatus.OPTIMAL
@@ -791,3 +791,77 @@ def test_warm_infeasibility_needs_a_certificate():
     res = solve_lp(child, start=parent.basis)
     assert res.status == LpStatus.OPTIMAL
     assert res.x == pytest.approx([1.0, 5e7])
+
+
+def test_the_uncertified_child_solved_cold_is_optimal():
+    # the child LP above with no start: the cold dual also stalls on the
+    # 1e-8 pivot, cannot certify the row, and looks again with _PIVOT_TOL
+    p = _problem([-1, 1], [[1, 1e-8]], ">", [1.5], [0, 0], [2, 1e8])
+    child = _fixed_child(p, solve_lp(p).x, [(0, "mid")])
+    res = solve_lp(child)
+    assert res.status == LpStatus.OPTIMAL
+    assert res.x == pytest.approx([1.0, 5e7])
+
+
+def _covering(seed: int, m: int, n: int) -> LpProblem:
+    # alternating <= and >= rows over small integers and costs: the slack
+    # start breaks the >= rows, and many reduced costs are zero, some of
+    # them shifted from columns without an upper bound
+    rng = np.random.default_rng(seed)
+    c = rng.integers(-1, 3, size=n).astype(float)
+    senses = np.where(np.arange(m) % 2, SENSE_GE, SENSE_LE).astype(np.int8)
+    return LpProblem(c, rng.integers(0, 3, size=(m, n)).astype(float), senses,
+                     np.where(senses == SENSE_LE, 6.0, 3.0), np.zeros(n),
+                     np.where(c < 0, np.inf, 1.0))
+
+
+def test_dual_bland_switch_keeps_the_answer():
+    problem = _covering(0, 60, 40)
+    dual_pivots = []
+
+    class Recording(lp._Engine):
+        def dual(self, c):
+            before = self.iterations
+            status = super().dual(c)
+            dual_pivots.append(self.iterations - before)
+            return status
+
+    # at 0 the switch holds from the first pivot, as if the dual had cycled
+    runs = []
+    for after in (_BLAND_AFTER, 0):
+        dual_pivots.clear()
+        with mock.patch.object(lp, "_Engine", Recording), \
+                mock.patch.object(lp, "_BLAND_AFTER", after):
+            runs.append((solve_lp(problem), list(dual_pivots)))
+    (plain, plain_pivots), (bland, bland_pivots) = runs
+    # the switch fires: the dual takes another path
+    assert plain_pivots != bland_pivots
+    status, obj, _ = scipy_lp(problem.c, problem.a, [_SENSE_CHAR[int(s)] for s in problem.senses],
+                              problem.rhs, problem.lo, problem.hi)
+    assert status == "optimal"
+    for res in (plain, bland):
+        assert res.status == LpStatus.OPTIMAL
+        assert res.objective == pytest.approx(obj, rel=1e-9)
+        assert point_violation(problem, res.x) <= lp.FEAS_TOL
+
+
+def test_warm_node_lps_agree_with_cold_ones():
+    config = ModelConfig(eps_dp=0.1, eps_eodds=0.1, eps_prp=0.1, retention=0.5, window=2)
+    model = build_model(tiny_stats(), config)
+    milp = build_milp(model, tighten(model), power=-3, mode="exact").problem
+    warm = []
+
+    def recording(problem, **kwargs):
+        res = solve_lp(problem, **kwargs)
+        if kwargs.get("start") is not None:
+            warm.append((problem, res))
+        return res
+
+    with mock.patch.object(bnb, "solve_lp", recording):
+        solve_milp(milp, time_limit=120, gap_target=0.0)
+    assert len(warm) > 5
+    for problem, res in warm:
+        cold = solve_lp(problem)
+        assert cold.status == res.status
+        if cold.status == LpStatus.OPTIMAL:
+            assert res.objective == pytest.approx(cold.objective, rel=1e-9, abs=1e-12)

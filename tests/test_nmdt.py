@@ -42,6 +42,15 @@ def test_power_for_precision():
         power_for_precision(1.5)
 
 
+def test_power_for_precision_stops_at_the_last_double_digit():
+    # 1e-100 once gave power -333, a 10,766x5,396 MILP at 4 bins, although
+    # no digit past 2**-52 can change a rate held in a double
+    assert power_for_precision(2.0**-52) == -52
+    for precision in (2.0**-53, 1e-100, 5e-324, float("nan")):
+        with pytest.raises(ValueError, match=r"2\*\*-52"):
+            power_for_precision(precision)
+
+
 def test_layout_counts(tight_parts):
     m, tb = tight_parts
     exact = build_milp(m, tb, power=-6, mode="exact")
