@@ -9,15 +9,18 @@ the optimal root basis of a MILP with the same matrix and costs, which
 `SolveReport.root_basis` hands back. Every other node warm-starts from its
 parent's optimal basis, from a copy of the parent's inverse when it is
 still stored; `solve_lp` checks each warm answer and falls back to a cold
-solve when it cannot. An integral node point or a pinned pattern point
-becomes the incumbent only when it meets the MILP's rows and bounds to
-`FEAS_TOL`. A node leaves the search only once its box is resolved: pruned
-by bound, infeasible, or its integral point adopted. One that is not, with
-no open binary left to split on, is set aside; its bound caps the reported
-one and the search ends `GapLimit`. The kernel is deterministic, so a
-given problem always explores the same tree in the same order. When no
-open node can beat the incumbent, the lower bound is lifted to the
-incumbent value and the reported gap is exactly zero.
+solve when it cannot. Each popped node costs one LP. A node whose LP
+leaves an open binary off 0/1 branches on it; one whose open binaries all
+come out exactly 0 or 1 is a leaf. A leaf's point, like `initial`, becomes
+the incumbent only with every binary rounded and the rounded point meeting
+the MILP's rows and bounds to `FEAS_TOL`. A node leaves the search only
+once its box is resolved: pruned by bound, infeasible, or its point
+adopted. One that is not, with no open binary left to split on, is set
+aside; its bound caps the reported one and the search ends `GapLimit`.
+The kernel is deterministic, so a given problem always explores the same
+tree in the same order. When no open node can beat the incumbent, the
+lower bound is lifted to the incumbent value and the reported gap is
+exactly zero.
 """
 
 from __future__ import annotations
@@ -29,8 +32,8 @@ from enum import Enum
 
 import numpy as np
 
-from .lp import (FEAS_TOL, OPT_TOL, LpBasis, LpProblem, LpResult, LpStatus, _Shared,
-                 point_violation, solve_lp)
+from .lp import (FEAS_TOL, OPT_TOL, LpBasis, LpProblem, LpStatus, _Shared, point_violation,
+                 solve_lp)
 
 __all__ = ["MilpStatus", "MilpProblem", "SolveReport", "solve_milp"]
 
@@ -67,10 +70,6 @@ class SolveReport:
     root_basis: LpBasis | None = None  # the root LP's optimal basis, if any
 
 
-def _is_integral(values: np.ndarray) -> bool:
-    return bool(np.all(np.abs(values - np.round(values)) <= _INT_TOL))
-
-
 def _pinned(lo: np.ndarray, hi: np.ndarray, cols, values) -> tuple[np.ndarray, np.ndarray]:
     """A copy of the box (lo, hi) with `cols` pinned to `values`."""
     lo, hi = lo.copy(), hi.copy()
@@ -96,26 +95,18 @@ def solve_milp(
     def elapsed() -> float:
         return time.monotonic() - t0
 
-    incumbent: np.ndarray | None = None
-    best_obj = np.inf
-    if initial is not None:
-        initial = np.asarray(initial, dtype=float).copy()
-        if _is_integral(initial[bins]):
-            # adopt the snapped point, not the handed-in one: a binary at
-            # 1e-8 would otherwise leak fractional credit into the incumbent
-            initial[bins] = np.round(initial[bins])
-            if point_violation(lp, initial) <= FEAS_TOL:
-                incumbent = initial
-                best_obj = float(lp.c @ initial)
+    def verified(x: np.ndarray) -> np.ndarray | None:
+        # adopt the rounded point, not the given one: a binary at 1e-8
+        # would otherwise leak fractional credit into the incumbent
+        x = np.asarray(x, dtype=float).copy()
+        x[bins] = np.round(x[bins])
+        return x if point_violation(lp, x) <= FEAS_TOL else None
+
+    incumbent = None if initial is None else verified(initial)
+    best_obj = np.inf if incumbent is None else float(lp.c @ incumbent)
 
     nodes = 0
     shared = _Shared(lp)
-
-    def solve_node(lo: np.ndarray, hi: np.ndarray, start: LpBasis | None) -> LpResult:
-        nonlocal nodes
-        nodes += 1
-        box = LpProblem(lp.c, lp.a, lp.senses, lp.rhs, lo, hi)
-        return solve_lp(box, deadline=deadline, start=start, _shared=shared)
 
     # heap entries: (bound, insertion counter, the node's column box lo and
     # hi, the parent's optimal basis to warm-start from or None)
@@ -138,9 +129,9 @@ def solve_milp(
             push(bound, *_pinned(lo, hi, col, value), start)
 
     def split(bound: float, lo, hi, start: LpBasis | None) -> None:
-        # a node whose LP gave no usable answer: keep completeness by
-        # splitting on the first open binary, reusing the parent bound
-        # since this node's own value is unknown
+        # a node with no usable LP answer or no verified point: keep
+        # completeness by splitting on the first open binary, reusing the
+        # parent bound since this node's own value is unknown
         nonlocal stuck
         open_bins = lo[bins] < hi[bins]
         if open_bins.any():
@@ -171,7 +162,9 @@ def solve_milp(
             break
 
         bound, _, lo, hi, start = heapq.heappop(heap)
-        res = solve_node(lo, hi, start)
+        nodes += 1
+        res = solve_lp(LpProblem(lp.c, lp.a, lp.senses, lp.rhs, lo, hi), deadline=deadline,
+                       start=start, _shared=shared)
         if nodes == 1:  # the root
             root_basis = res.basis
             if res.status == LpStatus.INFEASIBLE and incumbent is not None:
@@ -193,39 +186,21 @@ def solve_milp(
         if res.objective >= best_obj - OPT_TOL:
             continue
         zvals = res.x[bins]
-        off = np.abs(zvals - np.round(zvals))
-        if np.any(off > _INT_TOL):
-            frac_ids = np.flatnonzero(off > _INT_TOL)
+        off = np.where(lo[bins] < hi[bins], np.abs(zvals - np.round(zvals)), 0.0)
+        frac_ids = np.flatnonzero(off > _INT_TOL)
+        if frac_ids.size:
             pick = frac_ids[np.argmin(np.abs(zvals[frac_ids] - 0.5))]
             branch(res.objective, lo, hi, int(bins[pick]), res.basis)
-        elif np.max(off, initial=0.0) == 0.0:
-            # an incumbent is adopted only once it meets the rows
-            if point_violation(lp, res.x) <= FEAS_TOL:
-                incumbent = res.x
-                best_obj = res.objective
-            else:
-                split(bound, lo, hi, start)
-        else:
+        elif off.max(initial=0.0) > 0.0:
             # near-integral is not integral: a 1e-6 sliver of a binary can
-            # prop up a cheaper objective than any 0/1 point admits. Pin
-            # the rounded pattern as an incumbent heuristic, then branch
-            # anyway so the subtree's true optimum stays reachable.
-            res2 = solve_node(*_pinned(lo, hi, bins, np.round(zvals)), res.basis)
-            if (
-                res2.status == LpStatus.OPTIMAL
-                and res2.objective < best_obj - OPT_TOL
-                and point_violation(lp, res2.x) <= FEAS_TOL
-            ):
-                incumbent = res2.x
-                best_obj = res2.objective
-            open_off = np.where(lo[bins] < hi[bins], off, -1.0)
-            pick = int(np.argmax(open_off))
-            if open_off[pick] >= 0.0:
-                branch(res.objective, lo, hi, int(bins[pick]), res.basis)
-            elif res2.status != LpStatus.INFEASIBLE and not (
-                    res2.status == LpStatus.OPTIMAL and res2.objective >= best_obj - OPT_TOL):
-                # every binary is pinned, so res2 was the box's only integer
-                # point, and it was neither ruled out nor adopted
-                stuck = min(stuck, res.objective)
+            # prop up a cheaper objective than any 0/1 point admits, so the
+            # sliver is branched on, never rounded away and adopted
+            branch(res.objective, lo, hi, int(bins[off.argmax()]), res.basis)
+        else:
+            x = verified(res.x)
+            if x is None:
+                split(bound, lo, hi, start)
+            else:
+                incumbent, best_obj = x, float(lp.c @ x)
 
     return SolveReport(status, incumbent, best_obj, lower, gap, nodes, elapsed(), root_basis)

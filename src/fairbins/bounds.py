@@ -32,7 +32,9 @@ differ in their norm row, so each pair's min LP is solved cold and its
 max LP starts from it. `solve_lp` verifies every warm answer and falls
 back to a cold solve otherwise, so the bounds are those of cold solves up
 to roundoff. A padded rate box whose min exceeds its max is numerical
-trouble, not a point, and raises `BoundsError`.
+trouble, not a point, and raises `BoundsError`; so does one no wider than
+`MIN_RATE_SPAN`, which the linearization cannot split into digits. The
+padding makes every box that does not cross at least 1e-7 wide.
 """
 
 from __future__ import annotations
@@ -44,9 +46,13 @@ import numpy as np
 from .lp import SENSE_EQ, SENSE_GE, LpBasis, LpProblem, LpStatus, solve_lp
 from .model import FairnessModel, LinearRows, RateLink, concat_rows
 
-__all__ = ["BoundsError", "TightBounds", "tighten_mass_bounds", "tighten_rate_bounds", "tighten"]
+__all__ = ["BoundsError", "MIN_RATE_SPAN", "TightBounds", "tighten_mass_bounds",
+           "tighten_rate_bounds", "tighten"]
 
 _PAD = 1e-7
+# the narrowest rate box the NMDT linearization takes: its digits rescale the
+# rate by the box width
+MIN_RATE_SPAN = 1e-12
 
 
 class BoundsError(RuntimeError):
@@ -174,12 +180,13 @@ def tighten_rate_bounds(
 
     t_lo = np.clip(t_lo - _PAD, 0.0, 1.0)
     t_hi = np.clip(t_hi + _PAD, 0.0, 1.0)
-    crossed = np.argwhere(t_lo > t_hi)
+    crossed = np.argwhere(~(t_hi - t_lo > MIN_RATE_SPAN))
     if len(crossed):
         g, bp = crossed[0]
         raise BoundsError(
-            f"rate bounds for group {g + 1}, bin {bp} cross after padding "
-            f"({float(t_lo[g, bp])!r} > {float(t_hi[g, bp])!r}); the min and max LPs disagree",
+            f"rate bounds for group {g + 1}, bin {bp} cross, or lie within {MIN_RATE_SPAN} of "
+            f"each other, after padding ({float(t_lo[g, bp])!r}, {float(t_hi[g, bp])!r}); the "
+            "min and max LPs disagree",
             group=int(g),
             dest=int(bp),
         )

@@ -55,7 +55,6 @@ class ColumnSchema:
     score: str = "score"
     label: str = "label"
     group: str = "group"
-    delimiter: str = ","
 
 
 @dataclass(eq=False)
@@ -208,7 +207,7 @@ def _columns_of_lines(lines: list[str]):
     return _columns_of_rows([line.split(",") for line in lines])
 
 
-def _parse(source: io.TextIOBase, delimiter: str):
+def _parse(source: io.TextIOBase):
     """Yield the header's fields, then one ``(rows, column)`` pair per block
     of non-blank body rows: each row as its line or its field tuple, and a
     getter of one column's raw fields. A block is a plain chunk, whose rows
@@ -226,7 +225,7 @@ def _parse(source: io.TextIOBase, delimiter: str):
         lines = text.split("\n")
         if text.endswith("\n"):
             lines.pop()
-        if delimiter != "," or not _is_plain(text, lines):
+        if not _is_plain(text, lines):
             break
         if header is None:
             header = lines[0].split(",") if lines[0] else []
@@ -239,7 +238,7 @@ def _parse(source: io.TextIOBase, delimiter: str):
         return
 
     rest = (line for text in chunks for line in _lines(text) if not line.startswith("#"))
-    reader = csv.reader(chain(_lines(text), rest), delimiter=delimiter)
+    reader = csv.reader(chain(_lines(text), rest))
     if header is None:
         header = next(reader, None)
         if header is None:
@@ -255,7 +254,7 @@ def load_dataset(
     source: str | Path | io.TextIOBase,
     schema: ColumnSchema = ColumnSchema(),
 ) -> Dataset:
-    """Parse delimiter-separated text into validated column arrays.
+    """Parse comma-separated text into validated column arrays.
 
     Row order is preserved. Group labels may be arbitrary tokens; they are
     remapped to dense ids 1..G (numeric sort when all tokens parse as
@@ -266,8 +265,7 @@ def load_dataset(
     The text is read in chunks of about ``_CHUNK_CHARS`` characters, each
     read on to the end of its last line. Its lines end where a file opened
     with ``newline=""`` ends them: at ``\n``, ``\r\n`` or a bare ``\r``. A
-    plain chunk (the delimiter is ``,`` and, once comment lines are gone,
-    the chunk holds no ``"``, no carriage return and no line longer than
+    plain chunk (once comment lines are gone, the chunk holds no ``"``, no carriage return and no line longer than
     ``csv.field_size_limit()``) is split into lines once, and each row's
     record is its input line. Its fields come from one split of its lines
     joined by ``",\n,"``, which gives exactly the fields ``csv.reader``
@@ -282,7 +280,7 @@ def load_dataset(
         with open(source, newline="") as fh:
             return load_dataset(fh, schema)
 
-    blocks = _parse(source, schema.delimiter)
+    blocks = _parse(source)
     header = next(blocks, None)
     if header is None:
         raise SchemaError("empty input: no header row")
@@ -342,7 +340,6 @@ class BinSpec:
     """
 
     edges: tuple[float, ...]
-    requested_bins: int = 0
 
     def __post_init__(self):
         e = self.edges
@@ -394,9 +391,9 @@ def quantile_bin(data: Dataset, nbins: int) -> BinSpec:
     """Quantile-discretize scores into ``nbins`` bins over [0, 1].
 
     Interior edges are the empirical quantiles at k/nbins. Duplicate edges
-    collapse; bins left empty by interpolation are merged rightward. The
-    achieved bin count is available as ``spec.nbins`` (the requested count
-    is kept on the spec); fewer than 2 achievable bins is an error.
+    collapse; bins left empty by interpolation are merged rightward, so
+    ``spec.nbins`` may be less than ``nbins``; fewer than 2 achievable bins
+    is an error.
     """
     if nbins < 2:
         raise BinningError(f"nbins must be >= 2, got {nbins}", achievable=nbins)
@@ -423,7 +420,7 @@ def quantile_bin(data: Dataset, nbins: int) -> BinSpec:
 
     # merge any bin the data never touches into its right neighbor
     while True:
-        spec = BinSpec(tuple(edges), requested_bins=nbins)
+        spec = BinSpec(tuple(edges))
         counts = np.bincount(spec.assign(scores), minlength=spec.nbins)
         empty = np.flatnonzero(counts == 0)
         if empty.size == 0:

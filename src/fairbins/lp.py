@@ -23,9 +23,8 @@ finite box then has a reduced cost, its own cost, of the sign its position
 needs. A column whose cost pulls it toward an infinite bound, or a free
 column with a cost, is priced at cost 0 by the dual phase alone (cost
 shifting). Either loop turns to Bland's lowest-index rules when it
-stalls: the primal after `_BLAND_AFTER` pivots in a row that move
-nothing, the dual after `_BLAND_AFTER` pivots that leave its objective
-where it was and return to a basis it met before.
+stalls (`_Stall`): after `_BLAND_AFTER` steps in a row that move nothing
+and return to a basis it met before.
 
 A solve may also start from an earlier optimal basis (`LpResult.basis`) of
 a problem with the same matrix, and either the same costs or the same
@@ -234,6 +233,32 @@ class _Shared:
         return None
 
 
+class _Stall:
+    """When a simplex loop turns to Bland's rule: once `_BLAND_AFTER` steps
+    of the current run of zero steps (at most `_DEGENERATE_STEP`) have
+    returned to a basis met earlier in the run. A zero step alone is no
+    sign of cycling: where most costs are zero, as in bound tightening,
+    nearly every dual ratio is, and Bland's rule there wanders far from
+    feasible. A longer step ends the run."""
+
+    def __init__(self):
+        self.seen: set[int] = set()
+        self.revisits = 0
+
+    @property
+    def bland(self) -> bool:
+        return self.revisits >= _BLAND_AFTER
+
+    def step(self, size: float, basis: np.ndarray) -> None:
+        if size > _DEGENERATE_STEP:
+            self.seen.clear()
+            self.revisits = 0
+        else:
+            key = hash(np.sort(basis).tobytes())
+            self.revisits += key in self.seen
+            self.seen.add(key)
+
+
 class _Engine:
     """Simplex state over the shared matrix: bounds, basis and a dense
     basis inverse. `slack_start` sets the cold start, `install` a warm
@@ -382,11 +407,10 @@ class _Engine:
         that `_HARRIS_TOL` more reduced cost would allow, the one with the
         largest |alpha_j|, then the lowest index.
         A pivot whose ratio is at most `_DEGENERATE_STEP` leaves the dual
-        objective where it was; once `_BLAND_AFTER` such pivots in a row
-        have returned to a basis met earlier in the run, the dual is
-        cycling, and Bland's rule takes over until a ratio is larger: the
-        leaving row is the violated one with the lowest basic column, and
-        ties go to the lowest index. INFEASIBLE means no column can move
+        objective where it was; once such pivots stall (`_Stall`), Bland's
+        rule takes over until a ratio is larger: the leaving row is the
+        violated one with the lowest basic column, and ties go to the
+        lowest index. INFEASIBLE means no column can move
         the leaving variable, also on a fresh factorization; the row is
         left in `proof_row`. NUMERICAL means a pivot too small to take or
         a singular factorization."""
@@ -396,16 +420,11 @@ class _Engine:
         deadline, tol = self.deadline, self.pivot_tol
         free = (pos == _FREE) & ~self.fixed
         d = c - A.T @ (Binv.T @ cB)
-        # the bases of the current run of zero-ratio pivots, and how many
-        # of those pivots returned to one. A zero ratio alone is no sign of
-        # cycling: where most costs are zero, as in bound tightening, nearly
-        # every ratio is, and Bland's rule there wanders far from feasible
-        seen: set[int] = set()
-        revisits = 0
+        stall = _Stall()
         while True:
             below = blo - xB
             viol = np.maximum(below, xB - bhi)
-            bland = revisits >= _BLAND_AFTER
+            bland = stall.bland
             if bland:
                 violated = (viol > _DUAL_FEAS_TOL).nonzero()[0]
                 if violated.size == 0:
@@ -463,13 +482,7 @@ class _Engine:
             xB, Binv = self.xB, self.Binv
             if self.fresh:
                 d = c - A.T @ (Binv.T @ cB)
-            if step_d > _DEGENERATE_STEP:
-                seen.clear()
-                revisits = 0
-            else:
-                key = hash(np.sort(basis).tobytes())
-                revisits += key in seen
-                seen.add(key)
+            stall.step(step_d, basis)
 
     def certifies(self, r: int) -> bool:
         """Whether row slot `r`, re-derived from a fresh factorization,
@@ -521,8 +534,7 @@ class _Engine:
         # the columns that move in a pivot have their weight rewritten.
         free = ((pos == _FREE) & ~self.fixed).nonzero()[0]
         ratios = np.empty(self.m)
-        degenerate = 0
-        bland = False
+        stall = _Stall()
         while self.iterations < self.max_iters:
             if deadline is not None and time.monotonic() > deadline:
                 return LpStatus.TIME_LIMIT
@@ -532,7 +544,7 @@ class _Engine:
             eff = sign * d
             if free.size:
                 eff[free] = -np.abs(d[free])
-            if bland:
+            if stall.bland:
                 eligible = (eff < -opt_tol).nonzero()[0]
                 if eligible.size == 0:
                     return LpStatus.OPTIMAL
@@ -578,14 +590,7 @@ class _Engine:
                 sign[q] = -dirn
                 xB -= theta_flip * delta
                 step = theta_flip
-
-            if step <= _DEGENERATE_STEP:
-                degenerate += 1
-                if degenerate >= _BLAND_AFTER:
-                    bland = True
-            else:
-                degenerate = 0
-                bland = False
+            stall.step(step, basis)
         return LpStatus.ITERATION_LIMIT
 
 

@@ -1,9 +1,10 @@
 """Dyadic linearization of the rate-mass products.
 
 Each (group, destination) ties rate * mass to the positives arriving
-there. The rate is rescaled to [0, 1] over its tightened range and split
-into binary dyadic digits plus a small continuous remainder; each
-digit-mass product gets a standard 4-row envelope. Two modes differ in
+there. Every such link has digits: the rate is rescaled to [0, 1] over its
+tightened range, which must be wider than `MIN_RATE_SPAN`, and split into
+binary dyadic digits plus a small continuous remainder; each digit-mass
+product gets a standard 4-row envelope. Two modes differ in
 how the remainder-mass product enters the balance row:
 
 - "exact": the product gets its own envelope column, so the MILP is a
@@ -24,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bnb import MilpProblem
-from .bounds import TightBounds
+from .bounds import MIN_RATE_SPAN, TightBounds
 from .lp import (
     FEAS_TOL,
     SENSE_EQ,
@@ -49,7 +50,6 @@ __all__ = [
     "certified_rate_slack",
 ]
 
-_FIXED_SPAN = 1e-12
 # elastic completion LPs `completion_start` runs before it gives up
 _COMPLETION_ROUNDS = 12
 # the finest precision: a finer digit cannot change a rate held in a double
@@ -74,12 +74,11 @@ class LinkCols:
     dest: int
     t_col: int
     v_col: int
-    fixed: bool
-    lam: int = -1
-    dlam: int = -1
-    z: tuple[int, ...] = ()
-    w: tuple[int, ...] = ()
-    r: int = -1
+    lam: int
+    dlam: int
+    z: tuple[int, ...]
+    w: tuple[int, ...]
+    r: int  # -1 in approx mode, which has no remainder product
 
 
 @dataclass
@@ -114,12 +113,11 @@ def build_milp(
     cursor = model.ncols
     for link in model.links:
         g, bp = link.group, link.dest
-        span = bounds.t_hi[g, bp] - bounds.t_lo[g, bp]
-        if span <= _FIXED_SPAN:
-            layout.append(
-                LinkCols(g, bp, link.t_col, link.v_col, fixed=True)
+        if not bounds.t_hi[g, bp] - bounds.t_lo[g, bp] > MIN_RATE_SPAN:
+            raise ValueError(
+                f"rate box for group {g + 1}, bin {bp} is not wider than {MIN_RATE_SPAN}: "
+                f"[{float(bounds.t_lo[g, bp])!r}, {float(bounds.t_hi[g, bp])!r}]"
             )
-            continue
         lam = cursor
         dlam = cursor + 1
         z = tuple(range(cursor + 2, cursor + 2 + ndigits))
@@ -129,7 +127,7 @@ def build_milp(
         if mode == "exact":
             r = cursor
             cursor += 1
-        layout.append(LinkCols(g, bp, link.t_col, link.v_col, False, lam, dlam, z, w, r))
+        layout.append(LinkCols(g, bp, link.t_col, link.v_col, lam, dlam, z, w, r))
 
     width = cursor
     lo = np.zeros(width)
@@ -143,13 +141,6 @@ def build_milp(
         v_lo, v_hi = bounds.v_lo[g, bp], bounds.v_hi[g, bp]
         t_lo, t_hi = bounds.t_lo[g, bp], bounds.t_hi[g, bp]
         lo[cols.v_col], hi[cols.v_col], lo[cols.t_col], hi[cols.t_col] = v_lo, v_hi, t_lo, t_hi
-        x_part = {int(c): float(p) for c, p in zip(link.x_cols, link.npos)}
-
-        if cols.fixed:
-            mid = (t_lo + t_hi) / 2.0
-            extra.add({**x_part, cols.v_col: -mid}, SENSE_EQ, 0.0)
-            continue
-
         span = t_hi - t_lo
         hi[cols.dlam] = step
         for wl in cols.w:
@@ -176,7 +167,7 @@ def build_milp(
             extra.add({cols.r: 1.0, cols.v_col: -step, cols.dlam: -v_lo}, SENSE_LE, -step * v_lo)
             extra.add({cols.r: 1.0, cols.dlam: -v_hi}, SENSE_LE, 0.0)
 
-        balance = {c: -p for c, p in x_part.items()}
+        balance = {int(c): -float(p) for c, p in zip(link.x_cols, link.npos)}
         balance[cols.v_col] = t_lo
         for j, wl in enumerate(cols.w):
             balance[wl] = span * (2.0 ** (power + j))
@@ -188,9 +179,7 @@ def build_milp(
     c = np.zeros(width)
     c[: model.ncols] = model.objective
 
-    binary_cols = np.array(
-        [zl for cols in layout if not cols.fixed for zl in cols.z], dtype=int
-    )
+    binary_cols = np.array([zl for cols in layout for zl in cols.z], dtype=int)
     return NmdtMilp(
         problem=MilpProblem(
             lp=LpProblem(c=c, a=rows.a, senses=rows.senses, rhs=rows.rhs, lo=lo, hi=hi),
@@ -207,7 +196,7 @@ def build_milp(
 def _lift(nm: NmdtMilp, plan: np.ndarray, rates: np.ndarray) -> np.ndarray:
     """The full MILP point of `plan` with each link's rate set to `rates`.
 
-    Each unfixed link's rate is lifted into its digits, digit products and
+    Each link's rate is lifted into its digits, digit products and
     remainder: the digits floor the scaled rate onto the dyadic grid and
     the remainder carries the rest. Approx mode has no remainder product in
     its balance row, so there the scaled rate is rounded onto the grid and
@@ -221,8 +210,6 @@ def _lift(nm: NmdtMilp, plan: np.ndarray, rates: np.ndarray) -> np.ndarray:
     for cols in nm.links:
         g, bp = cols.group, cols.dest
         x[cols.t_col] = rates[g, bp]
-        if cols.fixed:
-            continue
         lam = (rates[g, bp] - tb.t_lo[g, bp]) / (tb.t_hi[g, bp] - tb.t_lo[g, bp])
         if nm.mode != "exact":
             k = int(min(round(lam / step), levels - 1))
@@ -271,8 +258,7 @@ def _feasible_rate_targets(
 
     Clip, sort, and band-squeeze interact, so a few rounds are run; the
     final pass re-applies the ordering, leaving at worst a band overshoot
-    the margin absorbs. Fixed links snap to the box midpoint their balance
-    row hard-codes.
+    the margin absorbs.
     """
     tb = nm.bounds
     eps = nm.model.config.eps_prp
@@ -287,11 +273,7 @@ def _feasible_rate_targets(
         r = np.clip(r, r.max(axis=0) - band, r.min(axis=0) + band)
         r = np.clip(r, box_lo, box_hi)
     r = np.maximum.accumulate(r, axis=1)
-    r = np.clip(r, box_lo, box_hi)
-    fixed = np.zeros(r.shape, dtype=bool)
-    for cols in nm.links:
-        fixed[cols.group, cols.dest] = cols.fixed
-    return np.where(fixed, mid, r)
+    return np.clip(r, box_lo, box_hi)
 
 
 def _grid_quantize(nm: NmdtMilp, targets: np.ndarray) -> np.ndarray:
@@ -307,8 +289,6 @@ def _grid_quantize(nm: NmdtMilp, targets: np.ndarray) -> np.ndarray:
     levels = 2**-nm.power
     q = targets.copy()
     for cols in nm.links:
-        if cols.fixed:
-            continue
         g, bp = cols.group, cols.dest
         span = tb.t_hi[g, bp] - tb.t_lo[g, bp]
         lam = (targets[g, bp] - tb.t_lo[g, bp]) / span
@@ -433,9 +413,7 @@ def residual_caps(nm: NmdtMilp) -> np.ndarray:
         g, bp = cols.group, cols.dest
         span = nm.bounds.t_hi[g, bp] - nm.bounds.t_lo[g, bp]
         v_lo, v_hi = nm.bounds.v_lo[g, bp], nm.bounds.v_hi[g, bp]
-        if cols.fixed:
-            out[i] = span * v_hi
-        elif nm.mode == "exact":
+        if nm.mode == "exact":
             out[i] = span * step * (v_hi - v_lo) / 4.0
         else:
             out[i] = span * step * v_hi

@@ -4,14 +4,16 @@ The solver's tolerances and iteration caps are constants of `fairbins.lp`,
 the one yardstick every layer judges LP answers by: no public function or
 method takes one as a parameter. The fairness rows are written once, in
 `fairbins.model`: bound tightening derives its LPs from them. Branch and
-bound knows only the LP layer, never the model it is handed. The simplex
-factors a basis in one place, never swaps in a pseudo-inverse, and starts
-every LP from a basis, never from artificial columns. The data commands
-load no layer of the solver, and `bin-stats` no masked arrays."""
+bound knows only the LP layer, never the model it is handed, and never
+solves a rounded pattern as an LP of its own; every NMDT link has digits.
+The simplex factors a basis in one place, never swaps in a pseudo-inverse,
+and starts every LP from a basis, never from artificial columns. The data
+commands load no layer of the solver, and `bin-stats` no masked arrays."""
 
 from __future__ import annotations
 
 import ast
+import dataclasses
 import importlib
 import inspect
 import os
@@ -23,7 +25,7 @@ from pathlib import Path
 import numpy as np
 
 import fairbins
-from fairbins import bnb, bounds, cli, lp, postprocess
+from fairbins import bnb, bounds, cli, lp, nmdt, postprocess
 from fairbins.postprocess import TransitionPlan
 
 TINY = str(Path(__file__).parent / "fixtures" / "tiny.csv")
@@ -92,6 +94,17 @@ def test_bnb_knows_no_model():
     assert _package_imports(ast.walk(ast.parse(source))) == [".lp"]
     found = [name for name in ("nmdt", "LinkCols", "FairnessModel") if name in source]
     assert found == []
+
+
+def test_one_leaf_rule_and_one_link_shape():
+    # a leaf is judged by its own LP point, never by a second LP over the
+    # box with every binary pinned; and no link is a digitless "fixed" one
+    assert "fixed" not in {field.name for field in dataclasses.fields(nmdt.LinkCols)}
+    tree = ast.parse(inspect.getsource(bnb))
+    pins = [node for node in ast.walk(tree)
+            if isinstance(node, ast.Call) and ast.unparse(node.func) == "_pinned"]
+    assert pins
+    assert [ast.unparse(node) for node in pins if "bins" in map(ast.unparse, node.args)] == []
 
 
 def test_lp_factors_in_one_place():

@@ -276,15 +276,25 @@ def test_trees_are_pinned():
     seen = []
     for inst in instances:
         limit = 30 if inst in (KNAPSACK, LOOSE_KNAPSACK) else 60
-        r = solve_milp(_milp(**inst), time_limit=limit, gap_target=0.0)
+        calls = []
+
+        def counting(lp_problem, **kwargs):
+            calls.append(lp_problem)
+            return solve_lp(lp_problem, **kwargs)
+
+        with mock.patch.object(bnb, "solve_lp", counting):
+            r = solve_milp(_milp(**inst), time_limit=limit, gap_target=0.0)
+        # each explored node is one LP: a leaf needs no second one
+        assert r.nodes_explored == len(calls)
         seen.append((r.status.value, r.nodes_explored, repr(r.incumbent_objective),
                      repr(r.best_lower_bound)))
     assert seen == PINNED_TREES
 
 
-def test_near_integral_root_pins_its_pattern_and_still_finds_the_optimum():
-    # the root answers with a binary at 1 - 1e-9: not integral, so the
-    # rounded pattern is solved with every binary pinned, then branched on
+def test_a_near_integral_root_branches_on_its_sliver():
+    # the root answers with binary 1 at 1 - 1e-9: not integral, and not
+    # rounded away either. The root branches on that binary, and no LP pins
+    # every binary to the root's rounded pattern
     problem = _milp(**KNAPSACK)
     bins = problem.binary_cols
     honest = solve_lp(problem.lp)
@@ -301,14 +311,41 @@ def test_near_integral_root_pins_its_pattern_and_still_finds_the_optimum():
 
     with mock.patch.object(bnb, "solve_lp", near_integral_root):
         report = solve_milp(problem, time_limit=30, gap_target=0.0)
-    pattern = calls[1]
-    assert pattern.lo[bins].tolist() == pattern.hi[bins].tolist() == [0.0, 1.0, 1.0]
+    assert [(c.lo[bins].tolist(), c.hi[bins].tolist()) for c in calls[1:3]] == [
+        ([0.0, 0.0, 0.0], [1.0, 0.0, 1.0]),
+        ([0.0, 1.0, 0.0], [1.0, 1.0, 1.0]),
+    ]
+    pattern = np.round(nudged[bins]).tolist()
+    assert not any(c.lo[bins].tolist() == c.hi[bins].tolist() == pattern for c in calls)
     best_obj, _ = enumerate_milp(
         KNAPSACK["c"], KNAPSACK["a"], list(KNAPSACK["senses"]), KNAPSACK["rhs"],
         KNAPSACK["lo"], KNAPSACK["hi"], KNAPSACK["binary_ids"],
     )
     assert report.status == MilpStatus.OPTIMAL
     assert report.incumbent_objective == pytest.approx(best_obj, abs=1e-9)
+
+
+def test_a_pinned_leaf_a_hair_off_its_pins_is_adopted_rounded():
+    # every binary is pinned at the root, and its LP answers with binary 2
+    # 1e-12 below its pin: the rounded point is verified and adopted, and no
+    # further LP runs
+    problem = _milp(**{**KNAPSACK, "lo": [0, 1, 1], "hi": [0, 1, 1]})
+    honest = solve_lp(problem.lp)
+    assert honest.x.tolist() == [0.0, 1.0, 1.0]
+    off = honest.x.copy()
+    off[2] -= 1e-12
+    calls = []
+
+    def hair_off(lp_problem, **kwargs):
+        calls.append(lp_problem)
+        return LpResult(LpStatus.OPTIMAL, float(problem.lp.c @ off), off.copy(), 0, honest.basis)
+
+    with mock.patch.object(bnb, "solve_lp", hair_off):
+        report = solve_milp(problem, time_limit=30, gap_target=0.0)
+    assert len(calls) == report.nodes_explored == 1
+    assert report.status == MilpStatus.OPTIMAL
+    assert report.incumbent.tolist() == [0.0, 1.0, 1.0]
+    assert report.incumbent_objective == float(problem.lp.c @ honest.x)
 
 
 @pytest.mark.parametrize("status", [LpStatus.ITERATION_LIMIT, LpStatus.NUMERICAL],

@@ -169,6 +169,26 @@ def test_crossed_rate_bounds_raise():
     assert (caught.value.group, caught.value.dest) == (m.links[1].group, m.links[1].dest)
 
 
+def test_a_rate_box_narrower_than_the_linearization_takes_raises():
+    # padded min and max 1e-13 apart: not crossed, yet too narrow to split
+    # into digits, so it is the same numerical trouble as a crossed box
+    m = build_model(tiny_stats(), LOOSE)
+    v_lo, v_hi = tighten_mass_bounds(m)
+    calls = []
+
+    def narrowing(problem, **kwargs):
+        res = solve_lp(problem, **kwargs)
+        calls.append(res)
+        if len(calls) == 4:  # the max LP of the second (group, dest) pair
+            res = dataclasses.replace(res, objective=-(calls[2].objective + 1e-13 - 2e-7))
+        return res
+
+    with mock.patch.object(bounds_mod, "solve_lp", narrowing), \
+            pytest.raises(BoundsError, match="cross") as caught:
+        tighten_rate_bounds(m, v_lo, v_hi)
+    assert (caught.value.group, caught.value.dest) == (m.links[1].group, m.links[1].dest)
+
+
 BENCH = ModelConfig(eps_dp=0.06, eps_eodds=0.06, eps_prp=0.06, retention=0.5, window=3)
 
 

@@ -63,10 +63,8 @@ def test_missing_column_reports_available():
 
 
 def test_custom_schema_and_delimiter():
-    text = "p;y;sex\n0.3;1;f\n0.6;0;m\n"
-    obs = load_dataset(
-        io.StringIO(text), ColumnSchema(score="p", label="y", group="sex", delimiter=";")
-    )
+    text = "p,y,sex\n0.3,1,f\n0.6,0,m\n"
+    obs = load_dataset(io.StringIO(text), ColumnSchema(score="p", label="y", group="sex"))
     assert list(zip(obs.score.tolist(), obs.label.tolist(), obs.group.tolist())) == [
         (0.3, 1, 1), (0.6, 0, 2)]
 

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from fairbins import bnb, lp
 from fairbins.bnb import solve_milp
 from fairbins.bounds import tighten
+from fairbins.frontier import sweep
 from fairbins.lp import (
     _AT_LO,
     _AT_UP,
@@ -37,6 +38,7 @@ from .conftest import tiny_stats
 from .oracle_helpers import scipy_lp
 from .test_bnb import _milp as _bnb_milp
 from .test_bnb import _random_instance
+from .test_bounds import _bench_file_stats
 
 
 def _problem(c, a, senses, rhs, lo, hi):
@@ -216,8 +218,9 @@ class _ReferenceEngine(lp._Engine):
     this one to the last bit."""
 
     def run(self, c: np.ndarray) -> LpStatus:
-        degenerate = 0
-        bland = False
+        # the bases met in the current run of zero steps, and how many of
+        # those steps returned to one
+        seen, revisits = set(), 0
         since_refactor = 0
         fixed = (self.hi - self.lo) <= 0.0
         while self.iterations < self.max_iters:
@@ -226,7 +229,7 @@ class _ReferenceEngine(lp._Engine):
             d = c - self.A.T @ y
             eff = np.where(self.pos == _AT_LO, d, np.where(self.pos == _AT_UP, -d, -np.abs(d)))
             eff[(self.pos == _BASIC) | fixed] = 0.0
-            if bland:
+            if revisits >= lp._BLAND_AFTER:
                 eligible = np.flatnonzero(eff < -lp.OPT_TOL)
                 if eligible.size == 0:
                     return LpStatus.OPTIMAL
@@ -295,12 +298,11 @@ class _ReferenceEngine(lp._Engine):
                 step = theta_flip
 
             if step <= _DEGENERATE_STEP:
-                degenerate += 1
-                if degenerate >= _BLAND_AFTER:
-                    bland = True
+                key = frozenset(self.basis.tolist())
+                revisits += key in seen
+                seen.add(key)
             else:
-                degenerate = 0
-                bland = False
+                seen, revisits = set(), 0
         return LpStatus.ITERATION_LIMIT
 
 
@@ -459,14 +461,15 @@ def test_beale_example_matches_reference_bit_for_bit():
 
 def test_bland_switch_matches_reference_bit_for_bit():
     problem = _open_cone(0, 60, 40)
-    mine = _assert_same_bits(problem)
-    # the instance does reach the Bland switch: without it the pivots differ
-    with mock.patch.object(lp, "_BLAND_AFTER", 10**9):
-        assert _fingerprint(problem)[1] != mine[1]
+    # at 0 the switch holds from the first pivot, as if the primal had cycled
+    with mock.patch.object(lp, "_BLAND_AFTER", 0):
+        mine = _assert_same_bits(problem)
+    # the switch does change the path: without it the pivots differ
+    assert _fingerprint(problem)[1] != mine[1]
 
 
 def test_refactor_crossing_matches_reference_bit_for_bit():
-    problem = _open_cone(0, 60, 40)
+    problem = _open_cone(1, 100, 60)
     _CountingEngine.refactors = 0
     with mock.patch.object(lp, "_Engine", _CountingEngine):
         solve_lp(problem)
@@ -486,7 +489,7 @@ def test_a_singular_periodic_refactor_ends_numerical():
         return inv(matrix)
 
     with mock.patch.object(lp.np.linalg, "inv", second_fails):
-        res = solve_lp(_open_cone(0, 60, 40))
+        res = solve_lp(_open_cone(1, 100, 60))
     assert len(calls) == 2
     assert res.status == LpStatus.NUMERICAL
     assert np.isnan(res.objective) and res.basis is None
@@ -865,3 +868,30 @@ def test_warm_node_lps_agree_with_cold_ones():
         assert cold.status == res.status
         if cold.status == LpStatus.OPTIMAL:
             assert res.objective == pytest.approx(cold.objective, rel=1e-9, abs=1e-12)
+
+
+def test_bench_node_lps_match_scipy():
+    # every Optimal node LP of the twelve seed-2 benchmark sweeps (bins 4,
+    # window 3, precision 0.25) against HiGHS; among them is the 174x100
+    # node LP that once stopped at 0.0053801, 1.1e-3 above its optimum
+    answers = []
+
+    def recording(problem, **kwargs):
+        res = solve_lp(problem, **kwargs)
+        answers.append((problem, res))
+        return res
+
+    with mock.patch.object(bnb, "solve_lp", recording):
+        for k in range(12):
+            sweep(_bench_file_stats(2, k, 4), [0.06], [0.06], [0.06, 0.08], retention=0.5,
+                  window=3, power=-2, budget_per_solve=300)
+    optimal = [(p, res) for p, res in answers if res.status == LpStatus.OPTIMAL]
+    assert len(optimal) > 150
+    # HiGHS's value of the LP that once said 0.0053801
+    assert any(res.objective == pytest.approx(0.0053741585406517, rel=1e-9)
+               for _, res in optimal)
+    for p, res in optimal:
+        status, obj, _ = scipy_lp(p.c, p.a, [_SENSE_CHAR[int(s)] for s in p.senses], p.rhs,
+                                  p.lo, p.hi)
+        assert status == "optimal"
+        assert res.objective == pytest.approx(obj, rel=1e-9)

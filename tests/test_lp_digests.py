@@ -37,13 +37,13 @@ DIGESTS = {
     "rate_lps":
         "748dfa377fa15ef664b6ff9d92bc76d430b02c327dce0e2e6db0cc2245bee9c6",
     "milp_exact":
-        "27383002a050414f257d5ac19e29b7a3fd81d3591f9ae0d6d21ecd2c0c9f5fb9",
+        "5166861ebc35b9a9b08df9f30c37c7120178e1c126069edd7070eb365076e889",
     "milp_approx":
-        "fd3e9d697c5cd3447421ab4757a681fde6cde8350cd13c39868791bf219d0895",
+        "d6f721816c51cfb5a65edb4d26a8572967e4ae131ca7141e3f57dc6694a71486",
     "completion_exact":
-        "57db46215b6d335d50b0cd83aa91c69e7e114fc140e64fa7e9b30f7b8431becb",
+        "9d2afd8a85962bc7ee986bf05584e891f516bc00fde9aea4739dac2dd032033e",
     "completion_approx":
-        "f25c8fc1b7e0759b4f0372c87f281cc6e11c5d1855c7f602e9d7943469561e64",
+        "b5da3ed1be91baecf227f80d747211bdf5d14f0ead7ef79ed26abcd7bcf84bfd",
 }
 
 
@@ -70,13 +70,15 @@ def model():
 @pytest.fixture(scope="module")
 def fixed_bounds(model):
     """Mass boxes from the model's own box bounds, rate boxes a fixed band
-    around the empirical rates, and one link pinned to a single rate."""
+    around the empirical rates, and one link narrowed to 1e-7, the narrowest
+    box `tighten` returns: its ±1e-7 padding widens every box it does not
+    find crossed."""
     G, B = model.stats.ngroups, model.stats.nbins
     v = slice(model.v_start, model.t_start)
     rate = model.stats.npos / model.stats.n
     t_lo = np.clip(rate - 0.15, 0.0, 1.0)
     t_hi = np.clip(rate + 0.15, 0.0, 1.0)
-    t_hi[1, 0] = t_lo[1, 0]
+    t_hi[1, 0] = t_lo[1, 0] + 1e-7
     return TightBounds(
         v_lo=model.lo[v].reshape(G, B),
         v_hi=model.hi[v].reshape(G, B),
@@ -122,7 +124,6 @@ def test_rate_bound_lp_digest(model, fixed_bounds, monkeypatch):
 @pytest.mark.parametrize("mode", ["exact", "approx"])
 def test_milp_lp_digest(model, fixed_bounds, mode):
     nm = build_milp(model, fixed_bounds, power=POWER, mode=mode)
-    assert any(cols.fixed for cols in nm.links)
     assert _digest([nm.problem.lp]) == DIGESTS[f"milp_{mode}"]
 
 

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -55,13 +57,13 @@ def test_layout_counts(tight_parts):
     m, tb = tight_parts
     exact = build_milp(m, tb, power=-6, mode="exact")
     approx = build_milp(m, tb, power=-6, mode="approx")
-    unfixed = sum(1 for c in exact.links if not c.fixed)
-    assert unfixed == 4
-    assert len(exact.problem.binary_cols) == 6 * unfixed
-    assert len(approx.problem.binary_cols) == 6 * unfixed
-    # exact carries one extra remainder-product column per unfixed link
-    assert exact.problem.lp.ncols == approx.problem.lp.ncols + unfixed
-    assert all(c.r >= 0 for c in exact.links if not c.fixed)
+    links = len(exact.links)
+    assert links == 4
+    assert len(exact.problem.binary_cols) == 6 * links
+    assert len(approx.problem.binary_cols) == 6 * links
+    # exact carries one extra remainder-product column per link
+    assert exact.problem.lp.ncols == approx.problem.lp.ncols + links
+    assert all(c.r >= 0 for c in exact.links)
     assert all(c.r < 0 for c in approx.links)
 
 
@@ -71,6 +73,15 @@ def test_mode_and_power_validation(tight_parts):
         build_milp(m, tb, power=-6, mode="fast")
     with pytest.raises(ValueError, match="power"):
         build_milp(m, tb, power=0)
+
+
+def test_a_rate_box_without_width_is_refused(tight_parts):
+    # every link has digits, and digits rescale the rate by its box width
+    m, tb = tight_parts
+    t_hi = tb.t_hi.copy()
+    t_hi[1, 0] = tb.t_lo[1, 0] + 1e-13
+    with pytest.raises(ValueError, match="group 2, bin 0"):
+        build_milp(m, dataclasses.replace(tb, t_hi=t_hi), power=-6)
 
 
 def test_identity_point_feasible_in_exact_mode():
