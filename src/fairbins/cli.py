@@ -55,7 +55,6 @@ DEFAULTS = {
     "precision": 1e-5,
     "time_limit": 600.0,
     "gap": 0.0,
-    "mode": "exact",
     "seed": 0,
     "eval_bins": 100,
 }
@@ -85,9 +84,8 @@ def _resolve(args: argparse.Namespace) -> dict:
             raise CliError(2, f"config {config_path} has unknown keys {sorted(unknown)}")
         for key, value in loaded.items():
             # bool is an int subclass, but `true` is no number of bins
-            kind, want = ("a string", str) if key == "mode" else ("a number", (int, float))
-            if isinstance(value, bool) or not isinstance(value, want):
-                raise CliError(2, f"config {config_path}: {key} must be {kind}, "
+            if isinstance(value, bool) or not isinstance(value, (int, float)):
+                raise CliError(2, f"config {config_path}: {key} must be a number, "
                                   f"got {json.dumps(value)}")
             if key in _WHOLE and not (isinstance(value, int) or value.is_integer()):
                 raise CliError(2, f"config {config_path}: {key} must be a whole number, "
@@ -173,7 +171,6 @@ def cmd_solve(args: argparse.Namespace) -> int:
         stats,
         config,
         power=power,
-        mode=settings["mode"],
         time_limit=_seconds(settings["time_limit"], "time_limit"),
         gap_target=float(settings["gap"]),
     )
@@ -190,7 +187,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
         "certifiedRateSlack": out.rate_slack,
         "settings": {k: settings[k] for k in
                      ("bins", "eps_dp", "eps_eodds", "eps_prp", "retention",
-                      "window", "precision", "time_limit", "gap", "mode")},
+                      "window", "precision", "time_limit", "gap")},
     }
     _write(args.report_out, json.dumps(doc, indent=2, sort_keys=True))
     if out.plan is None:
@@ -300,7 +297,6 @@ def cmd_frontier(args: argparse.Namespace) -> int:
         retention=float(settings["retention"]),
         window=int(settings["window"]),
         power=power,
-        mode=settings["mode"],
         budget_per_solve=budget,
         gap_target=float(settings["gap"]),
     )
@@ -311,13 +307,15 @@ def cmd_frontier(args: argparse.Namespace) -> int:
 def _operating_point(text: str):
     from .frontier import FrontierPoint
 
-    parts = text.split(",")
-    if len(parts) != 4:
-        raise CliError(2, "--operating expects auc,dp,eodds,prp")
     try:
-        auc, dp, eodds, prp = (float(p) for p in parts)
+        values = [float(p) for p in text.split(",")]
     except ValueError:
-        raise CliError(2, f"--operating values must be numbers, got {text!r}")
+        values = []
+    # every comparison with NaN is False, so the query would find nothing
+    if len(values) != 4 or not all(map(math.isfinite, values)):
+        raise CliError(2, f"--operating expects four finite numbers auc,dp,eodds,prp, "
+                          f"got {text!r}")
+    auc, dp, eodds, prp = values
     return FrontierPoint(
         configured=(dp, eodds, prp), status="Operating", gap=0.0,
         solve_seconds=0.0, auc=auc, eps_dp=dp, eps_eodds=eodds, eps_prp=prp,
@@ -353,6 +351,9 @@ def cmd_tradeoff(args: argparse.Namespace) -> int:
 def cmd_compare(args: argparse.Namespace) -> int:
     from .frontier import compare_models
 
+    # a NaN or infinite floor would be written as a JSON token no parser reads
+    if not math.isfinite(args.auc_min):
+        raise CliError(2, f"--auc-min must be finite, got {args.auc_min}")
     record = compare_models(
         _read_frontier(args.frontier_a),
         _read_frontier(args.frontier_b),
@@ -404,7 +405,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("input")
     p.add_argument("--plan-out", dest="plan_out", required=True)
     p.add_argument("--report-out", dest="report_out", required=True)
-    p.add_argument("--mode", choices=("exact", "approx"))
     _add_settings_flags(p, solver=True)
     _add_schema_flags(p)
     p.set_defaults(func=cmd_solve)
@@ -433,7 +433,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--grid-eodds", dest="grid_eodds", required=True)
     p.add_argument("--grid-prp", dest="grid_prp", required=True)
     p.add_argument("--budget-per-solve", dest="budget_per_solve", type=float)
-    p.add_argument("--mode", choices=("exact", "approx"))
     p.add_argument("--output")
     _add_settings_flags(p, solver=True)
     _add_schema_flags(p)

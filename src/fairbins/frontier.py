@@ -103,7 +103,6 @@ def solve_once(
     config: ModelConfig,
     *,
     power: int,
-    mode: str = "exact",
     time_limit: float = 600.0,
     gap_target: float = 0.0,
     bounds: TightBounds | None = None,
@@ -117,7 +116,7 @@ def solve_once(
     model = build_model(stats, config)
     if bounds is None:
         bounds = tighten(model)
-    nm = build_milp(model, bounds, power=power, mode=mode)
+    nm = build_milp(model, bounds, power=power)
     warm = completion_start(nm)
     report = solve_milp(nm.problem, time_limit, gap_target, initial=warm, root_start=root_start)
     plan = None
@@ -149,7 +148,6 @@ def sweep(
     retention: float = 0.5,
     window: int = 13,
     power: int = -17,
-    mode: str = "exact",
     gap_target: float = 0.0,
 ) -> list[FrontierPoint]:
     """One solve per tolerance triple over the full grid product, each with
@@ -188,7 +186,7 @@ def sweep(
         report = plan = None
         if cache[key] is not None:
             out = solve_once(
-                stats, config, power=power, mode=mode, time_limit=budget_per_solve,
+                stats, config, power=power, time_limit=budget_per_solve,
                 gap_target=gap_target, bounds=cache[key], root_start=roots.get(key),
             )
             roots[key] = out.report.root_basis

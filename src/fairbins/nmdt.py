@@ -4,14 +4,10 @@ Each (group, destination) ties rate * mass to the positives arriving
 there. Every such link has digits: the rate is rescaled to [0, 1] over its
 tightened range, which must be wider than `MIN_RATE_SPAN`, and split into
 binary dyadic digits plus a small continuous remainder; each digit-mass
-product gets a standard 4-row envelope. Two modes differ in
-how the remainder-mass product enters the balance row:
-
-- "exact": the product gets its own envelope column, so the MILP is a
-  valid relaxation and any whole-digit solution carries a residual no
-  larger than span * 2^power * (v_hi - v_lo) / 4 per link.
-- "approx": the product is dropped from the balance row entirely, which
-  biases rate * mass low by up to span * 2^power * v_hi per link.
+product gets a standard 4-row envelope, and so does the remainder-mass
+product. The MILP is therefore a valid relaxation of the rate-mass
+products, and any whole-digit solution carries a residual no larger than
+span * 2^power * (v_hi - v_lo) / 4 per link.
 
 `power` is the (negative) exponent of the finest digit; more digits mean
 tighter products and more binaries.
@@ -70,6 +66,10 @@ def power_for_precision(precision: float) -> int:
 
 @dataclass(frozen=True)
 class LinkCols:
+    """One link's columns: the rate `t_col` and mass `v_col` it multiplies,
+    the scaled rate `lam` with its remainder `dlam`, the digits `z`, the
+    digit-mass products `w` and the remainder-mass product `r`."""
+
     group: int
     dest: int
     t_col: int
@@ -78,7 +78,7 @@ class LinkCols:
     dlam: int
     z: tuple[int, ...]
     w: tuple[int, ...]
-    r: int  # -1 in approx mode, which has no remainder product
+    r: int
 
 
 @dataclass
@@ -86,20 +86,11 @@ class NmdtMilp:
     problem: MilpProblem
     model: FairnessModel
     bounds: TightBounds
-    mode: str
     power: int
     links: tuple[LinkCols, ...]
 
 
-def build_milp(
-    model: FairnessModel,
-    bounds: TightBounds,
-    *,
-    power: int,
-    mode: str = "exact",
-) -> NmdtMilp:
-    if mode not in ("exact", "approx"):
-        raise ValueError(f"mode must be 'exact' or 'approx', got {mode!r}")
+def build_milp(model: FairnessModel, bounds: TightBounds, *, power: int) -> NmdtMilp:
     if power >= 0:
         raise ValueError(f"power must be negative, got {power}")
     ndigits = -power
@@ -122,11 +113,8 @@ def build_milp(
         dlam = cursor + 1
         z = tuple(range(cursor + 2, cursor + 2 + ndigits))
         w = tuple(range(cursor + 2 + ndigits, cursor + 2 + 2 * ndigits))
-        cursor += 2 + 2 * ndigits
-        r = -1
-        if mode == "exact":
-            r = cursor
-            cursor += 1
+        r = cursor + 2 + 2 * ndigits
+        cursor = r + 1
         layout.append(LinkCols(g, bp, link.t_col, link.v_col, lam, dlam, z, w, r))
 
     width = cursor
@@ -145,8 +133,7 @@ def build_milp(
         hi[cols.dlam] = step
         for wl in cols.w:
             hi[wl] = v_hi
-        if cols.r >= 0:
-            hi[cols.r] = step * v_hi
+        hi[cols.r] = step * v_hi
 
         # rate column is an affine image of the scaled digit sum
         extra.add({cols.t_col: 1.0, cols.lam: -span}, SENSE_EQ, t_lo)
@@ -161,18 +148,16 @@ def build_milp(
             extra.add({wl: 1.0, cols.v_col: -1.0, zl: -v_lo}, SENSE_LE, -v_lo)
             extra.add({wl: 1.0, cols.v_col: -1.0, zl: -v_hi}, SENSE_GE, -v_hi)
 
-        if cols.r >= 0:
-            extra.add({cols.r: 1.0, cols.dlam: -v_lo}, SENSE_GE, 0.0)
-            extra.add({cols.r: 1.0, cols.v_col: -step, cols.dlam: -v_hi}, SENSE_GE, -step * v_hi)
-            extra.add({cols.r: 1.0, cols.v_col: -step, cols.dlam: -v_lo}, SENSE_LE, -step * v_lo)
-            extra.add({cols.r: 1.0, cols.dlam: -v_hi}, SENSE_LE, 0.0)
+        extra.add({cols.r: 1.0, cols.dlam: -v_lo}, SENSE_GE, 0.0)
+        extra.add({cols.r: 1.0, cols.v_col: -step, cols.dlam: -v_hi}, SENSE_GE, -step * v_hi)
+        extra.add({cols.r: 1.0, cols.v_col: -step, cols.dlam: -v_lo}, SENSE_LE, -step * v_lo)
+        extra.add({cols.r: 1.0, cols.dlam: -v_hi}, SENSE_LE, 0.0)
 
         balance = {int(c): -float(p) for c, p in zip(link.x_cols, link.npos)}
         balance[cols.v_col] = t_lo
         for j, wl in enumerate(cols.w):
             balance[wl] = span * (2.0 ** (power + j))
-        if cols.r >= 0:
-            balance[cols.r] = span
+        balance[cols.r] = span
         extra.add(balance, SENSE_EQ, 0.0)
 
     rows = concat_rows(width, [model.linear_rows(include_rate_rows=True), extra.freeze()])
@@ -187,7 +172,6 @@ def build_milp(
         ),
         model=model,
         bounds=bounds,
-        mode=mode,
         power=power,
         links=tuple(layout),
     )
@@ -197,10 +181,8 @@ def _lift(nm: NmdtMilp, plan: np.ndarray, rates: np.ndarray) -> np.ndarray:
     """The full MILP point of `plan` with each link's rate set to `rates`.
 
     Each link's rate is lifted into its digits, digit products and
-    remainder: the digits floor the scaled rate onto the dyadic grid and
-    the remainder carries the rest. Approx mode has no remainder product in
-    its balance row, so there the scaled rate is rounded onto the grid and
-    the remainder is zero.
+    remainder: the digits floor the scaled rate onto the dyadic grid, the
+    remainder carries the rest, and each product is its factors' product.
     """
     tb = nm.bounds
     step = 2.0**nm.power
@@ -211,13 +193,8 @@ def _lift(nm: NmdtMilp, plan: np.ndarray, rates: np.ndarray) -> np.ndarray:
         g, bp = cols.group, cols.dest
         x[cols.t_col] = rates[g, bp]
         lam = (rates[g, bp] - tb.t_lo[g, bp]) / (tb.t_hi[g, bp] - tb.t_lo[g, bp])
-        if nm.mode != "exact":
-            k = int(min(round(lam / step), levels - 1))
-            lam = k * step
-            dlam = 0.0
-        else:
-            k = int(min(math.floor(lam / step + 1e-12), levels - 1))
-            dlam = lam - k * step
+        k = int(min(math.floor(lam / step + 1e-12), levels - 1))
+        dlam = lam - k * step
         v = x[cols.v_col]
         x[cols.lam] = lam
         x[cols.dlam] = dlam
@@ -225,19 +202,15 @@ def _lift(nm: NmdtMilp, plan: np.ndarray, rates: np.ndarray) -> np.ndarray:
             bit = (k >> j) & 1
             x[zc] = float(bit)
             x[wc] = bit * v
-        if cols.r >= 0:
-            x[cols.r] = dlam * v
+        x[cols.r] = dlam * v
     return x
 
 
 def initial_point(nm: NmdtMilp) -> np.ndarray:
     """The identity plan at its own rates, clipped to their boxes and lifted.
 
-    In exact mode this point satisfies every linearization row whenever the
-    plan itself meets the fairness rows. In approx mode the lift rounds
-    each rate's digits onto the grid while the rate column keeps the
-    identity rate, so the point generally breaks the rate-digit and balance
-    rows; the solver then simply rejects it as a starting incumbent.
+    The lift satisfies every linearization row, so this point is feasible
+    exactly when the identity plan meets the fairness rows.
     """
     base = identity_plan(nm.model)
     tb = nm.bounds
@@ -249,23 +222,23 @@ def initial_point(nm: NmdtMilp) -> np.ndarray:
 # the rate boxes are padded outward when tightened; targets must stay off
 # the pad or they pin rates no plan can realize
 _BOX_INSET = 2e-7
+# targets keep this far inside the PRP gap band
+_BAND_MARGIN = 1e-10
 
 
-def _feasible_rate_targets(
-    nm: NmdtMilp, seed: np.ndarray, *, margin: float
-) -> np.ndarray:
+def _feasible_rate_targets(nm: NmdtMilp, seed: np.ndarray) -> np.ndarray:
     """Pull seed rates inside the boxes, the ranking order, and the gap band.
 
     Clip, sort, and band-squeeze interact, so a few rounds are run; the
     final pass re-applies the ordering, leaving at worst a band overshoot
-    the margin absorbs.
+    `_BAND_MARGIN` absorbs.
     """
     tb = nm.bounds
     eps = nm.model.config.eps_prp
     mid = (tb.t_lo + tb.t_hi) / 2.0
     box_lo = np.minimum(tb.t_lo + _BOX_INSET, mid)
     box_hi = np.maximum(tb.t_hi - _BOX_INSET, mid)
-    band = max(eps - margin, 0.0)
+    band = max(eps - _BAND_MARGIN, 0.0)
     r = np.clip(seed, box_lo, box_hi)
     for _ in range(6):
         r = np.maximum.accumulate(r, axis=1)
@@ -274,32 +247,6 @@ def _feasible_rate_targets(
         r = np.clip(r, box_lo, box_hi)
     r = np.maximum.accumulate(r, axis=1)
     return np.clip(r, box_lo, box_hi)
-
-
-def _grid_quantize(nm: NmdtMilp, targets: np.ndarray) -> np.ndarray:
-    """Snap targets onto each link's dyadic grid without breaking the order.
-
-    Digits 0 and 2^-power sit on the padded box edges no realizable rate
-    reaches, so they are excluded. Flooring alone can invert the ranking
-    between neighbouring destinations (their grids differ), so each link
-    also rounds up just far enough to clear its predecessor.
-    """
-    tb = nm.bounds
-    step = 2.0**nm.power
-    levels = 2**-nm.power
-    q = targets.copy()
-    for cols in nm.links:
-        g, bp = cols.group, cols.dest
-        span = tb.t_hi[g, bp] - tb.t_lo[g, bp]
-        lam = (targets[g, bp] - tb.t_lo[g, bp]) / span
-        k = int(min(max(math.floor(lam / step + 1e-12), 1), levels - 1))
-        val = tb.t_lo[g, bp] + span * k * step
-        if bp > 0 and val < q[g, bp - 1]:
-            need = (q[g, bp - 1] - tb.t_lo[g, bp]) / (span * step)
-            k = min(max(k, math.ceil(need - 1e-9)), levels - 1)
-            val = tb.t_lo[g, bp] + span * k * step
-        q[g, bp] = val
-    return q
 
 
 def _completion_lp(nm: NmdtMilp, rates: np.ndarray, *, elastic: bool) -> LpProblem:
@@ -356,23 +303,15 @@ def completion_start(nm: NmdtMilp) -> np.ndarray | None:
         return x0
 
     model = nm.model
-    tb = nm.bounds
     stats = model.stats
-    quantize = nm.mode != "exact"
-    # approx mode pins rates on the grid, so the gap band must leave room
-    # for quantization drift plus one rank-repair bump per link
-    margin = 3.0 * 2.0**nm.power * float((tb.t_hi - tb.t_lo).max()) if quantize else 1e-10
-
     seed = np.divide(
         stats.npos.astype(float),
         stats.n.astype(float),
         out=np.zeros((stats.ngroups, stats.nbins)),
         where=stats.n > 0,
     )
-    targets = _feasible_rate_targets(nm, seed, margin=margin)
+    targets = _feasible_rate_targets(nm, seed)
     for _ in range(_COMPLETION_ROUNDS):
-        if quantize:
-            targets = _grid_quantize(nm, targets)
         res = solve_lp(_completion_lp(nm, targets, elastic=True))
         if res.status != LpStatus.OPTIMAL:
             return None
@@ -383,7 +322,7 @@ def completion_start(nm: NmdtMilp) -> np.ndarray | None:
         for link in model.links:
             num = float(x[link.x_cols] @ link.npos)
             realized[link.group, link.dest] = num / max(float(x[link.v_col]), 1e-12)
-        targets = _feasible_rate_targets(nm, realized, margin=margin)
+        targets = _feasible_rate_targets(nm, realized)
     else:
         return None
 
@@ -412,11 +351,7 @@ def residual_caps(nm: NmdtMilp) -> np.ndarray:
     for i, cols in enumerate(nm.links):
         g, bp = cols.group, cols.dest
         span = nm.bounds.t_hi[g, bp] - nm.bounds.t_lo[g, bp]
-        v_lo, v_hi = nm.bounds.v_lo[g, bp], nm.bounds.v_hi[g, bp]
-        if nm.mode == "exact":
-            out[i] = span * step * (v_hi - v_lo) / 4.0
-        else:
-            out[i] = span * step * v_hi
+        out[i] = span * step * (nm.bounds.v_hi[g, bp] - nm.bounds.v_lo[g, bp]) / 4.0
     return out
 
 

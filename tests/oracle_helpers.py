@@ -161,6 +161,28 @@ def scipy_lp(c, a_rows, senses, rhs, lo, hi):
     return "other", None, None
 
 
+def scipy_milp(c, a_rows, senses, rhs, lo, hi, binary_ids):
+    """Solve min c.x with rows a.x (</=/>) rhs, box bounds and the columns
+    `binary_ids` integral, by HiGHS' own branch and bound.
+
+    Returns (status, objective) with status in {optimal, infeasible, other}.
+    """
+    from scipy.optimize import Bounds, LinearConstraint, milp
+
+    rhs = np.asarray(rhs, dtype=float)
+    row_lo = np.array([-np.inf if s == "<" else b for s, b in zip(senses, rhs)])
+    row_hi = np.array([np.inf if s == ">" else b for s, b in zip(senses, rhs)])
+    integrality = np.zeros(len(c))
+    integrality[list(binary_ids)] = 1
+    res = milp(c, constraints=LinearConstraint(np.asarray(a_rows), row_lo, row_hi),
+               integrality=integrality, bounds=Bounds(lo, hi))
+    if res.status == 0:
+        return "optimal", res.fun
+    if res.status == 2:
+        return "infeasible", None
+    return "other", None
+
+
 def _hard_feasible(a_rows, senses, rhs, lo, hi, x, tol=1e-9):
     """Check x against hard box bounds: clip into [lo, hi], then require the
     rows to still hold. HiGHS treats bounds as soft within its primal

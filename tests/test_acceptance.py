@@ -58,7 +58,7 @@ def flagship():
     stats = compute_bin_stats(obs, quantile_bin(obs, 10))
     started = time.monotonic()
     out = solve_once(
-        stats, FLAGSHIP_CONFIG, power=-12, mode="exact", time_limit=150.0
+        stats, FLAGSHIP_CONFIG, power=-12, time_limit=150.0
     )
     wall = time.monotonic() - started
     return SimpleNamespace(
@@ -103,12 +103,11 @@ def test_criterion_1_small_optima_match_exhaustive_enumeration():
     feasible = infeasible = 0
     for idx, (nbins, power) in enumerate(mix):
         rng = np.random.default_rng(1300 + idx)
-        mode = "exact" if idx % 2 else "approx"
         stats, config = _small_instance(rng, nbins)
         try:
             model = build_model(stats, config)
             tb = tighten(model)
-            nm = build_milp(model, tb, power=power, mode=mode)
+            nm = build_milp(model, tb, power=power)
         except (ModelBuildError, BoundsError):
             pytest.fail(f"instance {idx} failed to build")
         assert len(nm.problem.binary_cols) <= 12
@@ -241,18 +240,10 @@ def test_criterion_5_link_residuals_stay_under_certified_caps(flagship):
         caps = residual_caps(out.milp)
         assert np.all(res <= caps + 1e-9)
 
-    # full-precision exact leg reuses the flagship solve
+    # the full-precision leg reuses the flagship solve
     check(flagship.out)
-    for power, mode in [
-        (-6, "approx"),
-        (-10, "approx"),
-        (-12, "approx"),
-        (-6, "exact"),
-        (-10, "exact"),
-    ]:
-        out = solve_once(
-            flagship.stats, FLAGSHIP_CONFIG, power=power, mode=mode, time_limit=40.0
-        )
+    for power in (-6, -10):
+        out = solve_once(flagship.stats, FLAGSHIP_CONFIG, power=power, time_limit=40.0)
         check(out)
 
 
@@ -276,7 +267,7 @@ def test_criterion_6_gap_accounting_is_sound(flagship):
     # gap of exactly zero, not merely a small one
     model = build_model(tiny_stats(), TIGHT)
     tb = tighten(model)
-    nm = build_milp(model, tb, power=-2, mode="exact")
+    nm = build_milp(model, tb, power=-2)
     rep = solve_milp(nm.problem, time_limit=120.0, gap_target=0.0)
     assert rep.status == MilpStatus.OPTIMAL
     ch = {-1: "<", 0: "=", 1: ">"}

@@ -5,13 +5,15 @@ the one yardstick every layer judges LP answers by: no public function or
 method takes one as a parameter. The fairness rows are written once, in
 `fairbins.model`: bound tightening derives its LPs from them. Branch and
 bound knows only the LP layer, never the model it is handed, and never
-solves a rounded pattern as an LP of its own; every NMDT link has digits.
+solves a rounded pattern as an LP of its own; every NMDT link has digits,
+and exact NMDT is the one linearization: nothing selects another.
 The simplex factors a basis in one place, never swaps in a pseudo-inverse,
 and starts every LP from a basis, never from artificial columns. The data
 commands load no layer of the solver, and `bin-stats` no masked arrays."""
 
 from __future__ import annotations
 
+import argparse
 import ast
 import dataclasses
 import importlib
@@ -25,7 +27,7 @@ from pathlib import Path
 import numpy as np
 
 import fairbins
-from fairbins import bnb, bounds, cli, lp, nmdt, postprocess
+from fairbins import bnb, bounds, cli, frontier, lp, nmdt, postprocess
 from fairbins.postprocess import TransitionPlan
 
 TINY = str(Path(__file__).parent / "fixtures" / "tiny.csv")
@@ -105,6 +107,22 @@ def test_one_leaf_rule_and_one_link_shape():
             if isinstance(node, ast.Call) and ast.unparse(node.func) == "_pinned"]
     assert pins
     assert [ast.unparse(node) for node in pins if "bins" in map(ast.unparse, node.args)] == []
+
+
+def test_one_linearization():
+    # every link carries its remainder product: no parameter, field or flag
+    # picks a second MILP, and no grid quantizer serves one
+    taking = [fn.__name__ for fn in (nmdt.build_milp, frontier.solve_once, frontier.sweep)
+              if "mode" in inspect.signature(fn).parameters]
+    assert taking == []
+    assert "mode" not in {field.name for field in dataclasses.fields(nmdt.NmdtMilp)}
+    assert not hasattr(nmdt, "_grid_quantize")
+    [commands] = [action.choices for action in cli.build_parser()._actions
+                  if isinstance(action, argparse._SubParsersAction)]
+    flags = {name: {flag for action in sub._actions for flag in action.option_strings}
+             for name, sub in commands.items()}
+    assert "--mode" not in flags["solve"] | flags["frontier"]
+    assert "--mode" in flags["apply"]  # how a stored plan moves scores
 
 
 def test_lp_factors_in_one_place():

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from fairbins import bounds as bounds_mod
+from fairbins import frontier as frontier_mod
 from fairbins.bounds import BoundsError, tighten, tighten_mass_bounds, tighten_rate_bounds
 from fairbins.data import Dataset, compute_bin_stats, quantile_bin
 from fairbins.frontier import sweep
@@ -19,7 +20,7 @@ from fairbins.model import ModelConfig, build_model
 from fairbins.nmdt import power_for_precision
 
 from .conftest import tiny_stats
-from .oracle_helpers import grid_rate_bounds
+from .oracle_helpers import grid_rate_bounds, scipy_milp
 
 LOOSE = ModelConfig(eps_dp=10.0, eps_eodds=10.0, eps_prp=10.0, retention=0.5, window=2)
 
@@ -233,9 +234,35 @@ def test_bench_seed_9_file_7_sweeps_to_optimal():
     # LP of the first point to a wrong Infeasible verdict
     grid = (0.06,), (0.06,), (0.06, 0.08)
     points = sweep(_bench_file_stats(9, 7, 4), *grid, budget_per_solve=300, retention=0.5,
-                   window=3, power=power_for_precision(0.25), mode="exact")
+                   window=3, power=power_for_precision(0.25))
     assert [p.configured for p in points] == [(0.06, 0.06, 0.06), (0.06, 0.06, 0.08)]
     for p in points:
         assert (p.status, p.gap) == ("Optimal", 0.0)
         assert p.eps_dp <= p.configured[0] + 1e-6
         assert p.eps_eodds <= p.configured[1] + 1e-6
+
+
+def test_bench_seed_11_file_0_sweeps_to_the_highs_optimum():
+    # its root LP once ended Infeasible after 2,679 pivots, and the sweep
+    # then reported INFEASIBLE although the completion start had handed
+    # branch and bound a verified incumbent
+    outcomes, solve_once = [], frontier_mod.solve_once
+
+    def recording(*args, **kwargs):
+        outcomes.append(solve_once(*args, **kwargs))
+        return outcomes[-1]
+
+    grid = (0.06,), (0.06,), (0.06, 0.08)
+    with mock.patch.object(frontier_mod, "solve_once", recording):
+        points = sweep(_bench_file_stats(11, 0, 4), *grid, budget_per_solve=300,
+                       retention=0.5, window=3, power=power_for_precision(0.25))
+    assert [(p.status, p.gap) for p in points] == [("Optimal", 0.0)] * 2
+    assert len(outcomes) == 2
+    ch = {-1: "<", 0: "=", 1: ">"}
+    for out in outcomes:
+        lp, binaries = out.milp.problem.lp, out.milp.problem.binary_cols
+        status, best = scipy_milp(lp.c, lp.a, [ch[int(s)] for s in lp.senses], lp.rhs,
+                                  lp.lo, lp.hi, binaries.tolist())
+        assert status == "optimal"
+        assert out.report.incumbent_objective == pytest.approx(best, rel=1e-9)
+        assert out.report.incumbent_objective == pytest.approx(0.0056905264, abs=1e-10)

@@ -60,9 +60,12 @@ def test_flags_beat_config_beats_defaults(tmp_path):
     assert settings["window"] == 13  # untouched default
 
 
-def test_unknown_config_key_is_exit_2(tmp_path, capsys):
+@pytest.mark.parametrize("doc", [{"bin_count": 10}, {"mode": "exact"}],
+                         ids=["bin_count", "mode"])
+def test_unknown_config_key_is_exit_2(doc, tmp_path, capsys):
+    # exact NMDT is the one linearization, so `mode` is no setting
     config = tmp_path / "conf.json"
-    config.write_text(json.dumps({"bin_count": 10}))
+    config.write_text(json.dumps(doc))
     rc = main(solve_args(tmp_path, "--config", str(config)))
     assert rc == 2
     assert "unknown keys" in capsys.readouterr().err
@@ -79,7 +82,6 @@ def test_broken_config_json_is_exit_2(tmp_path):
     pytest.param("solve", {"eps_dp": "x"}, id="solve-eps_dp-string"),
     pytest.param("bin-stats", {"bins": [4]}, id="bin-stats-bins-list"),
     pytest.param("solve", {"gap": True}, id="solve-gap-bool"),
-    pytest.param("solve", {"mode": 1}, id="solve-mode-number"),
 ])
 def test_config_value_of_the_wrong_type_is_exit_2(command, doc, tmp_path, capsys):
     config = tmp_path / "conf.json"
@@ -391,6 +393,28 @@ def test_tradeoff_and_compare_commands(tmp_path, capsys):
     rc = main(["tradeoff", "--frontier", str(front), "--operating", "bad",
                "--cost", "auc", "--benefit", "prp"])
     assert rc == 2
+
+
+@pytest.mark.parametrize("argv, flag", [
+    pytest.param(["tradeoff", "--operating", "nan,0.1,0.1,0.1", "--cost", "auc",
+                  "--benefit", "prp"], "--operating", id="operating-nan"),
+    pytest.param(["tradeoff", "--operating", "0.7,0.1,inf,0.1", "--cost", "auc",
+                  "--benefit", "prp"], "--operating", id="operating-inf"),
+    pytest.param(["compare", "--auc-min", "nan"], "--auc-min", id="auc-min-nan"),
+    pytest.param(["compare", "--auc-min=-inf"], "--auc-min", id="auc-min-inf"),
+])
+def test_non_finite_query_value_is_exit_2(argv, flag, tmp_path, capsys):
+    # a NaN operating point once found nothing without a word, and a NaN
+    # floor was written into the comparison as `NaN`, which is no JSON
+    front = tmp_path / "front.csv"
+    assert main(["frontier", TINY, *FAST, "--grid-dp", "0.25", "--grid-eodds", "0.25",
+                 "--grid-prp", "0.25", "--output", str(front)]) == 0
+    frontiers = (["--frontier", str(front)] if argv[0] == "tradeoff"
+                 else ["--frontier-a", str(front), "--frontier-b", str(front)])
+    out = tmp_path / "out.json"
+    assert main([*argv, *frontiers, "--output", str(out)]) == 2
+    assert flag in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_pipeline_runs_are_byte_identical(tmp_path):

@@ -198,9 +198,9 @@ def test_single_cell_sweep_matches_direct_solve():
     stats = tiny_stats()
     config = ModelConfig(eps_dp=0.1, eps_eodds=0.1, eps_prp=0.1,
                          retention=0.5, window=2)
-    direct = solve_once(stats, config, power=-4, mode="exact", time_limit=60.0)
+    direct = solve_once(stats, config, power=-4, time_limit=60.0)
     pts = sweep(stats, [0.1], [0.1], [0.1], retention=0.5, window=2,
-                power=-4, mode="exact", budget_per_solve=60.0)
+                power=-4, budget_per_solve=60.0)
     assert len(pts) == 1
     p = pts[0]
     assert p.status == "Optimal"
@@ -215,7 +215,7 @@ def test_single_cell_sweep_matches_direct_solve():
 def test_vacuous_tolerances_keep_base_auc():
     stats = tiny_stats()
     pts = sweep(stats, [1.0], [1.0], [1.0], retention=0.5, window=2,
-                power=-4, mode="exact", budget_per_solve=60.0)
+                power=-4, budget_per_solve=60.0)
     assert pts[0].status == "Optimal"
     assert pts[0].auc == pytest.approx(auc_from_bins(stats, pooled=True), abs=1e-9)
     assert pts[0].eps_dp == pytest.approx(0.0, abs=1e-9)
@@ -224,7 +224,7 @@ def test_vacuous_tolerances_keep_base_auc():
 def test_sweep_shares_bounds_and_orders_output():
     stats = tiny_stats()
     pts = sweep(stats, [0.25], [0.25], [0.25, 0.1], retention=0.5, window=2,
-                power=-4, mode="exact", budget_per_solve=60.0)
+                power=-4, budget_per_solve=60.0)
     assert [p.configured[2] for p in pts] == [0.1, 0.25]
     assert all(p.status == "Optimal" for p in pts)
 
@@ -233,12 +233,12 @@ def test_loosening_prp_never_raises_objective():
     stats = tiny_stats()
     base = ModelConfig(eps_dp=0.25, eps_eodds=0.25, eps_prp=0.1,
                        retention=0.5, window=2)
-    tight = solve_once(stats, base, power=-4, mode="exact", time_limit=60.0)
+    tight = solve_once(stats, base, power=-4, time_limit=60.0)
     loose = solve_once(
         stats,
         ModelConfig(eps_dp=0.25, eps_eodds=0.25, eps_prp=0.25,
                     retention=0.5, window=2),
-        power=-4, mode="exact", time_limit=60.0, bounds=tight.bounds,
+        power=-4, time_limit=60.0, bounds=tight.bounds,
     )
     assert loose.report.incumbent_objective <= tight.report.incumbent_objective + 1e-9
 
@@ -248,7 +248,7 @@ def test_sweep_records_infeasible_triples():
     # width-1 window freezes every score in place, so any odds tolerance
     # below the raw 0.2 gap is impossible and the bound stage proves it
     pts = sweep(stats, [1.0], [0.0], [1.0], retention=0.5, window=1,
-                power=-4, mode="exact", budget_per_solve=60.0)
+                power=-4, budget_per_solve=60.0)
     assert pts[0].status == "Infeasible"
     assert not pts[0].has_metrics
     text = frontier_csv(pts)
@@ -293,7 +293,7 @@ def test_multi_cell_sweep_matches_independent_solves():
         return report
 
     with mock.patch.object(frontier, "solve_milp", recording):
-        pts = sweep(stats, *grid, retention=0.5, window=2, power=-4, mode="exact",
+        pts = sweep(stats, *grid, retention=0.5, window=2, power=-4,
                     budget_per_solve=60.0)
     assert [p.configured for p in pts] == list(product(*grid))
     assert len(calls) == len(pts)
@@ -305,7 +305,7 @@ def test_multi_cell_sweep_matches_independent_solves():
         dp, eodds, prp = p.configured
         direct = solve_once(
             stats, ModelConfig(eps_dp=dp, eps_eodds=eodds, eps_prp=prp, retention=0.5, window=2),
-            power=-4, mode="exact", time_limit=60.0,
+            power=-4, time_limit=60.0,
         ).report
         assert p.status == report.status.value == direct.status.value
         assert report.incumbent_objective == pytest.approx(direct.incumbent_objective, abs=1e-9)

@@ -526,7 +526,7 @@ def test_the_padded_matrix_depends_on_a_alone():
 
     config = ModelConfig(eps_dp=0.1, eps_eodds=0.1, eps_prp=0.1, retention=0.5, window=2)
     model = build_model(tiny_stats(), config)
-    milp = build_milp(model, tighten(model), power=-3, mode="exact").problem
+    milp = build_milp(model, tighten(model), power=-3).problem
     shares, engines = [], []
 
     def sharing(problem):
@@ -571,7 +571,7 @@ def test_fixed_column_leaving_the_basis_matches_reference_bit_for_bit():
 def test_node_lps_match_reference_bit_for_bit():
     config = ModelConfig(eps_dp=0.1, eps_eodds=0.1, eps_prp=0.1, retention=0.5, window=2)
     model = build_model(tiny_stats(), config)
-    milp = build_milp(model, tighten(model), power=-3, mode="exact").problem
+    milp = build_milp(model, tighten(model), power=-3).problem
     nodes = []
 
     def recording(problem, **kwargs):
@@ -711,7 +711,7 @@ def test_warm_infeasible_child_is_confirmed():
 def test_warm_started_nodes_take_fewer_pivots_than_cold_nodes():
     config = ModelConfig(eps_dp=0.1, eps_eodds=0.1, eps_prp=0.1, retention=0.5, window=2)
     model = build_model(tiny_stats(), config)
-    milp = build_milp(model, tighten(model), power=-2, mode="exact").problem
+    milp = build_milp(model, tighten(model), power=-2).problem
     runs = {}
     for warm in (True, False):
         pivots = []
@@ -763,7 +763,7 @@ def _store_cases() -> list:
     config = ModelConfig(eps_dp=0.1, eps_eodds=0.1, eps_prp=0.1, retention=0.5, window=2)
     model = build_model(tiny_stats(), config)
     rng = np.random.default_rng(31)
-    return [build_milp(model, tighten(model), power=-4, mode="exact").problem] + [
+    return [build_milp(model, tighten(model), power=-4).problem] + [
         _bnb_milp(**_random_instance(rng)) for _ in range(20)
     ]
 
@@ -851,7 +851,7 @@ def test_dual_bland_switch_keeps_the_answer():
 def test_warm_node_lps_agree_with_cold_ones():
     config = ModelConfig(eps_dp=0.1, eps_eodds=0.1, eps_prp=0.1, retention=0.5, window=2)
     model = build_model(tiny_stats(), config)
-    milp = build_milp(model, tighten(model), power=-3, mode="exact").problem
+    milp = build_milp(model, tighten(model), power=-3).problem
     warm = []
 
     def recording(problem, **kwargs):

@@ -38,12 +38,8 @@ DIGESTS = {
         "748dfa377fa15ef664b6ff9d92bc76d430b02c327dce0e2e6db0cc2245bee9c6",
     "milp_exact":
         "5166861ebc35b9a9b08df9f30c37c7120178e1c126069edd7070eb365076e889",
-    "milp_approx":
-        "d6f721816c51cfb5a65edb4d26a8572967e4ae131ca7141e3f57dc6694a71486",
     "completion_exact":
         "9d2afd8a85962bc7ee986bf05584e891f516bc00fde9aea4739dac2dd032033e",
-    "completion_approx":
-        "b5da3ed1be91baecf227f80d747211bdf5d14f0ead7ef79ed26abcd7bcf84bfd",
 }
 
 
@@ -121,15 +117,15 @@ def test_rate_bound_lp_digest(model, fixed_bounds, monkeypatch):
     assert _digest(seen) == DIGESTS["rate_lps"]
 
 
-@pytest.mark.parametrize("mode", ["exact", "approx"])
+@pytest.mark.parametrize("mode", ["exact"])
 def test_milp_lp_digest(model, fixed_bounds, mode):
-    nm = build_milp(model, fixed_bounds, power=POWER, mode=mode)
+    nm = build_milp(model, fixed_bounds, power=POWER)
     assert _digest([nm.problem.lp]) == DIGESTS[f"milp_{mode}"]
 
 
-@pytest.mark.parametrize("mode", ["exact", "approx"])
+@pytest.mark.parametrize("mode", ["exact"])
 def test_first_elastic_completion_lp_digest(model, fixed_bounds, mode, monkeypatch):
-    nm = build_milp(model, fixed_bounds, power=POWER, mode=mode)
+    nm = build_milp(model, fixed_bounds, power=POWER)
     # the identity lift must fail, or completion never builds an LP
     assert point_violation(nm.problem.lp, initial_point(nm)) > 1e-3
     seen = _recording(monkeypatch, nmdt_mod, LpStatus.INFEASIBLE)

@@ -55,22 +55,21 @@ def test_power_for_precision_stops_at_the_last_double_digit():
 
 def test_layout_counts(tight_parts):
     m, tb = tight_parts
-    exact = build_milp(m, tb, power=-6, mode="exact")
-    approx = build_milp(m, tb, power=-6, mode="approx")
-    links = len(exact.links)
+    nm = build_milp(m, tb, power=-6)
+    links = len(nm.links)
     assert links == 4
-    assert len(exact.problem.binary_cols) == 6 * links
-    assert len(approx.problem.binary_cols) == 6 * links
-    # exact carries one extra remainder-product column per link
-    assert exact.problem.lp.ncols == approx.problem.lp.ncols + links
-    assert all(c.r >= 0 for c in exact.links)
-    assert all(c.r < 0 for c in approx.links)
+    assert len(nm.problem.binary_cols) == 6 * links
+    # per link: scaled rate, remainder, 6 digits, 6 digit products and the
+    # remainder product
+    assert nm.problem.lp.ncols == m.ncols + 15 * links
+    assert all(c.r >= m.ncols for c in nm.links)
 
 
 def test_mode_and_power_validation(tight_parts):
     m, tb = tight_parts
-    with pytest.raises(ValueError, match="mode"):
-        build_milp(m, tb, power=-6, mode="fast")
+    # exact is the one linearization, so there is no mode left to pick
+    with pytest.raises(TypeError, match="mode"):
+        build_milp(m, tb, power=-6, mode="exact")
     with pytest.raises(ValueError, match="power"):
         build_milp(m, tb, power=0)
 
@@ -87,89 +86,60 @@ def test_a_rate_box_without_width_is_refused(tight_parts):
 def test_identity_point_feasible_in_exact_mode():
     m = build_model(tiny_stats(), LOOSE)
     tb = tighten(m)
-    nm = build_milp(m, tb, power=-8, mode="exact")
+    nm = build_milp(m, tb, power=-8)
     assert point_violation(nm.problem.lp, initial_point(nm)) < 1e-9
 
 
-def test_identity_point_breaks_approx_balance():
-    m = build_model(tiny_stats(), LOOSE)
-    tb = tighten(m)
-    nm = build_milp(m, tb, power=-8, mode="approx")
-    # the dropped remainder product leaves a one-sided hole in the balance row
-    assert point_violation(nm.problem.lp, initial_point(nm)) > 1e-6
-
-
-def test_optimum_matches_enumeration_both_modes(tight_parts):
-    # frozen from the scipy-backed enumeration oracle at two digits:
-    # exact 0.041666667, approx 0.093749937
+def test_optimum_matches_enumeration(tight_parts):
+    # frozen from the scipy-backed enumeration oracle at two digits
     m, tb = tight_parts
     ch = {-1: "<", 0: "=", 1: ">"}
-    frozen = {"exact": 0.041666667, "approx": 0.093749937}
-    for mode, expect in frozen.items():
-        nm = build_milp(m, tb, power=-2, mode=mode)
-        rep = solve_milp(
-            nm.problem, time_limit=120, gap_target=0.0, initial=initial_point(nm)
-        )
-        assert rep.status == MilpStatus.OPTIMAL
-        assert rep.incumbent_objective == pytest.approx(expect, abs=1e-7)
-        lp = nm.problem.lp
-        obj, _ = enumerate_milp(
-            lp.c,
-            lp.a,
-            [ch[int(s)] for s in lp.senses],
-            lp.rhs,
-            lp.lo,
-            lp.hi,
-            nm.problem.binary_cols.tolist(),
-        )
-        assert rep.incumbent_objective == pytest.approx(obj, abs=1e-7)
+    nm = build_milp(m, tb, power=-2)
+    rep = solve_milp(
+        nm.problem, time_limit=120, gap_target=0.0, initial=initial_point(nm)
+    )
+    assert rep.status == MilpStatus.OPTIMAL
+    assert rep.incumbent_objective == pytest.approx(0.041666667, abs=1e-7)
+    lp = nm.problem.lp
+    obj, _ = enumerate_milp(
+        lp.c,
+        lp.a,
+        [ch[int(s)] for s in lp.senses],
+        lp.rhs,
+        lp.lo,
+        lp.hi,
+        nm.problem.binary_cols.tolist(),
+    )
+    assert rep.incumbent_objective == pytest.approx(obj, abs=1e-7)
 
 
-def test_exact_relaxes_no_finer_than_approx_restricts(tight_parts):
-    # exact is a valid relaxation: its optimum can only sit at or below the
-    # approx optimum, which over-tightens the balance
+def test_residuals_within_caps(tight_parts):
     m, tb = tight_parts
-    objs = {}
-    for mode in ("exact", "approx"):
-        nm = build_milp(m, tb, power=-8, mode=mode)
-        rep = solve_milp(
-            nm.problem, time_limit=300, gap_target=0.0, initial=initial_point(nm)
-        )
-        assert rep.status == MilpStatus.OPTIMAL
-        objs[mode] = rep.incumbent_objective
-    assert objs["exact"] <= objs["approx"] + 1e-9
-
-
-def test_residuals_within_caps_and_approx_one_sided(tight_parts):
-    m, tb = tight_parts
-    for mode in ("exact", "approx"):
-        nm = build_milp(m, tb, power=-6, mode=mode)
-        rep = solve_milp(
-            nm.problem, time_limit=300, gap_target=0.0, initial=initial_point(nm)
-        )
-        assert rep.status == MilpStatus.OPTIMAL
-        res = link_residuals(nm, rep.incumbent)
-        caps = residual_caps(nm)
-        assert np.all(np.abs(res) <= caps + 1e-5)
-        if mode == "approx":
-            assert np.all(res >= -1e-5)
+    nm = build_milp(m, tb, power=-6)
+    rep = solve_milp(
+        nm.problem, time_limit=300, gap_target=0.0, initial=initial_point(nm)
+    )
+    assert rep.status == MilpStatus.OPTIMAL
+    res = link_residuals(nm, rep.incumbent)
+    caps = residual_caps(nm)
+    assert np.all(np.abs(res) <= caps + 1e-5)
 
 
 def test_certified_slack_formula(tight_parts):
     m, tb = tight_parts
-    nm = build_milp(m, tb, power=-6, mode="approx")
+    nm = build_milp(m, tb, power=-6)
     caps = residual_caps(nm)
     manual = max(
         cap / tb.v_lo[c.group, c.dest] for cap, c in zip(caps, nm.links)
     )
     assert certified_rate_slack(nm) == pytest.approx(manual)
-    finer = build_milp(m, tb, power=-10, mode="approx")
+    finer = build_milp(m, tb, power=-10)
     assert certified_rate_slack(finer) < certified_rate_slack(nm)
 
 
 def test_realized_rates_off_by_at_most_slack(tight_parts):
     m, tb = tight_parts
-    nm = build_milp(m, tb, power=-8, mode="exact")
+    nm = build_milp(m, tb, power=-8)
     rep = solve_milp(
         nm.problem, time_limit=300, gap_target=0.0, initial=initial_point(nm)
     )
@@ -187,7 +157,7 @@ def test_realized_rates_off_by_at_most_slack(tight_parts):
 def test_completion_start_returns_identity_when_it_is_feasible():
     m = build_model(tiny_stats(), LOOSE)
     tb = tighten(m)
-    nm = build_milp(m, tb, power=-4, mode="exact")
+    nm = build_milp(m, tb, power=-4)
     warm = completion_start(nm)
     assert warm is not None
     # loose tolerances admit the identity plan, whose movement cost is zero
@@ -196,25 +166,13 @@ def test_completion_start_returns_identity_when_it_is_feasible():
 
 def test_completion_start_builds_incumbent_past_infeasible_identity():
     m, tb = tight_parts_direct()
-    nm = build_milp(m, tb, power=-6, mode="exact")
+    nm = build_milp(m, tb, power=-6)
     assert point_violation(nm.problem.lp, initial_point(nm)) > 1e-6
     warm = completion_start(nm)
     assert warm is not None
     assert point_violation(nm.problem.lp, warm) <= 1e-7
     zvals = warm[nm.problem.binary_cols]
     assert np.all(np.abs(zvals - np.round(zvals)) <= 1e-9)
-
-
-def test_completion_start_approx_residual_within_one_sided_cap():
-    m, tb = tight_parts_direct()
-    for power in (-4, -6):
-        nm = build_milp(m, tb, power=power, mode="approx")
-        warm = completion_start(nm)
-        assert warm is not None
-        assert point_violation(nm.problem.lp, warm) <= 1e-7
-        res = link_residuals(nm, warm)
-        caps = residual_caps(nm)
-        assert np.all(res <= caps + 1e-9)
 
 
 def test_completion_start_plan_meets_the_configured_tolerances():
@@ -225,7 +183,7 @@ def test_completion_start_plan_meets_the_configured_tolerances():
     )
 
     m, tb = tight_parts_direct()
-    nm = build_milp(m, tb, power=-6, mode="exact")
+    nm = build_milp(m, tb, power=-6)
     warm = completion_start(nm)
     plan = extract_plan(warm, m)
     moved = expected_assignment_stats(plan, m.stats)
