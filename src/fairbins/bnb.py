@@ -10,10 +10,10 @@ the optimal root basis of a MILP with the same matrix and costs, which
 parent's optimal basis, from a copy of the parent's inverse when it is
 still stored; `solve_lp` checks each warm answer and falls back to a cold
 solve when it cannot. Each popped node costs one LP. A node whose LP
-leaves an open binary off 0/1 branches on it; one whose open binaries all
-come out exactly 0 or 1 is a leaf. A leaf's point, like `initial`, becomes
-the incumbent only with every binary rounded and the rounded point meeting
-the MILP's rows and bounds to `FEAS_TOL`. A node leaves the search only
+leaves any open binary off 0/1 branches on the one farthest from 0/1; one
+whose open binaries all come out exactly 0 or 1 is a leaf. A leaf's point,
+like `initial`, becomes the incumbent only with every binary rounded and
+the rounded point meeting the MILP's rows and bounds to `FEAS_TOL`. A node leaves the search only
 once its box is resolved: pruned by bound, infeasible, or its point
 adopted. One that is not, with no open binary left to split on, is set
 aside; its bound caps the reported one and the search ends `GapLimit`.
@@ -36,8 +36,6 @@ from .lp import (FEAS_TOL, OPT_TOL, LpBasis, LpProblem, LpStatus, _Shared, point
                  solve_lp)
 
 __all__ = ["MilpStatus", "MilpProblem", "SolveReport", "solve_milp"]
-
-_INT_TOL = 1e-6
 
 
 class MilpStatus(str, Enum):
@@ -171,8 +169,6 @@ def solve_milp(
                 raise RuntimeError(
                     "relaxation reported infeasible, yet the initial point meets its rows"
                 )
-        if res.status == LpStatus.UNBOUNDED:
-            raise RuntimeError("relaxation is unbounded; the model lost its box bounds")
         if res.status == LpStatus.INFEASIBLE:
             continue
         if res.status == LpStatus.TIME_LIMIT:
@@ -187,14 +183,11 @@ def solve_milp(
             continue
         zvals = res.x[bins]
         off = np.where(lo[bins] < hi[bins], np.abs(zvals - np.round(zvals)), 0.0)
-        frac_ids = np.flatnonzero(off > _INT_TOL)
-        if frac_ids.size:
-            pick = frac_ids[np.argmin(np.abs(zvals[frac_ids] - 0.5))]
-            branch(res.objective, lo, hi, int(bins[pick]), res.basis)
-        elif off.max(initial=0.0) > 0.0:
-            # near-integral is not integral: a 1e-6 sliver of a binary can
-            # prop up a cheaper objective than any 0/1 point admits, so the
-            # sliver is branched on, never rounded away and adopted
+        if off.max(initial=0.0) > 0.0:
+            # branch on the open binary farthest from 0/1. Near-integral is
+            # not integral: a 1e-6 sliver of a binary can prop up a cheaper
+            # objective than any 0/1 point admits, so the sliver is branched
+            # on, never rounded away and adopted
             branch(res.objective, lo, hi, int(bins[off.argmax()]), res.basis)
         else:
             x = verified(res.x)

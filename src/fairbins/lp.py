@@ -8,23 +8,22 @@ Each pivot does three matrix-vector products: the duals `Binv.T @ c_B`,
 the reduced costs through `A.T @ y`, and the entering column
 `Binv @ A[:, q]`. The dense basis inverse then takes a rank-1 update on
 the rows where that column is nonzero, and is factored afresh every 100
-basis changes. A singular basis there, or a pivot too small to take, ends
-the solve with status NUMERICAL. The matrix `A` depends on the constraint
-matrix `a` alone (`_Shared`): `a` row-scaled, then one identity block of
-slack columns. Every engine over the same `a`, cold or warm, reads one
-such matrix, and none writes to it.
+basis changes. A singular basis there, a pivot too small to take, or a
+ratio test with no finite step (every column has a finite box, so only
+roundoff can find a ray) ends the solve with status NUMERICAL. The matrix
+`A` depends on the constraint matrix `a` alone (`_Shared`): `a`
+row-scaled, then one identity block of slack columns. Every engine over
+the same `a`, cold or warm, reads one such matrix, and none writes to it.
 
 Every solve runs one path: a bounded dual simplex from a dual feasible
 basis restores primal feasibility (Koberstein, *The dual simplex method*,
 2005), and the primal loop then polishes the answer to optimality on the
 true costs. A cold solve starts from the slack basis, B = I, with each
-structural column at the bound its cost prefers. Every column with a
-finite box then has a reduced cost, its own cost, of the sign its position
-needs. A column whose cost pulls it toward an infinite bound, or a free
-column with a cost, is priced at cost 0 by the dual phase alone (cost
-shifting). Either loop turns to Bland's lowest-index rules when it
-stalls (`_Stall`): after `_BLAND_AFTER` steps in a row that move nothing
-and return to a basis it met before.
+structural column at the bound its cost prefers: every column is boxed,
+so each reduced cost, the column's own cost, has the sign its position
+needs, and nothing is shifted. Either loop turns to Bland's lowest-index
+rules when it stalls (`_Stall`): after `_BLAND_AFTER` steps in a row that
+move nothing and return to a basis it met before.
 
 A solve may also start from an earlier optimal basis (`LpResult.basis`) of
 a problem with the same matrix, and either the same costs or the same
@@ -87,7 +86,7 @@ SENSE_GE = 1
 FEAS_TOL = 1e-7
 OPT_TOL = 1e-7
 
-_BASIC, _AT_LO, _AT_UP, _FREE = 0, 1, 2, 3
+_BASIC, _AT_LO, _AT_UP = 0, 1, 2
 # the smallest |pivot| the primal ratio test takes, and the dual's second
 # look at an infeasibility verdict it could not certify
 _PIVOT_TOL = 1e-9
@@ -117,7 +116,6 @@ _INVERSE_TOL = 1e-9
 class LpStatus(str, Enum):
     OPTIMAL = "Optimal"
     INFEASIBLE = "Infeasible"
-    UNBOUNDED = "Unbounded"
     ITERATION_LIMIT = "IterationLimit"
     TIME_LIMIT = "TimeLimit"
     NUMERICAL = "Numerical"  # a singular basis, a tiny pivot or an unverified optimum
@@ -128,7 +126,9 @@ class LpProblem:
     """min c.x  subject to  a @ x (<=, =, >=) rhs  and  lo <= x <= hi.
 
     Senses are per-row: SENSE_LE, SENSE_EQ, or SENSE_GE. Maximization is
-    the caller's job (negate c). The solver never mutates the arrays.
+    the caller's job (negate c). Every column needs a finite box: an
+    infinite or NaN `lo` or `hi` raises ValueError. The solver never
+    mutates the arrays.
     """
 
     c: np.ndarray
@@ -150,6 +150,8 @@ class LpProblem:
             raise ValueError(f"column arrays disagree with a of shape {self.a.shape}")
         if self.senses.shape != (m,) or self.rhs.shape != (m,):
             raise ValueError(f"row arrays disagree with a of shape {self.a.shape}")
+        if not (np.isfinite(self.lo).all() and np.isfinite(self.hi).all()):
+            raise ValueError("every column needs a finite box: lo and hi must be finite")
 
     @property
     def nrows(self) -> int:
@@ -175,7 +177,8 @@ class LpResult:
     """A solve's answer. An OPTIMAL point meets the problem's rows and
     bounds to `FEAS_TOL`, cold or warm; NUMERICAL means the simplex could
     not vouch for any answer (a singular basis, a pivot too small to take,
-    or an optimum that failed that check)."""
+    a ratio test with no finite step, or an optimum that failed that
+    check). A boxed LP is never unbounded."""
 
     status: LpStatus
     objective: float
@@ -284,28 +287,23 @@ class _Engine:
 
     def place(self, up: np.ndarray | bool) -> None:
         """Put every column at a bound: its upper one where `up` asks for
-        it, or where only the upper one is finite; else its finite lower
-        bound; else free at 0."""
-        fin_lo, fin_hi = np.isfinite(self.lo), np.isfinite(self.hi)
-        at_up = fin_hi & (up | ~fin_lo)
-        self.pos = np.where(at_up, _AT_UP, np.where(fin_lo, _AT_LO, _FREE)).astype(np.int8)
-        self.val = np.where(at_up, self.hi, np.where(fin_lo, self.lo, 0.0))
+        it or where only the upper one is finite (a >= row's slack), else
+        its lower one. No column is free: every one has a finite side."""
+        at_up = np.isfinite(self.hi) & (up | ~np.isfinite(self.lo))
+        self.pos = np.where(at_up, _AT_UP, _AT_LO).astype(np.int8)
+        self.val = np.where(at_up, self.hi, self.lo)
 
-    def slack_start(self, c: np.ndarray) -> np.ndarray:
+    def slack_start(self, c: np.ndarray) -> None:
         """Set the cold start for costs `c`: the slack basis, B = I, with
         each structural column at the bound its cost prefers (see `place`).
-        Returns the costs the dual phase prices with: `c`, with 0 on each
-        column whose cost pulls it toward an infinite bound or, free, away
-        from 0, so that every nonbasic reduced cost has the sign its
-        position needs."""
+        A slack costs nothing, so every nonbasic reduced cost, a column's
+        own cost, has the sign its position needs: the start is dual
+        feasible for `c` itself."""
         self.place(c < 0.0)
         self.basis = self.nstruct + np.arange(self.m)
         self.pos[self.basis] = _BASIC
         self.Binv = np.eye(self.m)
         self.solve_basics()
-        pos = self.pos
-        pulled = ((pos == _AT_LO) & (c < 0.0)) | ((pos == _AT_UP) & (c > 0.0)) | (pos == _FREE)
-        return np.where(pulled, 0.0, c)
 
     def point(self) -> np.ndarray:
         full = self.val.copy()
@@ -317,11 +315,11 @@ class _Engine:
 
     def install(self, start: LpBasis, inverse: np.ndarray | None = None) -> bool:
         """Set the warm start `start`: each nonbasic column sits at the
-        bound its code names (or its other finite bound, or free at 0). A
-        stored `inverse` of the
-        start's basis matrix is adopted, as a copy, when it passes
-        `_inverts`; otherwise the basis is factored. False when the basis
-        does not fit this problem or its matrix is singular."""
+        bound its code names, or at its other bound where that one is
+        infinite (a slack's open side). A stored `inverse` of the start's
+        basis matrix is adopted, as a copy, when it passes `_inverts`;
+        otherwise the basis is factored. False when the basis does not fit
+        this problem or its matrix is singular."""
         if start.basic.shape != (self.m,) or start.pos.shape != self.lo.shape:
             return False
         self.place(start.pos == _AT_UP)
@@ -415,10 +413,9 @@ class _Engine:
         left in `proof_row`. NUMERICAL means a pivot too small to take or
         a singular factorization."""
         self.begin(c)
-        A, pos, sign, cB, blo, bhi = self.A, self.pos, self.sign, self.cB, self.blo, self.bhi
+        A, sign, cB, blo, bhi = self.A, self.sign, self.cB, self.blo, self.bhi
         basis, xB, Binv = self.basis, self.xB, self.Binv
         deadline, tol = self.deadline, self.pivot_tol
-        free = (pos == _FREE) & ~self.fixed
         d = c - A.T @ (Binv.T @ cB)
         stall = _Stall()
         while True:
@@ -444,7 +441,7 @@ class _Engine:
             rises = bool(below[r] > 0.0)
             s = 1.0 if rises else -1.0
             alpha = s * (Binv[r] @ A)
-            cand = ((sign * alpha < -tol) | (free & (np.abs(alpha) > tol))).nonzero()[0]
+            cand = (sign * alpha < -tol).nonzero()[0]
             if cand.size == 0:
                 if self.fresh:
                     self.proof_row = r
@@ -473,7 +470,6 @@ class _Engine:
                 return LpStatus.NUMERICAL
             target = blo[r] if rises else bhi[r]
             step = (xB[r] - target) / w[r]
-            free[q] = False
             # the pivot row prices the basis change: d -= (d_q / alpha_rq) alpha_r
             d -= (d[q] / alpha[q]) * alpha
             d[q] = 0.0
@@ -489,7 +485,7 @@ class _Engine:
         still proves the bounds unmeetable: its basic variable stays more
         than `FEAS_TOL` (in the problem's units) outside its bounds even
         when every nonbasic column moves across its whole range to help. As
-        in the dual ratio test, a column with |alpha_j| at most the pivot
+        in the dual ratio test, a slack with |alpha_j| at most the pivot
         tolerance counts as zero when its range is unbounded; every finite
         range counts in full. False too when the fresh row of the inverse
         does not reproduce the unit row on the basic columns, relative to
@@ -528,11 +524,10 @@ class _Engine:
         cB, blo, bhi, basis = self.cB, self.blo, self.bhi, self.basis
         xB, Binv = self.xB, self.Binv
         opt_tol, deadline = OPT_TOL, self.deadline
-        # nonbasic free columns are priced by -|d|. Multiplying by the +-1
-        # weights is exact, so eff equals a per-position select of d, -d
-        # and 0 (up to the sign of a zero) and picks the same column; only
-        # the columns that move in a pivot have their weight rewritten.
-        free = ((pos == _FREE) & ~self.fixed).nonzero()[0]
+        # multiplying by the +-1 weights is exact, so eff equals a
+        # per-position select of d, -d and 0 (up to the sign of a zero) and
+        # picks the same column; only the columns that move in a pivot have
+        # their weight rewritten.
         ratios = np.empty(self.m)
         stall = _Stall()
         while self.iterations < self.max_iters:
@@ -542,8 +537,6 @@ class _Engine:
             y = Binv.T @ cB
             d = c - A.T @ y
             eff = sign * d
-            if free.size:
-                eff[free] = -np.abs(d[free])
             if stall.bland:
                 eligible = (eff < -opt_tol).nonzero()[0]
                 if eligible.size == 0:
@@ -554,12 +547,7 @@ class _Engine:
                 if eff[q] >= -opt_tol:
                     return LpStatus.OPTIMAL
 
-            entering_free = sign[q] == 0.0
-            if entering_free:
-                dirn = 1.0 if d[q] < 0.0 else -1.0
-            else:
-                dirn = float(sign[q])
-
+            dirn = float(sign[q])
             w = Binv @ A[:, q]
             delta = w if dirn > 0 else -w
             dec = (delta > _PIVOT_TOL).nonzero()[0]
@@ -571,14 +559,12 @@ class _Engine:
             theta_flip = (hi[q] - val[q]) if dirn > 0 else (val[q] - lo[q])
 
             if not math.isfinite(min(theta_basic, theta_flip)):
-                return LpStatus.UNBOUNDED
+                return LpStatus.NUMERICAL  # a boxed LP has no ray: roundoff made this one
 
             if theta_basic <= theta_flip:
                 # ties resolved toward the lowest variable index: anti-cycling aid
                 tied = (ratios <= theta_basic).nonzero()[0]
                 leave = int(tied[0]) if tied.size == 1 else int(tied[basis[tied].argmin()])
-                if entering_free:
-                    free = free[free != q]
                 if not self.exchange(leave, q, dirn * theta_basic, w, not delta[leave] > 0):
                     return LpStatus.NUMERICAL
                 xB, Binv = self.xB, self.Binv
@@ -594,20 +580,6 @@ class _Engine:
         return LpStatus.ITERATION_LIMIT
 
 
-def _trivial_solve(problem: LpProblem) -> LpResult:
-    if np.any(problem.lo > problem.hi):
-        return LpResult(LpStatus.INFEASIBLE, np.nan, np.array([]), 0)
-    x = np.where(np.isfinite(problem.lo), problem.lo, np.where(np.isfinite(problem.hi), problem.hi, 0.0))
-    down = (problem.c < 0) & np.isfinite(problem.hi)
-    x = np.where(down, problem.hi, x)
-    unbounded = ((problem.c < 0) & ~np.isfinite(problem.hi)) | (
-        (problem.c > 0) & ~np.isfinite(problem.lo)
-    )
-    if np.any(unbounded):
-        return LpResult(LpStatus.UNBOUNDED, -np.inf, x, 0)
-    return LpResult(LpStatus.OPTIMAL, float(problem.c @ x), x, 0)
-
-
 def solve_lp(
     problem: LpProblem,
     *,
@@ -615,13 +587,14 @@ def solve_lp(
     start: LpBasis | None = None,
     _shared: _Shared | None = None,
 ) -> LpResult:
-    """Minimize over the bounded polyhedron; dual then primal simplex,
-    deterministic.
+    """Minimize over the boxed polyhedron: dual, then primal, simplex.
 
     Answers are judged by `FEAS_TOL` and `OPT_TOL`: an OPTIMAL result's
     point meets the problem's rows and bounds to `FEAS_TOL`, and an
     optimum that does not is reported as NUMERICAL, as is a solve that
     meets a singular basis or an infeasibility verdict it cannot certify.
+    A box with `lo` above `hi` by more than `FEAS_TOL` is INFEASIBLE, its
+    point all NaN, whether or not the problem has rows.
     Past `deadline`, a `time.monotonic()` reading, pivoting stops with
     status TIME_LIMIT; without one, only the cap of 5000 + 25 * (rows +
     columns) pivots bounds the work, and status ITERATION_LIMIT reports
@@ -637,10 +610,11 @@ def solve_lp(
     from.
     """
     m, n = problem.a.shape
-    if m == 0:
-        return _trivial_solve(problem)
     if np.any(problem.lo > problem.hi + FEAS_TOL):
         return LpResult(LpStatus.INFEASIBLE, np.nan, np.full(n, np.nan), 0)
+    if m == 0:  # no rows: each column at the bound its cost prefers
+        x = np.where(problem.c < 0, problem.hi, problem.lo)
+        return LpResult(LpStatus.OPTIMAL, float(problem.c @ x), x, 0)
     max_iters = 5000 + 25 * (m + n)
     if _shared is None or problem.a is not _shared.a:
         _shared = _Shared(problem)
@@ -670,15 +644,13 @@ def _solve(
     eng = _Engine(problem, max_iters, deadline, shared)
     cost = np.concatenate([problem.c, np.zeros(m)])
     if start is None:
-        priced = eng.slack_start(cost)
-    elif eng.install(start, shared.inverse(start)):
-        priced = cost
-    else:
+        eng.slack_start(cost)
+    elif not eng.install(start, shared.inverse(start)):
         return LpResult(LpStatus.NUMERICAL, np.nan, np.full(n, np.nan), 0)
-    st = eng.dual(priced)
+    st = eng.dual(cost)
     if st == LpStatus.INFEASIBLE and not eng.certifies(eng.proof_row):
         eng.pivot_tol = _PIVOT_TOL
-        st = eng.dual(priced)
+        st = eng.dual(cost)
         if st == LpStatus.INFEASIBLE and not eng.certifies(eng.proof_row):
             st = LpStatus.NUMERICAL
     if st == LpStatus.OPTIMAL:
@@ -690,4 +662,4 @@ def _solve(
             shared.inverses.append((res.basis, eng.Binv))
             return res
         st = LpStatus.NUMERICAL
-    return LpResult(st, -np.inf if st == LpStatus.UNBOUNDED else np.nan, x, eng.iterations)
+    return LpResult(st, np.nan, x, eng.iterations)

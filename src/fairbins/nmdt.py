@@ -254,7 +254,9 @@ def _completion_lp(nm: NmdtMilp, rates: np.ndarray, *, elastic: bool) -> LpProbl
 
     The rates sit both in the balance equalities and in the rate-column
     bounds. Elastic form adds signed slack per balance row and minimizes
-    it; the hard form minimizes the movement objective.
+    it; the hard form minimizes the movement objective. Each slack of a
+    link is boxed by its `v_hi`, which cuts no point: npos.x and rate * v
+    both lie in [0, v], so their difference is at most v_hi.
     """
     model = nm.model
     tb = nm.bounds
@@ -271,7 +273,8 @@ def _completion_lp(nm: NmdtMilp, rates: np.ndarray, *, elastic: bool) -> LpProbl
     )
     first = rows.nrows - len(model.links)
     lo = np.concatenate([model.lo, np.zeros(extra)])
-    hi = np.concatenate([model.hi, np.full(extra, np.inf)])
+    slack_hi = np.repeat([tb.v_hi[link.group, link.dest] for link in model.links], 2)
+    hi = np.concatenate([model.hi, slack_hi if elastic else np.zeros(0)])
     for i, link in enumerate(model.links):
         # written, not added: `+=` on a zero row would turn the -0.0 of a
         # rate pinned at exactly 0 into +0.0

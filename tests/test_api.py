@@ -8,7 +8,8 @@ bound knows only the LP layer, never the model it is handed, and never
 solves a rounded pattern as an LP of its own; every NMDT link has digits,
 and exact NMDT is the one linearization: nothing selects another.
 The simplex factors a basis in one place, never swaps in a pseudo-inverse,
-and starts every LP from a basis, never from artificial columns. The data
+and starts every LP from a basis, never from artificial columns; every LP
+column has a finite box, so no LP is unbounded. The data
 commands load no layer of the solver, and `bin-stats` no masked arrays."""
 
 from __future__ import annotations
@@ -123,6 +124,19 @@ def test_one_linearization():
              for name, sub in commands.items()}
     assert "--mode" not in flags["solve"] | flags["frontier"]
     assert "--mode" in flags["apply"]  # how a stored plan moves scores
+
+
+def test_every_lp_is_boxed():
+    # every column has a finite box, so no LP has a ray: the simplex keeps
+    # no free-column position, and no status reports an unbounded LP
+    for lo, hi in [(-np.inf, 1.0), (0.0, np.inf), (np.nan, 1.0), (0.0, np.nan)]:
+        try:
+            lp.LpProblem([1.0], [[1.0]], [lp.SENSE_LE], [1.0], [lo], [hi])
+        except ValueError:
+            continue
+        raise AssertionError(f"LpProblem took the box [{lo}, {hi}]")
+    assert "UNBOUNDED" not in lp.LpStatus.__members__
+    assert not hasattr(lp, "_FREE")
 
 
 def test_lp_factors_in_one_place():

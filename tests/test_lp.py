@@ -88,16 +88,12 @@ def test_bound_conflict_is_infeasible():
     assert solve_lp(p).status == LpStatus.INFEASIBLE
 
 
-def test_unbounded_detected():
-    p = _problem(
-        [-1, 0],
-        [[1, -1]],
-        "<",
-        [0],
-        [0, 0],
-        [np.inf, np.inf],
-    )
-    assert solve_lp(p).status == LpStatus.UNBOUNDED
+def test_an_unboxed_column_is_refused():
+    # the ray the cost [-1, 0] would follow along x0 = x1 is never built
+    for lo, hi in [([0, 0], [np.inf, 1]), ([-np.inf, 0], [1, 1]), ([0, np.nan], [1, 1]),
+                   ([0, 0], [1, np.nan])]:
+        with pytest.raises(ValueError, match="finite box"):
+            _problem([-1, 0], [[1, -1]], "<", [0], lo, hi)
 
 
 def test_upper_bounds_bind_via_flips():
@@ -121,21 +117,43 @@ def test_no_rows_trivial_path():
     res = solve_lp(p)
     assert res.status == LpStatus.OPTIMAL
     assert res.x == pytest.approx([0.0, 4.0])
-    unb = _problem([-1], np.zeros((0, 1)), "", [], [0], [np.inf])
-    assert solve_lp(unb).status == LpStatus.UNBOUNDED
+    with pytest.raises(ValueError, match="finite box"):
+        _problem([-1], np.zeros((0, 1)), "", [], [0], [np.inf])
+
+
+@pytest.mark.parametrize("cross", [1e-9, 1.0])
+def test_a_crossed_box_gets_one_verdict_with_or_without_rows(cross):
+    # within FEAS_TOL a crossed box is met, beyond it no point is; adding a
+    # row that every point meets changes neither verdict
+    lo, hi = [0.0, 1.0 + cross], [1.0, 1.0]
+    bare = solve_lp(_problem([1, 1], np.zeros((0, 2)), "", [], lo, hi))
+    rowed = solve_lp(_problem([1, 1], [[1, 1]], "<", [10], lo, hi))
+    assert bare.status == rowed.status
+    assert bare.x.shape == rowed.x.shape == (2,)
+    if cross > lp.FEAS_TOL:
+        assert bare.status == LpStatus.INFEASIBLE
+        assert np.isnan(bare.x).all() and np.isnan(rowed.x).all()
+    else:
+        assert bare.status == LpStatus.OPTIMAL
+        assert bare.objective == pytest.approx(rowed.objective, abs=1e-8)
+
+
+# Beale's classic degenerate instance, which cycles under naive Dantzig
+# pivoting from the origin. Its optimum (x2 = 1, objective -0.05) stays
+# inside the box [0, 10]^4.
+_BEALE_C = [-0.75, 150.0, -0.02, 6.0]
+_BEALE_A = [
+    [0.25, -60.0, -1.0 / 25.0, 9.0],
+    [0.5, -90.0, -1.0 / 50.0, 3.0],
+    [0.0, 0.0, 1.0, 0.0],
+]
 
 
 def test_beale_cycling_example():
-    # classic degenerate instance that cycles under naive Dantzig pivoting
-    c = [-0.75, 150.0, -0.02, 6.0]
-    a = [
-        [0.25, -60.0, -1.0 / 25.0, 9.0],
-        [0.5, -90.0, -1.0 / 50.0, 3.0],
-        [0.0, 0.0, 1.0, 0.0],
-    ]
+    c, a = _BEALE_C, _BEALE_A
     rhs = [0.0, 0.0, 1.0]
     lo = [0.0] * 4
-    hi = [np.inf] * 4
+    hi = [10.0] * 4
     res = solve_lp(_problem(c, a, "<<<", rhs, lo, hi))
     assert res.status == LpStatus.OPTIMAL
     assert res.objective == pytest.approx(-0.05, abs=1e-9)
@@ -259,7 +277,7 @@ class _ReferenceEngine(lp._Engine):
             theta_flip = (self.hi[q] - self.val[q]) if dirn > 0 else (self.val[q] - self.lo[q])
 
             if not np.isfinite(min(theta_basic, theta_flip)):
-                return LpStatus.UNBOUNDED
+                return LpStatus.NUMERICAL
 
             if theta_basic <= theta_flip:
                 # ties resolved toward the lowest variable index: anti-cycling aid
@@ -314,33 +332,33 @@ class _CountingEngine(lp._Engine):
         return super().factor()
 
 
-def _fingerprint(problem: LpProblem) -> tuple:
+def _fingerprint(problem: LpProblem, start: lp.LpBasis | None = None) -> tuple:
     try:
-        res = solve_lp(problem)
+        res = solve_lp(problem, start=start)
     except RuntimeError as e:
         return ("raised", str(e))
     return (res.status, res.iterations, repr(res.objective), res.x.tobytes())
 
 
-def _assert_same_bits(problem: LpProblem) -> tuple:
+def _assert_same_bits(problem: LpProblem, start: lp.LpBasis | None = None) -> tuple:
     """Solve with the production loop and the reference loop; every bit of
     the result must agree. Returns the production fingerprint."""
-    mine = _fingerprint(problem)
+    mine = _fingerprint(problem, start)
     with mock.patch.object(lp, "_Engine", _ReferenceEngine):
-        reference = _fingerprint(problem)
+        reference = _fingerprint(problem, start)
     assert mine == reference
     return mine
 
 
-_KINDS = ("box", "free", "fixed", "lower", "upper")
+_KINDS = ("box", "fixed")
 
 
 @st.composite
 def _parity_lps(draw):
-    """Small LPs over every column kind. `degenerate` uses integer rows
-    whose right-hand sides pass exactly through an integer point, so many
-    rows are tight at once; `infeasible` adds two contradicting rows;
-    `unbounded` adds a column that no row bounds and the cost pulls down."""
+    """Small LPs over both column kinds, boxed and fixed. `degenerate` uses
+    integer rows whose right-hand sides pass exactly through an integer
+    point, so many rows are tight at once; `infeasible` adds two
+    contradicting rows."""
     m = draw(st.integers(1, 10))
     n = draw(st.integers(1, 8))
     kinds = draw(st.lists(st.sampled_from(_KINDS), min_size=n, max_size=n))
@@ -349,7 +367,7 @@ def _parity_lps(draw):
         dtype=np.int8,
     )
     degenerate = draw(st.booleans())
-    case = draw(st.sampled_from(["plain", "infeasible", "unbounded"]))
+    case = draw(st.sampled_from(["plain", "infeasible"]))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
 
     width = rng.integers(1, 4, size=n).astype(float)
@@ -357,10 +375,6 @@ def _parity_lps(draw):
     hi = lo + width
     x0 = lo + rng.integers(0, 2, size=n) * width
     for j, kind in enumerate(kinds):
-        if kind in ("free", "upper"):
-            lo[j] = -np.inf
-        if kind in ("free", "lower"):
-            hi[j] = np.inf
         if kind == "fixed":
             lo[j] = hi[j] = x0[j]
     if degenerate:
@@ -376,9 +390,6 @@ def _parity_lps(draw):
         a = np.vstack([a, v, v])
         senses = np.concatenate([senses, np.array([SENSE_LE, SENSE_GE], dtype=np.int8)])
         rhs = np.concatenate([rhs, [v @ x0, v @ x0 + 1.0]])
-    elif case == "unbounded":
-        a = np.hstack([a, np.zeros((a.shape[0], 1))])
-        c, lo, hi = np.append(c, -1.0), np.append(lo, 0.0), np.append(hi, np.inf)
     return LpProblem(c=c, a=a, senses=senses, rhs=rhs, lo=lo, hi=hi)
 
 
@@ -402,38 +413,38 @@ def _degenerate_cone(seed: int, m: int, n: int) -> LpProblem:
     )
 
 
-def _open_cone(seed: int, m: int, n: int) -> LpProblem:
-    # the cone with no upper bound on its negative-cost columns: the slack
-    # start is already primal feasible, so the primal polish does all the
-    # work, stalling at the origin as the cone's rows allow
-    p = _degenerate_cone(seed, m, n)
-    return LpProblem(p.c, p.a, p.senses, p.rhs, p.lo, np.where(p.c < 0, np.inf, 1.0))
+def _from_the_origin(problem: LpProblem) -> lp.LpBasis:
+    # the slack basis with every structural column at its lower bound: a
+    # warm start from the origin, the vertex where every row of
+    # `_degenerate_cone` is tight. It is primal feasible, so the primal
+    # polish does all the work, stalling there as the cone's rows allow
+    m, n = problem.a.shape
+    pos = np.concatenate([np.full(n, _AT_LO), np.full(m, _BASIC)]).astype(np.int8)
+    return lp.LpBasis(n + np.arange(m), pos)
 
 
 def test_the_slack_start_is_dual_feasible():
-    # one column of each kind, at each cost sign: box, lower bound only,
-    # upper bound only, free and fixed
-    lo = np.array([0.0, 0.0, 0.0, 0.0, -np.inf, -np.inf, -np.inf, -np.inf, 2.0, 2.0])
-    hi = np.array([1.0, 1.0, np.inf, np.inf, 1.0, 1.0, np.inf, np.inf, 2.0, 2.0])
-    c = np.array([1.0, -1.0, 1.0, -1.0, 1.0, -1.0, 1.0, -1.0, 1.0, -1.0])
+    # boxed and fixed columns at each cost sign, and one of each at cost 0
+    lo = np.array([0.0, 0.0, -1.0, -1.0, 0.0, 2.0, 2.0, 2.0])
+    hi = np.array([1.0, 1.0, 3.0, 3.0, 1.0, 2.0, 2.0, 2.0])
+    c = np.array([1.0, -1.0, 1.0, -1.0, 0.0, 1.0, -1.0, 0.0])
     rng = np.random.default_rng(3)
-    a = rng.integers(-3, 4, size=(6, 10)).astype(float)
+    a = rng.integers(-3, 4, size=(6, 8)).astype(float)
     senses = np.array([SENSE_LE, SENSE_GE, SENSE_EQ] * 2, dtype=np.int8)
     problem = LpProblem(c, a, senses, rng.integers(-2, 3, size=6).astype(float), lo, hi)
     m, n = a.shape
     eng = lp._Engine(problem, 0, None)
     cost = np.concatenate([c, np.zeros(m)])
-    priced = eng.slack_start(cost)
+    eng.slack_start(cost)
     assert np.array_equal(eng.basis, n + np.arange(m))
     assert np.array_equal(eng.Binv, np.eye(m))
-    # only a cost that pulls toward an infinite bound, or off a free 0, is shifted
-    assert np.flatnonzero(priced != cost).tolist() == [3, 4, 6, 7]
-    d = priced - eng.A.T @ (eng.Binv.T @ priced[eng.basis])
+    # the reduced costs of the true costs have the sign each position needs
+    d = cost - eng.A.T @ (eng.Binv.T @ cost[eng.basis])
     movable = eng.hi > eng.lo
     assert np.all(d[(eng.pos == _AT_LO) & movable] >= 0.0)
     assert np.all(d[(eng.pos == _AT_UP) & movable] <= 0.0)
-    assert np.all(d[eng.pos == lp._FREE] == 0.0)
     assert np.all(d[eng.basis] == 0.0)
+    assert set(eng.pos[:n].tolist()) == {_AT_LO, _AT_UP}
     # the start point sits in every column's box
     x = eng.point()[:n]
     assert np.all((lo <= x) & (x <= hi))
@@ -449,37 +460,44 @@ def test_deadline_stops_pivoting_and_changes_no_bits_before_it():
 
 
 def test_beale_example_matches_reference_bit_for_bit():
-    c = [-0.75, 150.0, -0.02, 6.0]
-    a = [
-        [0.25, -60.0, -1.0 / 25.0, 9.0],
-        [0.5, -90.0, -1.0 / 50.0, 3.0],
-        [0.0, 0.0, 1.0, 0.0],
-    ]
-    status, *_ = _assert_same_bits(_problem(c, a, "<<<", [0, 0, 1], [0] * 4, [np.inf] * 4))
+    problem = _problem(_BEALE_C, _BEALE_A, "<<<", [0, 0, 1], [0] * 4, [10] * 4)
+    # from the origin, Dantzig's cycling start, not the cold start at the
+    # bounds the costs prefer
+    status, pivots, *_ = _assert_same_bits(problem, _from_the_origin(problem))
     assert status == LpStatus.OPTIMAL
+    assert pivots == 7
 
 
 def test_bland_switch_matches_reference_bit_for_bit():
-    problem = _open_cone(0, 60, 40)
-    # at 0 the switch holds from the first pivot, as if the primal had cycled
-    with mock.patch.object(lp, "_BLAND_AFTER", 0):
-        mine = _assert_same_bits(problem)
-    # the switch does change the path: without it the pivots differ
-    assert _fingerprint(problem)[1] != mine[1]
+    problem = _degenerate_cone(0, 60, 40)
+    start = _from_the_origin(problem)
+    # the warm start may take as many pivots as the primal needs
+    with mock.patch.object(lp, "_WARM_SHARE", 100.0):
+        # at 0 the switch holds from the first pivot, as if the primal had cycled
+        with mock.patch.object(lp, "_BLAND_AFTER", 0):
+            mine = _assert_same_bits(problem, start)
+        # the switch does change the path: without it the pivots differ
+        plain = _fingerprint(problem, start)
+    assert plain[0] == mine[0] == LpStatus.OPTIMAL
+    assert plain[1] != mine[1]
 
 
 def test_refactor_crossing_matches_reference_bit_for_bit():
-    problem = _open_cone(1, 100, 60)
+    problem = _degenerate_cone(1, 100, 60)
+    start = _from_the_origin(problem)
     _CountingEngine.refactors = 0
-    with mock.patch.object(lp, "_Engine", _CountingEngine):
-        solve_lp(problem)
-    assert _CountingEngine.refactors >= 2
-    _assert_same_bits(problem)
+    with mock.patch.object(lp, "_WARM_SHARE", 100.0):
+        with mock.patch.object(lp, "_Engine", _CountingEngine):
+            solve_lp(problem, start=start)
+        # one factorization installs the start; two more are periodic
+        assert _CountingEngine.refactors >= 3
+        assert _assert_same_bits(problem, start)[0] == LpStatus.OPTIMAL
 
 
 def test_a_singular_periodic_refactor_ends_numerical():
     # the cold solve of this cone crosses at least two periodic refactors;
-    # the second finds the basis singular, and no pseudo-inverse steps in
+    # the second finds the basis singular, and no pseudo-inverse steps in.
+    # A warm start would hide the verdict: its failure falls back to cold
     inv, calls = np.linalg.inv, []
 
     def second_fails(matrix):
@@ -489,7 +507,7 @@ def test_a_singular_periodic_refactor_ends_numerical():
         return inv(matrix)
 
     with mock.patch.object(lp.np.linalg, "inv", second_fails):
-        res = solve_lp(_open_cone(1, 100, 60))
+        res = solve_lp(_degenerate_cone(1, 200, 120))
     assert len(calls) == 2
     assert res.status == LpStatus.NUMERICAL
     assert np.isnan(res.objective) and res.basis is None
@@ -590,17 +608,13 @@ def test_node_lps_match_reference_bit_for_bit():
 _SENSE_CHAR = {SENSE_LE: "<", SENSE_EQ: "=", SENSE_GE: ">"}
 
 
-def _fixed_child(problem: LpProblem, x: np.ndarray, fixes, shift=0.0) -> LpProblem:
+def _fixed_child(problem: LpProblem, fixes, shift=0.0) -> LpProblem:
     """`problem` with each (column, where) pinned at its lower bound, its
     upper bound or an interior value, and `shift` added to the right-hand
-    sides; an infinite side is replaced by a point one unit past the
-    parent's optimum."""
+    sides."""
     lo, hi = problem.lo.copy(), problem.hi.copy()
     for j, where in fixes:
-        low = lo[j] if np.isfinite(lo[j]) else x[j] - 1.0
-        high = hi[j] if np.isfinite(hi[j]) else x[j] + 1.0
-        value = {"lo": low, "hi": high, "mid": (low + high) / 2.0}[where]
-        lo[j] = hi[j] = value
+        lo[j] = hi[j] = {"lo": lo[j], "hi": hi[j], "mid": (lo[j] + hi[j]) / 2.0}[where]
     return LpProblem(problem.c, problem.a, problem.senses, problem.rhs + shift, lo, hi)
 
 
@@ -624,7 +638,7 @@ def test_warm_start_after_fixing_columns_matches_scipy(case):
     parent = solve_lp(problem)
     assume(parent.status == LpStatus.OPTIMAL)
     assert parent.basis is not None
-    child = _fixed_child(problem, parent.x, fixes, shift)
+    child = _fixed_child(problem, fixes, shift)
     warm = solve_lp(child, start=parent.basis)
     status, obj, _ = scipy_lp(
         child.c, child.a, [_SENSE_CHAR[int(s)] for s in child.senses], child.rhs,
@@ -663,7 +677,7 @@ def _branched_lp(m: int | None = None, n: int | None = None) -> tuple[LpProblem,
     p = _random_bounded(np.random.default_rng(7), m, n)
     parent = solve_lp(p)
     j = int(np.argmin(np.abs(parent.x - 0.5)))
-    child = _fixed_child(p, parent.x, [(j, "lo")])
+    child = _fixed_child(p, [(j, "lo")])
     return child, parent.basis
 
 
@@ -702,7 +716,7 @@ def test_warm_infeasible_child_is_confirmed():
     # x0 + x1 >= 1.5 over the unit box; pinning x0 at 0 leaves x1 <= 1 short
     p = _problem([1, 1], [[1, 1]], ">", [1.5], [0, 0], [1, 1])
     parent = solve_lp(p)
-    child = _fixed_child(p, parent.x, [(0, "lo")])
+    child = _fixed_child(p, [(0, "lo")])
     res = solve_lp(child, start=parent.basis)
     assert res.status == LpStatus.INFEASIBLE
     assert res.iterations <= 2
@@ -744,7 +758,7 @@ def test_a_corrupted_stored_inverse_is_factored_afresh():
     [(kept, inverse)] = shared.inverses
     assert kept is first.basis
     j = int(np.argmin(np.abs(first.x - 0.5)))
-    grandchild = _fixed_child(child, first.x, [(j, "hi")])
+    grandchild = _fixed_child(child, [(j, "hi")])
     fresh = solve_lp(grandchild, start=first.basis, _shared=lp._Shared(child))
 
     cols = shared.A[:, kept.basic]
@@ -790,7 +804,7 @@ def test_warm_infeasibility_needs_a_certificate():
     # bounds can still be met, so the cold solve decides
     p = _problem([-1, 1], [[1, 1e-8]], ">", [1.5], [0, 0], [2, 1e8])
     parent = solve_lp(p)
-    child = _fixed_child(p, parent.x, [(0, "mid")])
+    child = _fixed_child(p, [(0, "mid")])
     res = solve_lp(child, start=parent.basis)
     assert res.status == LpStatus.OPTIMAL
     assert res.x == pytest.approx([1.0, 5e7])
@@ -800,7 +814,7 @@ def test_the_uncertified_child_solved_cold_is_optimal():
     # the child LP above with no start: the cold dual also stalls on the
     # 1e-8 pivot, cannot certify the row, and looks again with _PIVOT_TOL
     p = _problem([-1, 1], [[1, 1e-8]], ">", [1.5], [0, 0], [2, 1e8])
-    child = _fixed_child(p, solve_lp(p).x, [(0, "mid")])
+    child = _fixed_child(p, [(0, "mid")])
     res = solve_lp(child)
     assert res.status == LpStatus.OPTIMAL
     assert res.x == pytest.approx([1.0, 5e7])
@@ -808,14 +822,15 @@ def test_the_uncertified_child_solved_cold_is_optimal():
 
 def _covering(seed: int, m: int, n: int) -> LpProblem:
     # alternating <= and >= rows over small integers and costs: the slack
-    # start breaks the >= rows, and many reduced costs are zero, some of
-    # them shifted from columns without an upper bound
+    # start breaks the >= rows, and many reduced costs are zero. The
+    # negative-cost columns start at their upper bound, 6, which the <=
+    # rows push them off
     rng = np.random.default_rng(seed)
     c = rng.integers(-1, 3, size=n).astype(float)
     senses = np.where(np.arange(m) % 2, SENSE_GE, SENSE_LE).astype(np.int8)
     return LpProblem(c, rng.integers(0, 3, size=(m, n)).astype(float), senses,
                      np.where(senses == SENSE_LE, 6.0, 3.0), np.zeros(n),
-                     np.where(c < 0, np.inf, 1.0))
+                     np.where(c < 0, 6.0, 1.0))
 
 
 def test_dual_bland_switch_keeps_the_answer():

@@ -36,10 +36,10 @@ DIGESTS = {
         "9667ebc194a9d7f74844ee21991011f0c56284bfac976cc7c76f1e2af166a0dd",
     "rate_lps":
         "748dfa377fa15ef664b6ff9d92bc76d430b02c327dce0e2e6db0cc2245bee9c6",
-    "milp_exact":
+    "milp":
         "5166861ebc35b9a9b08df9f30c37c7120178e1c126069edd7070eb365076e889",
-    "completion_exact":
-        "9d2afd8a85962bc7ee986bf05584e891f516bc00fde9aea4739dac2dd032033e",
+    "completion":
+        "9a448466bb50ab208de8c7a95f4c8ebc70e2141d0f75db30e5e0650ba2323d77",
 }
 
 
@@ -117,18 +117,16 @@ def test_rate_bound_lp_digest(model, fixed_bounds, monkeypatch):
     assert _digest(seen) == DIGESTS["rate_lps"]
 
 
-@pytest.mark.parametrize("mode", ["exact"])
-def test_milp_lp_digest(model, fixed_bounds, mode):
+def test_milp_lp_digest(model, fixed_bounds):
     nm = build_milp(model, fixed_bounds, power=POWER)
-    assert _digest([nm.problem.lp]) == DIGESTS[f"milp_{mode}"]
+    assert _digest([nm.problem.lp]) == DIGESTS["milp"]
 
 
-@pytest.mark.parametrize("mode", ["exact"])
-def test_first_elastic_completion_lp_digest(model, fixed_bounds, mode, monkeypatch):
+def test_first_elastic_completion_lp_digest(model, fixed_bounds, monkeypatch):
     nm = build_milp(model, fixed_bounds, power=POWER)
     # the identity lift must fail, or completion never builds an LP
     assert point_violation(nm.problem.lp, initial_point(nm)) > 1e-3
     seen = _recording(monkeypatch, nmdt_mod, LpStatus.INFEASIBLE)
     assert completion_start(nm) is None
     assert len(seen) == 1
-    assert _digest(seen) == DIGESTS[f"completion_{mode}"]
+    assert _digest(seen) == DIGESTS["completion"]
