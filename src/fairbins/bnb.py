@@ -20,15 +20,15 @@ aside; its bound caps the reported one and the search ends `GapLimit`.
 The kernel is deterministic, so a given problem always explores the same
 tree in the same order. When no open node can beat the incumbent, the
 lower bound is lifted to the incumbent value and the reported gap is
-exactly zero.
+exactly zero. `SolveReport` is a named tuple; `MilpProblem` a plain class.
 """
 
 from __future__ import annotations
 
 import heapq
 import time
-from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 import numpy as np
 
@@ -45,19 +45,15 @@ class MilpStatus(str, Enum):
     INFEASIBLE = "Infeasible"
 
 
-@dataclass
 class MilpProblem:
     """A bounded LP plus the columns that must come out 0/1."""
 
-    lp: LpProblem
-    binary_cols: np.ndarray
-
-    def __post_init__(self):
-        self.binary_cols = np.asarray(self.binary_cols, dtype=int)
+    def __init__(self, lp: LpProblem, binary_cols):
+        self.lp = lp
+        self.binary_cols = np.asarray(binary_cols, dtype=int)
 
 
-@dataclass(frozen=True)
-class SolveReport:
+class SolveReport(NamedTuple):
     status: MilpStatus
     incumbent: np.ndarray | None
     incumbent_objective: float

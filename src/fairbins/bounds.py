@@ -35,11 +35,12 @@ to roundoff. A padded rate box whose min exceeds its max is numerical
 trouble, not a point, and raises `BoundsError`; so does one no wider than
 `MIN_RATE_SPAN`, which the linearization cannot split into digits. The
 padding makes every box that does not cross at least 1e-7 wide.
+`TightBounds` is a named tuple.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -69,8 +70,7 @@ class BoundsError(RuntimeError):
         self.status = status
 
 
-@dataclass(frozen=True)
-class TightBounds:
+class TightBounds(NamedTuple):
     v_lo: np.ndarray
     v_hi: np.ndarray
     t_lo: np.ndarray

@@ -12,12 +12,19 @@ Exit codes, kept distinct so scripts can branch on failure class:
 The solver layers are imported inside the commands that run them, so
 `bin-stats`, `apply` and `audit` load only the data and post-processing
 layers.
+
+Run as the program (`main()` with no argv), `main` freezes the garbage
+collector once the command is done, on every way out: the interpreter
+then skips its final collection over the objects numpy and the command
+made, most of a process's exit time. Freezing skips no atexit handler,
+stream flush or file close.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
+import gc
 import json
 import math
 import sys
@@ -148,6 +155,15 @@ def _seconds(value, name: str) -> float:
     return seconds
 
 
+def _gap(value) -> float:
+    """A relative gap target: nonnegative, or inf. NaN is refused, as every
+    comparison with it is False and the target would never be met."""
+    gap = float(value)
+    if not gap >= 0.0:
+        raise CliError(2, f"gap must be a nonnegative number, got {value}")
+    return gap
+
+
 def cmd_bin_stats(args: argparse.Namespace) -> int:
     settings = _resolve(args)
     _, _, stats = _binned_stats(args.input, int(settings["bins"]), _schema(args))
@@ -164,6 +180,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
 
     settings = _resolve(args)
     power = power_for_precision(float(settings["precision"]))
+    gap_target = _gap(settings["gap"])
     _, _, stats = _binned_stats(args.input, int(settings["bins"]), _schema(args))
     _require_overlap(stats)
     config = _model_config(settings)
@@ -172,7 +189,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
         config,
         power=power,
         time_limit=_seconds(settings["time_limit"], "time_limit"),
-        gap_target=float(settings["gap"]),
+        gap_target=gap_target,
     )
     report = out.report
     finite = lambda x: None if not np.isfinite(x) else float(x)
@@ -185,7 +202,8 @@ def cmd_solve(args: argparse.Namespace) -> int:
         "nodesExplored": report.nodes_explored,
         "wallSeconds": report.wall_seconds,
         "certifiedRateSlack": out.rate_slack,
-        "settings": {k: settings[k] for k in
+        # an infinite time limit or gap would be a token no JSON parser reads
+        "settings": {k: None if settings[k] == math.inf else settings[k] for k in
                      ("bins", "eps_dp", "eps_eodds", "eps_prp", "retention",
                       "window", "precision", "time_limit", "gap")},
     }
@@ -289,6 +307,7 @@ def cmd_frontier(args: argparse.Namespace) -> int:
         # each cell's solve gets an even share of the time limit
         budget = _seconds(settings["time_limit"], "time_limit") / math.prod(map(len, grids))
     power = power_for_precision(float(settings["precision"]))
+    gap_target = _gap(settings["gap"])
     _, _, stats = _binned_stats(args.input, int(settings["bins"]), _schema(args))
     _require_overlap(stats)
     points = sweep(
@@ -298,7 +317,7 @@ def cmd_frontier(args: argparse.Namespace) -> int:
         window=int(settings["window"]),
         power=power,
         budget_per_solve=budget,
-        gap_target=float(settings["gap"]),
+        gap_target=gap_target,
     )
     _write(args.output, frontier_csv(points))
     return 0
@@ -459,8 +478,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    """Run one command; `argv` defaults to the process's own command line.
+    Only then, as the program, does it freeze the collector on its way out."""
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except CliError as e:
         print(f"error: {e}", file=sys.stderr)
@@ -478,6 +499,9 @@ def main(argv: list[str] | None = None) -> int:
     except OSError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
+    finally:
+        if argv is None:
+            gc.freeze()
 
 
 if __name__ == "__main__":

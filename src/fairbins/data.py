@@ -1,4 +1,7 @@
-"""Loading, quantile binning, and count statistics for scored observations."""
+"""Loading, quantile binning, and count statistics for scored observations.
+
+`ColumnSchema` and `OverlapReport` are named tuples; `Dataset`, `BinSpec`
+and `BinStats` are plain classes."""
 
 from __future__ import annotations
 
@@ -6,11 +9,11 @@ import csv
 import io
 import json
 from collections.abc import Iterable, Iterator
-from dataclasses import dataclass, field
 from itertools import chain, groupby, islice, repeat
 from operator import add
 from pathlib import Path
 from types import SimpleNamespace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -50,32 +53,27 @@ class BinningError(ValueError):
         self.achievable = achievable
 
 
-@dataclass(frozen=True)
-class ColumnSchema:
+class ColumnSchema(NamedTuple):
     score: str = "score"
     label: str = "label"
     group: str = "group"
 
 
-@dataclass(eq=False)
 class Dataset:
     """Validated rows as column arrays in file order: float ``score``, 0/1
     ``label`` and dense ``group`` ids 1..G. ``header`` holds the parsed
     header fields and ``records`` one string per row: its fields as
     ``apply`` writes them, comma-separated, before the two fields it
     appends (for plain input, the input line itself). A dataset built from
-    arrays has neither."""
+    arrays has neither. ``len()`` is the row count."""
 
-    score: np.ndarray
-    label: np.ndarray
-    group: np.ndarray
-    header: list[str] = field(default_factory=list)
-    records: Iterable[str] = field(default_factory=list)
-
-    def __post_init__(self):
-        self.score = np.asarray(self.score, dtype=float)
-        self.label = np.asarray(self.label, dtype=np.int64)
-        self.group = np.asarray(self.group, dtype=np.int64)
+    def __init__(self, score, label, group, header: list[str] | None = None,
+                 records: Iterable[str] | None = None):
+        self.score = np.asarray(score, dtype=float)
+        self.label = np.asarray(label, dtype=np.int64)
+        self.group = np.asarray(group, dtype=np.int64)
+        self.header = [] if header is None else header
+        self.records = [] if records is None else records
         if not self.score.shape == self.label.shape == self.group.shape == (len(self),):
             raise ValueError("score, label and group must be 1-d and of one length")
 
@@ -331,7 +329,6 @@ def load_dataset(
                    dense[np.concatenate(group)], header=header, records=records)
 
 
-@dataclass(frozen=True)
 class BinSpec:
     """Strictly increasing edges over [0, 1] plus bin midpoints.
 
@@ -339,10 +336,8 @@ class BinSpec:
     closed at 1.
     """
 
-    edges: tuple[float, ...]
-
-    def __post_init__(self):
-        e = self.edges
+    def __init__(self, edges: tuple[float, ...]):
+        self.edges = e = edges
         if len(e) < 3:
             raise ValueError("need at least 2 bins")
         # every comparison with NaN is False, so the order check would pass it
@@ -433,7 +428,6 @@ def quantile_bin(data: Dataset, nbins: int) -> BinSpec:
         edges = np.delete(edges, drop)
 
 
-@dataclass
 class BinStats:
     """Per-group, per-bin totals and positives plus derived aggregates.
 
@@ -442,15 +436,11 @@ class BinStats:
     ids 1..G; arrays are indexed [group-1, bin].
     """
 
-    n: np.ndarray
-    npos: np.ndarray
-    midpoints: np.ndarray
-    edges: tuple[float, ...] = field(default=())
-
-    def __post_init__(self):
-        self.n = np.asarray(self.n, dtype=float)
-        self.npos = np.asarray(self.npos, dtype=float)
-        self.midpoints = np.asarray(self.midpoints, dtype=float)
+    def __init__(self, n, npos, midpoints, edges: tuple[float, ...] = ()):
+        self.n = np.asarray(n, dtype=float)
+        self.npos = np.asarray(npos, dtype=float)
+        self.midpoints = np.asarray(midpoints, dtype=float)
+        self.edges = edges
         if self.n.shape != self.npos.shape:
             raise ValueError("n and npos shapes differ")
         if self.n.shape[1] != self.midpoints.size:
@@ -523,8 +513,7 @@ def compute_bin_stats(data: Dataset, spec: BinSpec) -> BinStats:
                     edges=spec.edges)
 
 
-@dataclass(frozen=True)
-class OverlapReport:
+class OverlapReport(NamedTuple):
     passed: bool
     missing: tuple[tuple[int, int], ...]  # (bin, group) pairs, bin-major, 1-based group
 

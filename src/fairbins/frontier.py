@@ -3,6 +3,7 @@
 A frontier point lives in (AUC, DP gap, EOdds gap, PRP gap) space. Points
 record the violations a plan actually achieves under expected assignment,
 not the tolerances it was solved with; the configured triple rides along.
+`FrontierPoint`, `SolveOutcome` and `ComparisonRecord` are named tuples.
 """
 
 from __future__ import annotations
@@ -11,9 +12,8 @@ import csv
 import io
 import json
 import time
-from dataclasses import dataclass
 from itertools import product
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -47,8 +47,7 @@ __all__ = [
 AXES = ("auc", "dp", "eodds", "prp")
 
 
-@dataclass(frozen=True)
-class FrontierPoint:
+class FrontierPoint(NamedTuple):
     configured: tuple[float, float, float]
     status: str
     gap: float
@@ -86,8 +85,7 @@ class FrontierPoint:
         }
 
 
-@dataclass
-class SolveOutcome:
+class SolveOutcome(NamedTuple):
     """Everything one tolerance triple produces: report, plan, certificates."""
 
     report: SolveReport
@@ -276,8 +274,7 @@ def tradeoff_query(
     return min(candidates, key=rank)
 
 
-@dataclass
-class ComparisonRecord:
+class ComparisonRecord(NamedTuple):
     auc_min: float
     distance_a: float | None
     distance_b: float | None

@@ -50,6 +50,8 @@ object, which also keeps the basis inverses of the last `_INVERSES_KEPT`
 verified optima over its matrix. A warm start whose basis is stored
 copies that inverse instead of factoring, once a residual check shows it
 still inverts the basis matrix.
+
+`LpBasis` and `LpResult` are named tuples; `LpProblem` is a plain class.
 """
 
 from __future__ import annotations
@@ -57,8 +59,8 @@ from __future__ import annotations
 import math
 import time
 from collections import deque
-from dataclasses import dataclass, replace
 from enum import Enum
+from typing import NamedTuple
 
 import numpy as np
 
@@ -121,7 +123,6 @@ class LpStatus(str, Enum):
     NUMERICAL = "Numerical"  # a singular basis, a tiny pivot or an unverified optimum
 
 
-@dataclass
 class LpProblem:
     """min c.x  subject to  a @ x (<=, =, >=) rhs  and  lo <= x <= hi.
 
@@ -131,20 +132,13 @@ class LpProblem:
     mutates the arrays.
     """
 
-    c: np.ndarray
-    a: np.ndarray
-    senses: np.ndarray
-    rhs: np.ndarray
-    lo: np.ndarray
-    hi: np.ndarray
-
-    def __post_init__(self):
-        self.c = np.asarray(self.c, dtype=float)
-        self.a = np.atleast_2d(np.asarray(self.a, dtype=float))
-        self.senses = np.asarray(self.senses, dtype=np.int8)
-        self.rhs = np.asarray(self.rhs, dtype=float)
-        self.lo = np.asarray(self.lo, dtype=float)
-        self.hi = np.asarray(self.hi, dtype=float)
+    def __init__(self, c, a, senses, rhs, lo, hi):
+        self.c = np.asarray(c, dtype=float)
+        self.a = np.atleast_2d(np.asarray(a, dtype=float))
+        self.senses = np.asarray(senses, dtype=np.int8)
+        self.rhs = np.asarray(rhs, dtype=float)
+        self.lo = np.asarray(lo, dtype=float)
+        self.hi = np.asarray(hi, dtype=float)
         m, n = self.a.shape
         if self.c.shape != (n,) or self.lo.shape != (n,) or self.hi.shape != (n,):
             raise ValueError(f"column arrays disagree with a of shape {self.a.shape}")
@@ -162,8 +156,7 @@ class LpProblem:
         return self.a.shape[1]
 
 
-@dataclass(frozen=True)
-class LpBasis:
+class LpBasis(NamedTuple):
     """A basis to restart from: the basic column of each row slot, and the
     position code of every engine column, the n structural columns and
     then the m slacks."""
@@ -172,8 +165,7 @@ class LpBasis:
     pos: np.ndarray
 
 
-@dataclass(frozen=True)
-class LpResult:
+class LpResult(NamedTuple):
     """A solve's answer. An OPTIMAL point meets the problem's rows and
     bounds to `FEAS_TOL`, cold or warm; NUMERICAL means the simplex could
     not vouch for any answer (a singular basis, a pivot too small to take,
@@ -626,7 +618,7 @@ def solve_lp(
             return warm
         spent = warm.iterations
     res = _solve(problem, None, max_iters, deadline, _shared)
-    return replace(res, iterations=res.iterations + spent) if spent else res
+    return res._replace(iterations=res.iterations + spent) if spent else res
 
 
 def _solve(

@@ -6,13 +6,14 @@ Derived columns per (group, destination): total arriving mass, and the
 positive rate among arrivals. The rate couples to the plan through a
 bilinear product; this module owns every linear piece plus the link
 descriptions, and leaves the linearization to the MILP layer.
+`LinearRows`, `RateLink` and `FairnessModel` are named tuples; `ModelConfig`
+is a plain class.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 import numpy as np
 
@@ -35,7 +36,6 @@ class ModelBuildError(ValueError):
     """The bin statistics cannot support the requested model."""
 
 
-@dataclass(frozen=True)
 class ModelConfig:
     """Tolerances and plan-structure knobs.
 
@@ -45,26 +45,21 @@ class ModelConfig:
     |b - b'| < window, so window=1 pins the plan to the identity.
     """
 
-    eps_dp: float = 0.03
-    eps_eodds: float = 0.03
-    eps_prp: float = 0.03
-    retention: float = 0.5
-    window: int = 13
-
-    def __post_init__(self):
-        for name in ("eps_dp", "eps_eodds", "eps_prp"):
-            value = getattr(self, name)
+    def __init__(self, eps_dp: float = 0.03, eps_eodds: float = 0.03, eps_prp: float = 0.03,
+                 retention: float = 0.5, window: int = 13):
+        for name, value in (("eps_dp", eps_dp), ("eps_eodds", eps_eodds), ("eps_prp", eps_prp)):
             # written so that NaN fails too: every comparison with it is False
             if not 0.0 <= value < math.inf:
                 raise ValueError(f"{name} must be finite and nonnegative, got {value}")
-        if not 0.0 <= self.retention <= 1.0:
-            raise ValueError(f"retention must lie in [0, 1], got {self.retention}")
-        if self.window < 1:
-            raise ValueError(f"window must be >= 1, got {self.window}")
+        if not 0.0 <= retention <= 1.0:
+            raise ValueError(f"retention must lie in [0, 1], got {retention}")
+        if window < 1:
+            raise ValueError(f"window must be >= 1, got {window}")
+        self.eps_dp, self.eps_eodds, self.eps_prp = eps_dp, eps_eodds, eps_prp
+        self.retention, self.window = retention, window
 
 
-@dataclass
-class LinearRows:
+class LinearRows(NamedTuple):
     a: np.ndarray
     senses: np.ndarray
     rhs: np.ndarray
@@ -114,8 +109,7 @@ class _RowBag:
         )
 
 
-@dataclass(frozen=True)
-class RateLink:
+class RateLink(NamedTuple):
     """Bilinear tie for one (group, destination): rate * mass = positives in.
 
     `x_cols` are the plan columns of the sources inside the window, `n` and
@@ -132,8 +126,7 @@ class RateLink:
     npos: np.ndarray
 
 
-@dataclass
-class FairnessModel:
+class FairnessModel(NamedTuple):
     stats: BinStats
     config: ModelConfig
     x_cols: tuple[tuple[int, int, int], ...]

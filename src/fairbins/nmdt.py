@@ -10,13 +10,13 @@ products, and any whole-digit solution carries a residual no larger than
 span * 2^power * (v_hi - v_lo) / 4 per link.
 
 `power` is the (negative) exponent of the finest digit; more digits mean
-tighter products and more binaries.
+tighter products and more binaries. `LinkCols` and `NmdtMilp` are named tuples.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -64,8 +64,7 @@ def power_for_precision(precision: float) -> int:
     return -math.ceil(math.log2(1.0 / precision))
 
 
-@dataclass(frozen=True)
-class LinkCols:
+class LinkCols(NamedTuple):
     """One link's columns: the rate `t_col` and mass `v_col` it multiplies,
     the scaled rate `lam` with its remainder `dlam`, the digits `z`, the
     digit-mass products `w` and the remainder-mass product `r`."""
@@ -81,8 +80,7 @@ class LinkCols:
     r: int
 
 
-@dataclass
-class NmdtMilp:
+class NmdtMilp(NamedTuple):
     problem: MilpProblem
     model: FairnessModel
     bounds: TightBounds

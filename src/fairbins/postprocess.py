@@ -1,10 +1,12 @@
-"""From solver output to transition plans, transformed scores, and metrics."""
+"""From solver output to transition plans, transformed scores, and metrics.
+
+`ViolationReport` and `MetricsReport` are named tuples; `TransitionPlan` is
+a plain class."""
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
@@ -44,16 +46,13 @@ class MetricsError(ValueError):
     """A requested metric is undefined for the supplied counts."""
 
 
-@dataclass
 class TransitionPlan:
-    """Per-group row-stochastic transition matrices over shared bin edges."""
+    """Per-group row-stochastic transition matrices over shared bin edges:
+    `groups` is (G, B, B), rows indexed by source bin."""
 
-    edges: tuple[float, ...]
-    groups: np.ndarray  # (G, B, B), rows indexed by source bin
-
-    def __post_init__(self):
-        self.edges = tuple(float(e) for e in self.edges)
-        self.groups = np.asarray(self.groups, dtype=float)
+    def __init__(self, edges, groups):
+        self.edges = tuple(float(e) for e in edges)
+        self.groups = np.asarray(groups, dtype=float)
         if self.groups.ndim != 3 or self.groups.shape[1] != self.groups.shape[2]:
             raise PlanError(f"plan tensor must be (G, B, B), got {self.groups.shape}")
         if len(self.edges) != self.groups.shape[1] + 1:
@@ -204,8 +203,7 @@ def expected_assignment_stats(plan: TransitionPlan, stats: BinStats) -> BinStats
     return BinStats(n=n_hat, npos=npos_hat, midpoints=stats.midpoints, edges=plan.edges)
 
 
-@dataclass(frozen=True)
-class ViolationReport:
+class ViolationReport(NamedTuple):
     dp: float
     eodds: float
     prp: float
@@ -299,18 +297,17 @@ def pr_auc_from_bins(stats: BinStats, pooled: bool = True):
     return {g + 1: _pr_auc(stats.npos[g], stats.nneg[g]) for g in range(stats.ngroups)}
 
 
-@dataclass
-class MetricsReport:
+class MetricsReport(NamedTuple):
     eps_dp: float
     eps_eodds: float
     eps_prp: float
     roc_auc: float | None
     pr_auc: float | None
-    dp_bins: list[float] = field(default_factory=list)
-    eodds_bins: list[float] = field(default_factory=list)
-    prp_bins: list[float] = field(default_factory=list)
-    prp_excluded: list[list[int]] = field(default_factory=list)
-    flags: list[str] = field(default_factory=list)
+    dp_bins: list[float]
+    eodds_bins: list[float]
+    prp_bins: list[float]
+    prp_excluded: list[list[int]]
+    flags: list[str]
 
     def to_json(self) -> str:
         return json.dumps(

@@ -2,13 +2,25 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 
+import fairbins
 from fairbins.data import BinSpec, Dataset, compute_bin_stats, load_dataset
 
 FIXTURES = Path(__file__).parent / "fixtures"
+
+
+def fresh_python(*args: str) -> subprocess.CompletedProcess:
+    """Run a fresh interpreter, with this package on its path, on `args`."""
+    src = str(Path(fairbins.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True)
 
 
 def tiny_stats():

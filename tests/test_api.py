@@ -10,19 +10,17 @@ and exact NMDT is the one linearization: nothing selects another.
 The simplex factors a basis in one place, never swaps in a pseudo-inverse,
 and starts every LP from a basis, never from artificial columns; every LP
 column has a finite box, so no LP is unbounded. The data
-commands load no layer of the solver, and `bin-stats` no masked arrays."""
+commands load no layer of the solver, and `bin-stats` no masked arrays.
+No module imports `dataclasses`: records are named tuples, which compile
+one small constructor at import, or plain classes, which compile nothing."""
 
 from __future__ import annotations
 
 import argparse
 import ast
-import dataclasses
 import importlib
 import inspect
-import os
 import pkgutil
-import subprocess
-import sys
 from pathlib import Path
 
 import numpy as np
@@ -30,6 +28,8 @@ import numpy as np
 import fairbins
 from fairbins import bnb, bounds, cli, frontier, lp, nmdt, postprocess
 from fairbins.postprocess import TransitionPlan
+
+from .conftest import fresh_python
 
 TINY = str(Path(__file__).parent / "fixtures" / "tiny.csv")
 SOLVER = {"lp", "bounds", "bnb", "nmdt", "model", "frontier"}
@@ -39,7 +39,8 @@ KNOBS = {"feas_tol", "opt_tol", "max_iters", "max_rounds", "tol"}
 
 def _public_callables():
     """(name, callable) for every function in a module's `__all__`, and for
-    the constructor and public methods each exported class defines."""
+    the constructor (`__init__`, or a named tuple's `__new__`) and public
+    methods each exported class defines."""
     for info in pkgutil.iter_modules(fairbins.__path__):
         module = importlib.import_module(f"fairbins.{info.name}")
         for name in getattr(module, "__all__", ()):
@@ -49,7 +50,7 @@ def _public_callables():
             elif inspect.isclass(obj):
                 for attr in vars(obj):
                     member = getattr(obj, attr)
-                    if (attr == "__init__" or not attr.startswith("_")) and (
+                    if (attr in ("__init__", "__new__") or not attr.startswith("_")) and (
                         inspect.isfunction(member) or inspect.ismethod(member)
                     ):
                         yield f"{info.name}.{name}.{attr}", member
@@ -63,7 +64,7 @@ def test_no_public_callable_takes_a_tolerance_or_iteration_cap():
         if taken:
             offenders.append(f"{name}{sorted(taken)}")
     assert {"lp.solve_lp", "bnb.solve_milp", "nmdt.completion_start",
-            "postprocess.TransitionPlan.validate"} <= seen
+            "postprocess.TransitionPlan.validate", "lp.LpResult.__new__"} <= seen
     assert offenders == []
     assert lp.FEAS_TOL == lp.OPT_TOL == 1e-7
     assert {"FEAS_TOL", "OPT_TOL"} <= set(lp.__all__)
@@ -102,7 +103,7 @@ def test_bnb_knows_no_model():
 def test_one_leaf_rule_and_one_link_shape():
     # a leaf is judged by its own LP point, never by a second LP over the
     # box with every binary pinned; and no link is a digitless "fixed" one
-    assert "fixed" not in {field.name for field in dataclasses.fields(nmdt.LinkCols)}
+    assert "fixed" not in nmdt.LinkCols._fields
     tree = ast.parse(inspect.getsource(bnb))
     pins = [node for node in ast.walk(tree)
             if isinstance(node, ast.Call) and ast.unparse(node.func) == "_pinned"]
@@ -116,7 +117,7 @@ def test_one_linearization():
     taking = [fn.__name__ for fn in (nmdt.build_milp, frontier.solve_once, frontier.sweep)
               if "mode" in inspect.signature(fn).parameters]
     assert taking == []
-    assert "mode" not in {field.name for field in dataclasses.fields(nmdt.NmdtMilp)}
+    assert "mode" not in nmdt.NmdtMilp._fields
     assert not hasattr(nmdt, "_grid_quantize")
     [commands] = [action.choices for action in cli.build_parser()._actions
                   if isinstance(action, argparse._SubParsersAction)]
@@ -152,16 +153,18 @@ def test_lp_factors_in_one_place():
     assert len(inv_calls) == 1
 
 
+def _fresh(script: str) -> list[str]:
+    """The words a fresh interpreter prints when it runs `script`."""
+    run = fresh_python("-c", script)
+    run.check_returncode()
+    return run.stdout.split()
+
+
 def _loaded_modules(runs: list[list[str]]) -> list[str]:
     """The modules a fresh interpreter holds after `main` ran each argv in `runs`."""
-    script = ("import sys\nfrom fairbins.cli import main\n"
-              f"assert [main(argv) for argv in {runs!r}] == {[0] * len(runs)!r}\n"
-              "print(' '.join(sys.modules))")
-    src = str(Path(fairbins.__file__).parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
-    return subprocess.run([sys.executable, "-c", script], env=env, check=True,
-                          capture_output=True, text=True).stdout.split()
+    return _fresh("import sys\nfrom fairbins.cli import main\n"
+                  f"assert [main(argv) for argv in {runs!r}] == {[0] * len(runs)!r}\n"
+                  "print(' '.join(sys.modules))")
 
 
 def test_data_commands_load_no_solver(tmp_path):
@@ -187,6 +190,13 @@ def test_data_commands_import_only_the_data_layers():
                     for m in (cli, postprocess)}
     assert module_level == {"fairbins.cli": [".data", ".postprocess"],
                             "fairbins.postprocess": [".data"]}
+
+
+def test_no_module_imports_dataclasses():
+    # a dataclass generates and compiles its methods at import, about 0.5 to
+    # 1 ms a class in every process; numpy itself does not load the module
+    assert _fresh("import sys, numpy, fairbins.cli, fairbins.frontier\n"
+                  "print('dataclasses' in sys.modules)") == ["False"]
 
 
 def test_bin_stats_loads_no_masked_arrays(tmp_path):

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import dataclasses
 import importlib.util
 from pathlib import Path
 from unittest import mock
@@ -161,7 +160,7 @@ def test_crossed_rate_bounds_raise():
         res = solve_lp(problem, **kwargs)
         calls.append(res)
         if len(calls) == 3:  # the min LP of the second (group, dest) pair
-            res = dataclasses.replace(res, objective=1.0)
+            res = res._replace(objective=1.0)
         return res
 
     with mock.patch.object(bounds_mod, "solve_lp", crossing), \
@@ -181,7 +180,7 @@ def test_a_rate_box_narrower_than_the_linearization_takes_raises():
         res = solve_lp(problem, **kwargs)
         calls.append(res)
         if len(calls) == 4:  # the max LP of the second (group, dest) pair
-            res = dataclasses.replace(res, objective=-(calls[2].objective + 1e-13 - 2e-7))
+            res = res._replace(objective=-(calls[2].objective + 1e-13 - 2e-7))
         return res
 
     with mock.patch.object(bounds_mod, "solve_lp", narrowing), \

@@ -3,10 +3,13 @@
 from __future__ import annotations
 
 import csv
+import gc
 import hashlib
 import io
 import json
 import operator
+import subprocess
+import sys
 from pathlib import Path
 from unittest import mock
 
@@ -20,7 +23,7 @@ from fairbins.cli import DEFAULTS, _resolve, build_parser, main
 from fairbins.data import BinSpec, Dataset, _Written
 from fairbins.postprocess import TransitionPlan, apply_expected_score
 
-from .conftest import FIXTURES
+from .conftest import FIXTURES, fresh_python
 
 TINY = str(FIXTURES / "tiny.csv")
 
@@ -231,8 +234,46 @@ def test_time_budgets_must_be_positive(value, tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("value", ["-0.1", "-inf", "nan"])
+def test_gap_must_be_nonnegative(value, tmp_path, capsys):
+    rc = main(solve_args(tmp_path, f"--gap={value}"))
+    assert rc == 2
+    assert "gap must be a nonnegative number" in capsys.readouterr().err
+    assert not (tmp_path / "report.json").exists()
+    config = tmp_path / "conf.json"
+    config.write_text(json.dumps({"gap": float(value)}))
+    assert main(solve_args(tmp_path, "--config", str(config))) == 2
+    out = tmp_path / "front.csv"
+    rc = main(["frontier", TINY, *FAST, "--grid-dp", "0.25", "--grid-eodds", "0.25",
+               "--grid-prp", "0.25", f"--gap={value}", "--output", str(out)])
+    assert rc == 2
+    assert "gap must be a nonnegative number" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def _strict_json(text: str):
+    """The document `text` holds, refusing the NaN and Infinity tokens that
+    `json.loads` alone would accept."""
+    def refuse(token):
+        raise ValueError(f"{token} is not JSON")
+    return json.loads(text, parse_constant=refuse)
+
+
 def test_infinite_time_limit_is_allowed(tmp_path):
-    assert main(solve_args(tmp_path, "--time-limit", "inf")) == 0
+    # "no limit" and "any gap" are allowed, and the report writes them as null
+    assert main(solve_args(tmp_path, "--time-limit", "inf", "--gap", "inf")) == 0
+    settings = _strict_json((tmp_path / "report.json").read_text())["settings"]
+    assert settings["time_limit"] is None and settings["gap"] is None
+    assert settings["bins"] == 2 and settings["precision"] == 0.0625
+
+
+def test_a_window_wider_than_any_float_is_written_as_given(tmp_path):
+    # only an infinite setting becomes null; an int past the float range
+    # is compared, not converted
+    window = 10**400
+    assert main(solve_args(tmp_path, "--window", str(window))) == 0
+    settings = _strict_json((tmp_path / "report.json").read_text())["settings"]
+    assert settings["window"] == window
 
 
 def identity_plan_file(d: Path) -> Path:
@@ -559,3 +600,60 @@ def test_apply_output_with_a_carriage_return_in_a_field_reads_back(tmp_path):
     assert b'0.2,0,a,"x\ry",' in out.read_bytes()
     assert main(["audit", str(out), "--score-column", "new_score", "--eval-bins", "2",
                  "--output", str(tmp_path / "audit.json")]) == 0
+
+
+def _program(*argv: str) -> subprocess.CompletedProcess:
+    """Run the CLI as its own process, as `python -m fairbins.cli`."""
+    return fresh_python("-m", "fairbins.cli", *argv)
+
+
+def test_program_prints_complete_json_to_stdout():
+    # the collector is frozen before exit; stdout is still flushed
+    run = _program("bin-stats", TINY, "--bins", "2")
+    assert run.returncode == 0
+    tallies = {entry["group"]: entry["n"] for entry in json.loads(run.stdout)["groups"]}
+    assert tallies == {1: [10, 10], 2: [10, 10]}
+
+
+def test_program_reports_handled_errors(tmp_path):
+    plan = tmp_path / "plan.json"
+    plan.write_text("{")
+    run = _program("apply", TINY, "--plan", str(plan), "--output", str(tmp_path / "o.csv"))
+    assert (run.returncode, run.stdout) == (6, "")
+    assert "is malformed" in run.stderr
+    run = _program(*solve_args(tmp_path, "--gap", "-1"))
+    assert (run.returncode, run.stdout) == (2, "")
+    assert "gap must be a nonnegative number" in run.stderr
+
+
+def test_program_frontier_writes_what_main_writes(tmp_path):
+    argv = ["frontier", TINY, *FAST, "--grid-dp", "0.25", "--grid-eodds", "0.25",
+            "--grid-prp", "0.2,0.25", "--budget-per-solve", "60", "--output"]
+    assert _program(*argv, str(tmp_path / "process.csv")).returncode == 0
+    assert main([*argv, str(tmp_path / "in_process.csv")]) == 0
+    assert (tmp_path / "process.csv").read_bytes() == (tmp_path / "in_process.csv").read_bytes()
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["bin-stats", TINY, "--bins", "2"], 0),
+    (["audit", TINY, "--eval-bins", "0"], 2),  # a refused setting
+    (["bin-stats", TINY, "--bins", "1"], 2),  # a data error
+    (["bin-stats", str(FIXTURES / "missing.csv")], 2),  # an unreadable file
+    (["bin-stats"], None),  # argparse exits on its own
+])
+def test_main_as_the_program_freezes_the_collector_on_every_way_out(argv, code, capsys):
+    with mock.patch.object(sys, "argv", ["fairbins", *argv]), \
+            mock.patch.object(gc, "freeze") as freeze:
+        if code is None:
+            with pytest.raises(SystemExit):
+                main()
+        else:
+            assert main() == code
+    freeze.assert_called_once_with()
+
+
+def test_main_with_argv_never_freezes_the_collector(tmp_path):
+    frozen = gc.get_freeze_count()
+    assert main(["bin-stats", TINY, "--bins", "2", "--output", str(tmp_path / "s.json")]) == 0
+    assert main(["audit", TINY, "--eval-bins", "0"]) == 2
+    assert gc.get_freeze_count() == frozen

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import math
-from dataclasses import replace
 from itertools import product
 from unittest import mock
 
@@ -187,7 +186,7 @@ def test_csv_round_trip_including_infeasible_rows():
     # timing never reaches the file, so identical reruns stay byte-identical
     assert all(line.split(",")[9] == "" for line in lines[1:])
     back = parse_frontier_csv(text)
-    assert back[0] == replace(pts[0], solve_seconds=0.0)
+    assert back[0] == pts[0]._replace(solve_seconds=0.0)
     assert back[1].auc is None and back[1].status == "Infeasible"
     assert math.isinf(back[1].gap)
     with pytest.raises(ValueError, match="missing columns"):
@@ -271,7 +270,7 @@ def test_sweep_raises_bound_trouble_that_proves_nothing(trouble, message):
         res = solve_lp(problem, **kwargs)
         calls.append(res)
         if len(calls) == first_min_rate_lp:
-            res = replace(res, **trouble)
+            res = res._replace(**trouble)
         return res
 
     with mock.patch.object(bounds, "solve_lp", troubled), \

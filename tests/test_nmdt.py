@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import dataclasses
-
 import numpy as np
 import pytest
 
@@ -80,7 +78,7 @@ def test_a_rate_box_without_width_is_refused(tight_parts):
     t_hi = tb.t_hi.copy()
     t_hi[1, 0] = tb.t_lo[1, 0] + 1e-13
     with pytest.raises(ValueError, match="group 2, bin 0"):
-        build_milp(m, dataclasses.replace(tb, t_hi=t_hi), power=-6)
+        build_milp(m, tb._replace(t_hi=t_hi), power=-6)
 
 
 def test_identity_point_feasible_in_exact_mode():
