@@ -3,13 +3,12 @@
 A node is its column box, the `lo`/`hi` handed to `LpProblem`: the LP's
 own box at the root, with binaries pinned (`lo == hi`) below it; a binary
 is open while `lo < hi`. All node LPs of one MILP share one simplex
-matrix, built once, and a store of the basis inverses of the last few node
-LPs (`lp._Shared`). The root LP is solved cold, or warm from `root_start`:
-the optimal root basis of a MILP with the same matrix and costs, which
-`SolveReport.root_basis` hands back. Every other node warm-starts from its
-parent's optimal basis, from a copy of the parent's inverse when it is
-still stored; `solve_lp` checks each warm answer and falls back to a cold
-solve when it cannot. Each popped node costs one LP. A node whose LP
+matrix, built once (`lp._Shared`). The root LP is solved cold, or warm
+from `root_start`: the optimal root basis of a MILP with the same matrix
+and costs, which `SolveReport.root_basis` hands back. Every other node
+warm-starts from its parent's optimal basis, factored afresh; `solve_lp`
+checks each warm answer and falls back to a cold solve when it cannot.
+Each popped node costs one LP. A node whose LP
 leaves any open binary off 0/1 branches on the one farthest from 0/1; one
 whose open binaries all come out exactly 0 or 1 is a leaf. A leaf's point,
 like `initial`, becomes the incumbent only with every binary rounded and

@@ -8,12 +8,22 @@ Each pivot does three matrix-vector products: the duals `Binv.T @ c_B`,
 the reduced costs through `A.T @ y`, and the entering column
 `Binv @ A[:, q]`. The dense basis inverse then takes a rank-1 update on
 the rows where that column is nonzero, and is factored afresh every 100
-basis changes. A singular basis there, a pivot too small to take, or a
-ratio test with no finite step (every column has a finite box, so only
-roundoff can find a ray) ends the solve with status NUMERICAL. The matrix
-`A` depends on the constraint matrix `a` alone (`_Shared`): `a`
-row-scaled, then one identity block of slack columns. Every engine over
-the same `a`, cold or warm, reads one such matrix, and none writes to it.
+basis changes, counted across the dual and primal loops of a solve. A
+singular basis there, a pivot too small to take, or a ratio test with no
+finite step (every column has a finite box, so only roundoff can find a
+ray) ends the solve with status NUMERICAL. The matrix `A` depends on the
+constraint matrix `a` alone (`_Shared`): `a` row-scaled, then one
+identity block of slack columns. Every engine over the same `a`, cold or
+warm, reads one such matrix, and none writes to it.
+
+A factorization inverts only the structural block of the basis. Let `x`
+be the basis slots holding structural columns, `s` those holding slacks,
+`S` the rows whose slack is basic and `T` the other rows; a nonsingular
+basis has as many rows in `T` as slots in `x`. With `M = A[T, basis[x]]`,
+the inverse is `M^-1` on `(x, T)`, `-A[S, basis[x]] @ M^-1` on `(s, T)`,
+a unit entry at each `(s_i, S_i)`, and zero elsewhere. A repeated slack
+makes `M` non-square and a repeated structural column makes it singular,
+so either is refused like any singular basis.
 
 Every solve runs one path: a bounded dual simplex from a dual feasible
 basis restores primal feasibility (Koberstein, *The dual simplex method*,
@@ -46,10 +56,8 @@ cap, a failed check, a singular basis) falls back to the cold solve, the
 same routine from the slack basis; a cold answer that cannot is NUMERICAL.
 
 Branch and bound hands every node LP of one MILP the same `_Shared`
-object, which also keeps the basis inverses of the last `_INVERSES_KEPT`
-verified optima over its matrix. A warm start whose basis is stored
-copies that inverse instead of factoring, once a residual check shows it
-still inverts the basis matrix.
+object, so its node LPs build the engine matrix once; each warm start
+factors its basis afresh.
 
 `LpBasis` and `LpResult` are named tuples; `LpProblem` is a plain class.
 """
@@ -58,7 +66,6 @@ from __future__ import annotations
 
 import math
 import time
-from collections import deque
 from enum import Enum
 from typing import NamedTuple
 
@@ -109,10 +116,6 @@ _DUAL_FEAS_TOL = 1e-11
 # pivots a warm start may spend, as a multiple of rows plus columns, before
 # the cold solve takes over
 _WARM_SHARE = 1.0
-# basis inverses of recent optimal LPs kept for their children to start from,
-# and the largest residual |Binv @ (B @ 1) - 1| at which one is adopted
-_INVERSES_KEPT = 4
-_INVERSE_TOL = 1e-9
 
 
 class LpStatus(str, Enum):
@@ -195,18 +198,10 @@ def point_violation(problem: LpProblem, x: np.ndarray) -> float:
     return worst
 
 
-def _inverts(inverse: np.ndarray, cols: np.ndarray) -> bool:
-    """Whether `inverse` maps the row sums of the basis matrix `cols` back
-    to the ones vector within `_INVERSE_TOL`: an O(m^2) residual test."""
-    resid = inverse @ cols.sum(axis=1) - 1.0
-    return bool(np.abs(resid).max() <= _INVERSE_TOL)
-
-
 class _Shared:
-    """What the LPs over one constraint matrix share: the read-only engine
-    matrix `[a / scale | I]` (row-scaled structural columns, then one slack
-    column per row), and the basis inverses of the last `_INVERSES_KEPT`
-    verified optima over it, each stored with the `LpBasis` it inverts."""
+    """What the LPs over one constraint matrix share: the row scale and
+    the read-only engine matrix `[a / scale | I]` (row-scaled structural
+    columns, then one slack column per row)."""
 
     def __init__(self, problem: LpProblem):
         a = self.a = problem.a
@@ -219,13 +214,6 @@ class _Shared:
         rows = np.arange(m)
         self.A[rows, n + rows] = 1.0
         self.A.flags.writeable = False
-        self.inverses: deque[tuple[LpBasis, np.ndarray]] = deque(maxlen=_INVERSES_KEPT)
-
-    def inverse(self, basis: LpBasis) -> np.ndarray | None:
-        for kept, inverse in self.inverses:
-            if kept is basis:
-                return inverse
-        return None
 
 
 class _Stall:
@@ -290,11 +278,13 @@ class _Engine:
         each structural column at the bound its cost prefers (see `place`).
         A slack costs nothing, so every nonbasic reduced cost, a column's
         own cost, has the sign its position needs: the start is dual
-        feasible for `c` itself."""
+        feasible for `c` itself. B = I is exact, so it counts as a fresh
+        factorization."""
         self.place(c < 0.0)
         self.basis = self.nstruct + np.arange(self.m)
         self.pos[self.basis] = _BASIC
         self.Binv = np.eye(self.m)
+        self.updates, self.fresh = 0, True
         self.solve_basics()
 
     def point(self) -> np.ndarray:
@@ -305,35 +295,41 @@ class _Engine:
     def snapshot(self) -> LpBasis:
         return LpBasis(self.basis.copy(), self.pos.copy())
 
-    def install(self, start: LpBasis, inverse: np.ndarray | None = None) -> bool:
-        """Set the warm start `start`: each nonbasic column sits at the
-        bound its code names, or at its other bound where that one is
-        infinite (a slack's open side). A stored `inverse` of the start's
-        basis matrix is adopted, as a copy, when it passes `_inverts`;
-        otherwise the basis is factored. False when the basis does not fit
-        this problem or its matrix is singular."""
+    def install(self, start: LpBasis) -> bool:
+        """Set the warm start `start` and factor its basis: each nonbasic
+        column sits at the bound its code names, or at its other bound
+        where that one is infinite (a slack's open side). False when the
+        basis does not fit this problem or its matrix is singular."""
         if start.basic.shape != (self.m,) or start.pos.shape != self.lo.shape:
             return False
         self.place(start.pos == _AT_UP)
         self.basis = start.basic.astype(np.intp)
         self.pos[self.basis] = _BASIC
-        if inverse is not None and _inverts(inverse, self.A[:, self.basis]):
-            self.Binv = inverse.copy()
-            self.solve_basics()
-            return bool(np.isfinite(self.xB).all())
         return self.factor()
 
     def factor(self) -> bool:
-        """Invert the basis matrix afresh and recompute the basic values;
-        False on a singular basis."""
+        """Invert the basis matrix afresh by its structural block (see the
+        module docstring) and recompute the basic values; False on a
+        singular basis."""
         # fresh: Binv and xB come from a factorization, not from updates
         self.updates, self.fresh = 0, True
+        basis, n = self.basis, self.nstruct
+        x, s = (basis < n).nonzero()[0], (basis >= n).nonzero()[0]
+        S = basis[s] - n
+        other = np.ones(self.m, dtype=bool)
+        other[S] = False
+        T = other.nonzero()[0]
+        cols = self.A[:, basis[x]]
         try:
-            self.Binv = np.linalg.inv(self.A[:, self.basis])
-        except np.linalg.LinAlgError:
+            inner = np.linalg.inv(cols[T])
+        except np.linalg.LinAlgError:  # singular, or not square: a slack repeats
             return False
+        Binv = self.Binv = np.zeros((self.m, self.m))
+        Binv[x[:, None], T] = inner
+        Binv[s[:, None], T] = -cols[S] @ inner
+        Binv[s, S] = 1.0
         self.solve_basics()
-        return bool(np.isfinite(self.Binv).all() and np.isfinite(self.xB).all())
+        return bool(np.isfinite(Binv).all() and np.isfinite(self.xB).all())
 
     def solve_basics(self) -> None:
         """Basic values from the current inverse and nonbasic values."""
@@ -345,13 +341,14 @@ class _Engine:
         """Pricing state of a pivot loop over costs `c`: a weight per column
         (+1 at the lower bound, -1 at the upper, 0 when basic or fixed),
         and the cost and bounds of each basic slot, kept in step with the
-        basis by `exchange` instead of gathered every pivot."""
+        basis by `exchange` instead of gathered every pivot. The count of
+        updates since the last factorization carries over: only `factor`
+        and `slack_start` reset it."""
         pos, basis = self.pos, self.basis
         self.c, self.fixed = c, (self.hi - self.lo) <= 0.0
         self.sign = np.where(pos == _AT_LO, 1.0, np.where(pos == _AT_UP, -1.0, 0.0))
         self.sign[self.fixed] = 0.0
         self.cB, self.blo, self.bhi = c[basis], self.lo[basis], self.hi[basis]
-        self.updates, self.fresh = 0, True
 
     def exchange(self, r: int, q: int, step: float, w: np.ndarray, up: bool) -> bool:
         """Column `q`, the entering column `w = Binv @ A[:, q]`, takes basic
@@ -596,10 +593,8 @@ def solve_lp(
     verified warm start is tried first; when it cannot vouch for its
     answer, the cold solve runs as if there were no start, and the result
     counts the pivots of both. `_shared`, built by branch and bound over
-    the MILP's own LP, lends both solves its matrix and a warm start any
-    stored inverse of `start`'s basis, and keeps the inverse of an
-    optimum; it is ignored unless `problem.a` is the matrix it was built
-    from.
+    the MILP's own LP, lends both solves its matrix; it is ignored unless
+    `problem.a` is the matrix it was built from.
     """
     m, n = problem.a.shape
     if np.any(problem.lo > problem.hi + FEAS_TOL):
@@ -627,8 +622,8 @@ def _solve(
 ) -> LpResult:
     """Dual simplex from `start`, or from the slack basis without one, then
     a primal polish on the true costs, within `max_iters` pivots. An
-    optimum is kept, its basis inverse stored in `shared`, only when its
-    point meets the problem's rows and bounds to `FEAS_TOL`; an infeasible
+    optimum is kept only when its point meets the problem's rows and
+    bounds to `FEAS_TOL`; an infeasible
     verdict only when `certifies` confirms it, at the second try with
     pivot tolerance `_PIVOT_TOL`. NUMERICAL when the start does not fit
     or is singular, or the answer cannot be vouched for."""
@@ -637,7 +632,7 @@ def _solve(
     cost = np.concatenate([problem.c, np.zeros(m)])
     if start is None:
         eng.slack_start(cost)
-    elif not eng.install(start, shared.inverse(start)):
+    elif not eng.install(start):
         return LpResult(LpStatus.NUMERICAL, np.nan, np.full(n, np.nan), 0)
     st = eng.dual(cost)
     if st == LpStatus.INFEASIBLE and not eng.certifies(eng.proof_row):
@@ -650,8 +645,6 @@ def _solve(
     x = eng.point()[:n]
     if st == LpStatus.OPTIMAL:
         if point_violation(problem, x) <= FEAS_TOL:
-            res = LpResult(st, float(problem.c @ x), x, eng.iterations, eng.snapshot())
-            shared.inverses.append((res.basis, eng.Binv))
-            return res
+            return LpResult(st, float(problem.c @ x), x, eng.iterations, eng.snapshot())
         st = LpStatus.NUMERICAL
     return LpResult(st, np.nan, x, eng.iterations)

@@ -7,8 +7,9 @@ method takes one as a parameter. The fairness rows are written once, in
 bound knows only the LP layer, never the model it is handed, and never
 solves a rounded pattern as an LP of its own; every NMDT link has digits,
 and exact NMDT is the one linearization: nothing selects another.
-The simplex factors a basis in one place, never swaps in a pseudo-inverse,
-and starts every LP from a basis, never from artificial columns; every LP
+The simplex factors a basis in one place, never swaps in a pseudo-inverse
+or a stored inverse, and starts every LP from a basis, never from
+artificial columns; every LP
 column has a finite box, so no LP is unbounded. The data
 commands load no layer of the solver, and `bin-stats` no masked arrays.
 No module imports `dataclasses`: records are named tuples, which compile
@@ -151,6 +152,20 @@ def test_lp_factors_in_one_place():
     inv_calls = [node for node in ast.walk(tree) if isinstance(node, ast.Call)
                  and ast.unparse(node.func) in ("np.linalg.inv", "numpy.linalg.inv")]
     assert len(inv_calls) == 1
+
+
+def test_lp_keeps_no_basis_inverses():
+    # every warm start factors its basis: no store of inverses, and no
+    # residual test deciding whether to adopt one
+    assert not {"_inverts", "_INVERSES_KEPT", "_INVERSE_TOL"} & set(vars(lp))
+    tree = ast.parse(inspect.getsource(lp))
+    imported = {alias.name for node in ast.walk(tree)
+                if isinstance(node, (ast.Import, ast.ImportFrom)) for alias in node.names}
+    assert "deque" not in imported
+    p = lp.LpProblem(np.ones(2), np.ones((1, 2)), np.zeros(1, np.int8), np.ones(1),
+                     np.zeros(2), np.ones(2))
+    assert not hasattr(lp._Shared(p), "inverses")
+    assert list(inspect.signature(lp._Engine.install).parameters) == ["self", "start"]
 
 
 def _fresh(script: str) -> list[str]:

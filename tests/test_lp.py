@@ -36,8 +36,6 @@ from fairbins.nmdt import build_milp
 
 from .conftest import tiny_stats
 from .oracle_helpers import scipy_lp
-from .test_bnb import _milp as _bnb_milp
-from .test_bnb import _random_instance
 from .test_bounds import _bench_file_stats
 
 
@@ -712,6 +710,130 @@ def test_warm_start_on_a_singular_basis_falls_back_to_the_cold_answer():
     )
 
 
+def test_factor_matches_the_full_inverse():
+    rng = np.random.default_rng(8)
+    m, n = 7, 10
+    p = _random_bounded(rng, m, n)
+    eng = lp._Engine(p, 0, None)
+    eng.slack_start(np.concatenate([p.c, np.zeros(m)]))
+    bases = []
+    # k = 0: all slacks, a 0x0 block; k = m: all structural; each with the
+    # structural columns first and in shuffled slots
+    for k in range(m + 1):
+        for _ in range(3):
+            basis = np.concatenate([rng.choice(n, k, replace=False),
+                                    n + rng.choice(m, m - k, replace=False)])
+            bases.append(basis.copy())
+            rng.shuffle(basis)
+            bases.append(basis)
+    for basis in bases:
+        eng.basis = basis.astype(np.intp)
+        assert eng.factor()
+        B = eng.A[:, basis]
+        full = np.linalg.inv(B)
+        assert np.abs(eng.Binv - full).max() <= 1e-10 * np.abs(full).max()
+        nb = eng.val.copy()
+        nb[basis] = 0.0
+        xB = full @ (eng.rhs - eng.A @ nb)
+        assert np.abs(eng.xB - xB).max() <= 1e-10 * max(1.0, np.abs(xB).max())
+
+
+def _dyadic_lp() -> LpProblem:
+    # row-scaled entries are 0, 1/2 or 1, so elimination is exact: rows 0
+    # and 1 agree on columns 0 and 1, and columns 0 and 1 differ only on rows
+    # 2 and 3
+    a = np.array([[1, 2, 0, 1], [1, 2, 1, 0], [2, 0, 1, 1], [0, 2, 1, 2]], dtype=float)
+    return LpProblem(np.array([-1.0, -1.0, 1.0, -1.0]), a, np.full(4, SENSE_LE, np.int8),
+                     np.full(4, 3.0), np.zeros(4), np.ones(4))
+
+
+@pytest.mark.parametrize("basic", [
+    [0, 5, 5, 6],  # a repeated slack: the structural block is 2x1
+    [0, 0, 6, 7],  # a repeated structural column
+    [0, 1, 6, 7],  # distinct columns whose block on rows 0 and 1 is singular
+])
+def test_a_repeated_or_singular_basis_is_refused(basic):
+    p = _dyadic_lp()
+    start = lp.LpBasis(np.array(basic), np.full(8, _AT_LO, np.int8))
+    # the start fits the problem, so it is `factor` that refuses it
+    assert not lp._Engine(p, 0, None).install(start)
+    res, cold = solve_lp(p, start=start), solve_lp(p)
+    assert cold.status == LpStatus.OPTIMAL
+    assert (res.status, res.iterations, res.x.tobytes()) == (
+        cold.status, cold.iterations, cold.x.tobytes()
+    )
+
+
+def test_only_the_structural_block_is_inverted():
+    # a warm start from the origin (all slacks basic) and the periodic
+    # factorizations of the primal that follows: each inverts a k x k
+    # matrix, k the structural columns then in the basis
+    problem = _degenerate_cone(1, 100, 60)
+    inv, shapes, structural = np.linalg.inv, [], []
+
+    def recording(matrix):
+        shapes.append(matrix.shape)
+        return inv(matrix)
+
+    class Counting(lp._Engine):
+        def factor(self) -> bool:
+            structural.append(int((self.basis < self.nstruct).sum()))
+            return super().factor()
+
+    with mock.patch.object(lp, "_WARM_SHARE", 100.0), \
+            mock.patch.object(lp, "_Engine", Counting), \
+            mock.patch.object(lp.np.linalg, "inv", recording):
+        res = solve_lp(problem, start=_from_the_origin(problem))
+    assert res.status == LpStatus.OPTIMAL
+    assert shapes == [(k, k) for k in structural]
+    assert structural[0] == 0 and 0 < max(structural) < problem.nrows
+
+
+@pytest.mark.parametrize("seed, m, n", [(0, 20, 15), (2, 20, 15), (4, 30, 20)])
+def test_the_refactor_count_runs_across_the_dual_and_the_primal(seed, m, n):
+    # a start from another LP's optimum with other costs and tighter <= rows
+    # is neither primal nor dual feasible, so both legs exchange columns;
+    # the count since the last factorization must carry from one to the next
+    p = _covering(seed, m, n)
+    first = solve_lp(p)
+    rng = np.random.default_rng(100 + seed)
+    other = LpProblem(-p.c + rng.integers(-1, 2, size=n), p.a, p.senses,
+                      p.rhs - np.where(p.senses == SENSE_LE, 1.5, 0.0), p.lo, p.hi)
+    legs, runs = [], []
+
+    class Counting(lp._Engine):
+        since = most = 0
+
+        def factor(self) -> bool:
+            self.since = 0
+            return super().factor()
+
+        def exchange(self, *args) -> bool:
+            self.since += 1
+            self.most = max(self.most, self.since)
+            legs[-1] += 1
+            return super().exchange(*args)
+
+        def dual(self, c):
+            legs.append(0)
+            return super().dual(c)
+
+        def run(self, c):
+            legs.append(0)
+            runs.append(self)
+            return super().run(c)
+
+    with mock.patch.object(lp, "_Engine", Counting), mock.patch.object(lp, "_REFACTOR_EVERY", 5):
+        res = solve_lp(other, start=first.basis)
+    [eng] = runs  # the warm start answered
+    assert legs[0] >= 3 and legs[1] >= 3
+    assert eng.most <= 5
+    status, obj, _ = scipy_lp(other.c, other.a, [_SENSE_CHAR[int(s)] for s in other.senses],
+                              other.rhs, other.lo, other.hi)
+    assert status == "optimal" and res.status == LpStatus.OPTIMAL
+    assert res.objective == pytest.approx(obj, rel=1e-9)
+
+
 def test_warm_infeasible_child_is_confirmed():
     # x0 + x1 >= 1.5 over the unit box; pinning x0 at 0 leaves x1 <= 1 short
     p = _problem([1, 1], [[1, 1]], ">", [1.5], [0, 0], [1, 1])
@@ -748,53 +870,6 @@ def test_warm_started_nodes_take_fewer_pivots_than_cold_nodes():
     # the roots are the same cold solve; only the node LPs differ
     assert warm_pivots[0] == cold_pivots[0]
     assert sum(warm_pivots[1:]) < sum(cold_pivots[1:])
-
-
-def test_a_corrupted_stored_inverse_is_factored_afresh():
-    child, basis = _branched_lp(20, 15)
-    shared = lp._Shared(child)
-    first = solve_lp(child, start=basis, _shared=shared)
-    assert first.status == LpStatus.OPTIMAL
-    [(kept, inverse)] = shared.inverses
-    assert kept is first.basis
-    j = int(np.argmin(np.abs(first.x - 0.5)))
-    grandchild = _fixed_child(child, [(j, "hi")])
-    fresh = solve_lp(grandchild, start=first.basis, _shared=lp._Shared(child))
-
-    cols = shared.A[:, kept.basic]
-    corrupted = inverse.copy()
-    corrupted[0] *= 1.0 + 1e-6
-    assert lp._inverts(inverse, cols) and not lp._inverts(corrupted, cols)
-    shared.inverses[0] = (kept, corrupted)
-    res = solve_lp(grandchild, start=first.basis, _shared=shared)
-    assert res.basis is not None and res.iterations < solve_lp(grandchild).iterations
-    assert (res.status, res.iterations, res.x.tobytes()) == (
-        fresh.status, fresh.iterations, fresh.x.tobytes()
-    )
-
-
-def _store_cases() -> list:
-    config = ModelConfig(eps_dp=0.1, eps_eodds=0.1, eps_prp=0.1, retention=0.5, window=2)
-    model = build_model(tiny_stats(), config)
-    rng = np.random.default_rng(31)
-    return [build_milp(model, tighten(model), power=-4).problem] + [
-        _bnb_milp(**_random_instance(rng)) for _ in range(20)
-    ]
-
-
-@pytest.mark.parametrize("milp", _store_cases())
-def test_branch_and_bound_without_stored_inverses_reaches_the_same_answer(milp):
-    with mock.patch.object(lp, "_inverts", wraps=lp._inverts) as check:
-        kept = solve_milp(milp, time_limit=120, gap_target=0.0)
-        adopted = check.call_count
-        with mock.patch.object(lp, "_INVERSES_KEPT", 0):
-            fresh = solve_milp(milp, time_limit=120, gap_target=0.0)
-    assert check.call_count == adopted  # nothing stored, nothing checked
-    if kept.nodes_explored > 3:
-        assert adopted > 0
-    assert kept.status == fresh.status
-    assert kept.incumbent_objective == pytest.approx(fresh.incumbent_objective, abs=1e-9)
-    assert kept.best_lower_bound == pytest.approx(fresh.best_lower_bound, abs=1e-9)
 
 
 def test_warm_infeasibility_needs_a_certificate():

@@ -20,7 +20,7 @@ from fairbins.nmdt import (
 )
 
 from .conftest import tiny_stats
-from .oracle_helpers import enumerate_milp
+from .oracle_helpers import enumerate_milp, scipy_milp
 
 TIGHT = ModelConfig(eps_dp=0.1, eps_eodds=0.1, eps_prp=0.1, retention=0.5, window=2)
 LOOSE = ModelConfig(eps_dp=0.25, eps_eodds=0.25, eps_prp=0.25, retention=0.5, window=2)
@@ -109,6 +109,22 @@ def test_optimum_matches_enumeration(tight_parts):
         nm.problem.binary_cols.tolist(),
     )
     assert rep.incumbent_objective == pytest.approx(obj, abs=1e-7)
+
+
+def test_four_digit_optimum_matches_highs(tight_parts):
+    # 16 binaries are too many to enumerate; HiGHS' own branch and bound
+    # judges the search from no initial point instead
+    m, tb = tight_parts
+    ch = {-1: "<", 0: "=", 1: ">"}
+    nm = build_milp(m, tb, power=-4)
+    rep = solve_milp(nm.problem, time_limit=120, gap_target=0.0)
+    assert rep.status == MilpStatus.OPTIMAL
+    lp = nm.problem.lp
+    status, best = scipy_milp(lp.c, lp.a, [ch[int(s)] for s in lp.senses], lp.rhs, lp.lo, lp.hi,
+                              nm.problem.binary_cols.tolist())
+    assert status == "optimal"
+    assert rep.incumbent_objective == pytest.approx(best, rel=1e-9)
+    assert rep.best_lower_bound == pytest.approx(best, rel=1e-9)
 
 
 def test_residuals_within_caps(tight_parts):
