@@ -31,9 +31,16 @@ basis restores primal feasibility (Koberstein, *The dual simplex method*,
 true costs. A cold solve starts from the slack basis, B = I, with each
 structural column at the bound its cost prefers: every column is boxed,
 so each reduced cost, the column's own cost, has the sign its position
-needs, and nothing is shifted. Either loop turns to Bland's lowest-index
-rules when it stalls (`_Stall`): after `_BLAND_AFTER` steps in a row that
-move nothing and return to a basis it met before.
+needs, and nothing is shifted.
+
+Each loop keeps one pricing rule. The dual takes the row of largest
+bound violation and Harris' ratio test; the primal takes the most
+negative reduced cost and breaks ratio ties toward the lowest basic
+column. Neither turns to an anti-cycling rule. What ends a loop that
+stalls is the solve's pivot cap, 5000 + 25 * (rows + columns) pivots
+counted across its dual and primal loops (a warm start gets one pivot
+per row and column before the cold solve takes over), and a capped
+solve is reported as ITERATION_LIMIT, never as an answer.
 
 A solve may also start from an earlier optimal basis (`LpResult.basis`) of
 a problem with the same matrix, and either the same costs or the same
@@ -99,8 +106,6 @@ _BASIC, _AT_LO, _AT_UP = 0, 1, 2
 # the smallest |pivot| the primal ratio test takes, and the dual's second
 # look at an infeasibility verdict it could not certify
 _PIVOT_TOL = 1e-9
-_DEGENERATE_STEP = 1e-10
-_BLAND_AFTER = 60
 _REFACTOR_EVERY = 100
 _DUAL_PIVOT_TOL = 1e-7
 # the reduced cost by which the dual ratio test may overstep its smallest
@@ -214,32 +219,6 @@ class _Shared:
         rows = np.arange(m)
         self.A[rows, n + rows] = 1.0
         self.A.flags.writeable = False
-
-
-class _Stall:
-    """When a simplex loop turns to Bland's rule: once `_BLAND_AFTER` steps
-    of the current run of zero steps (at most `_DEGENERATE_STEP`) have
-    returned to a basis met earlier in the run. A zero step alone is no
-    sign of cycling: where most costs are zero, as in bound tightening,
-    nearly every dual ratio is, and Bland's rule there wanders far from
-    feasible. A longer step ends the run."""
-
-    def __init__(self):
-        self.seen: set[int] = set()
-        self.revisits = 0
-
-    @property
-    def bland(self) -> bool:
-        return self.revisits >= _BLAND_AFTER
-
-    def step(self, size: float, basis: np.ndarray) -> None:
-        if size > _DEGENERATE_STEP:
-            self.seen.clear()
-            self.revisits = 0
-        else:
-            key = hash(np.sort(basis).tobytes())
-            self.revisits += key in self.seen
-            self.seen.add(key)
 
 
 class _Engine:
@@ -392,34 +371,24 @@ class _Engine:
         Harris' two-pass ratio test (Harris, Math. Prog. 5, 1973): of the
         columns whose ratio |d_j / alpha_j| is at most the smallest ratio
         that `_HARRIS_TOL` more reduced cost would allow, the one with the
-        largest |alpha_j|, then the lowest index.
-        A pivot whose ratio is at most `_DEGENERATE_STEP` leaves the dual
-        objective where it was; once such pivots stall (`_Stall`), Bland's
-        rule takes over until a ratio is larger: the leaving row is the
-        violated one with the lowest basic column, and ties go to the
-        lowest index. INFEASIBLE means no column can move
-        the leaving variable, also on a fresh factorization; the row is
-        left in `proof_row`. NUMERICAL means a pivot too small to take or
-        a singular factorization."""
+        largest |alpha_j|, then the lowest index. The loop ends at the
+        first basis that is primal feasible, or at the pivot cap
+        (ITERATION_LIMIT) or the deadline (TIME_LIMIT); no rule breaks a
+        run of zero-ratio pivots before the cap. INFEASIBLE means no
+        column can move the leaving variable, also on a fresh
+        factorization; the row is left in `proof_row`. NUMERICAL means a
+        pivot too small to take or a singular factorization."""
         self.begin(c)
         A, sign, cB, blo, bhi = self.A, self.sign, self.cB, self.blo, self.bhi
-        basis, xB, Binv = self.basis, self.xB, self.Binv
+        xB, Binv = self.xB, self.Binv
         deadline, tol = self.deadline, self.pivot_tol
         d = c - A.T @ (Binv.T @ cB)
-        stall = _Stall()
         while True:
             below = blo - xB
             viol = np.maximum(below, xB - bhi)
-            bland = stall.bland
-            if bland:
-                violated = (viol > _DUAL_FEAS_TOL).nonzero()[0]
-                if violated.size == 0:
-                    return LpStatus.OPTIMAL
-                r = int(violated[basis[violated].argmin()])
-            else:
-                r = int(viol.argmax())
-                if viol[r] <= _DUAL_FEAS_TOL:
-                    return LpStatus.OPTIMAL
+            r = int(viol.argmax())
+            if viol[r] <= _DUAL_FEAS_TOL:
+                return LpStatus.OPTIMAL
             if self.iterations >= self.max_iters:
                 return LpStatus.ITERATION_LIMIT
             if deadline is not None and time.monotonic() > deadline:
@@ -446,13 +415,8 @@ class _Engine:
             size = np.abs(alpha[cand])
             dj = np.maximum(sign[cand] * d[cand], 0.0)
             ratios = dj / size
-            if bland:
-                step_d = ratios.min()
-                q = int(cand[(ratios <= step_d).nonzero()[0][0]])
-            else:
-                near = (ratios <= ((dj + _HARRIS_TOL) / size).min()).nonzero()[0]
-                k = near[size[near].argmax()]
-                q, step_d = int(cand[k]), ratios[k]
+            near = (ratios <= ((dj + _HARRIS_TOL) / size).min()).nonzero()[0]
+            q = int(cand[near[size[near].argmax()]])
 
             w = Binv @ A[:, q]
             if abs(w[r]) <= tol:
@@ -467,7 +431,6 @@ class _Engine:
             xB, Binv = self.xB, self.Binv
             if self.fresh:
                 d = c - A.T @ (Binv.T @ cB)
-            stall.step(step_d, basis)
 
     def certifies(self, r: int) -> bool:
         """Whether row slot `r`, re-derived from a fresh factorization,
@@ -518,7 +481,6 @@ class _Engine:
         # picks the same column; only the columns that move in a pivot have
         # their weight rewritten.
         ratios = np.empty(self.m)
-        stall = _Stall()
         while self.iterations < self.max_iters:
             if deadline is not None and time.monotonic() > deadline:
                 return LpStatus.TIME_LIMIT
@@ -526,15 +488,9 @@ class _Engine:
             y = Binv.T @ cB
             d = c - A.T @ y
             eff = sign * d
-            if stall.bland:
-                eligible = (eff < -opt_tol).nonzero()[0]
-                if eligible.size == 0:
-                    return LpStatus.OPTIMAL
-                q = int(eligible[0])
-            else:
-                q = int(eff.argmin())
-                if eff[q] >= -opt_tol:
-                    return LpStatus.OPTIMAL
+            q = int(eff.argmin())
+            if eff[q] >= -opt_tol:
+                return LpStatus.OPTIMAL
 
             dirn = float(sign[q])
             w = Binv @ A[:, q]
@@ -551,21 +507,18 @@ class _Engine:
                 return LpStatus.NUMERICAL  # a boxed LP has no ray: roundoff made this one
 
             if theta_basic <= theta_flip:
-                # ties resolved toward the lowest variable index: anti-cycling aid
+                # ties resolved toward the lowest variable index
                 tied = (ratios <= theta_basic).nonzero()[0]
                 leave = int(tied[0]) if tied.size == 1 else int(tied[basis[tied].argmin()])
                 if not self.exchange(leave, q, dirn * theta_basic, w, not delta[leave] > 0):
                     return LpStatus.NUMERICAL
                 xB, Binv = self.xB, self.Binv
-                step = theta_basic
             else:
                 # the entering variable rides to its other bound; basis unchanged
                 val[q] = hi[q] if dirn > 0 else lo[q]
                 pos[q] = _AT_UP if dirn > 0 else _AT_LO
                 sign[q] = -dirn
                 xB -= theta_flip * delta
-                step = theta_flip
-            stall.step(step, basis)
         return LpStatus.ITERATION_LIMIT
 
 

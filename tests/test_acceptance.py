@@ -99,19 +99,25 @@ def test_criterion_1_small_optima_match_exhaustive_enumeration():
     # group stays at or under 12, so 2^k patterns x one LP each is exact
     mix = [(2, -2)] * 8 + [(3, -1)] * 6 + [(4, -1)] * 6 + [(2, -3), (3, -2)]
     ch = {-1: "<", 0: "=", 1: ">"}
-    started = time.monotonic()
+    # the budget times the program, not the enumeration oracle: only the
+    # time spent in tightening, the MILP build and the solve counts
+    solver_s = 0.0
     feasible = infeasible = 0
     for idx, (nbins, power) in enumerate(mix):
         rng = np.random.default_rng(1300 + idx)
         stats, config = _small_instance(rng, nbins)
         try:
             model = build_model(stats, config)
+            started = time.monotonic()
             tb = tighten(model)
             nm = build_milp(model, tb, power=power)
         except (ModelBuildError, BoundsError):
             pytest.fail(f"instance {idx} failed to build")
+        solver_s += time.monotonic() - started
         assert len(nm.problem.binary_cols) <= 12
+        started = time.monotonic()
         rep = solve_milp(nm.problem, time_limit=30.0, gap_target=0.0)
+        solver_s += time.monotonic() - started
         lp = nm.problem.lp
         # hard_boxes keeps the two judges on one semantics: the solver's
         # simplex never lets a variable leave its box, while HiGHS tolerates
@@ -138,7 +144,7 @@ def test_criterion_1_small_optima_match_exhaustive_enumeration():
             feasible += 1
     assert feasible + infeasible == len(mix) >= 20
     assert feasible >= 10
-    assert time.monotonic() - started < 60.0
+    assert solver_s < 60.0
 
 
 # ------------------------------------------------------------ criteria 2 + 3

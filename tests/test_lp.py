@@ -14,13 +14,12 @@ from hypothesis import strategies as st
 from fairbins import bnb, lp
 from fairbins.bnb import solve_milp
 from fairbins.bounds import tighten
+from fairbins.data import compute_bin_stats, quantile_bin
 from fairbins.frontier import sweep
 from fairbins.lp import (
     _AT_LO,
     _AT_UP,
     _BASIC,
-    _BLAND_AFTER,
-    _DEGENERATE_STEP,
     _PIVOT_TOL,
     _REFACTOR_EVERY,
     SENSE_EQ,
@@ -32,10 +31,11 @@ from fairbins.lp import (
     solve_lp,
 )
 from fairbins.model import ModelConfig, build_model
-from fairbins.nmdt import build_milp
+from fairbins.nmdt import _completion_lp, _feasible_rate_targets, build_milp
 
-from .conftest import tiny_stats
+from .conftest import biased_synthetic, tiny_stats
 from .oracle_helpers import scipy_lp
+from .test_acceptance import FLAGSHIP_CONFIG
 from .test_bounds import _bench_file_stats
 
 
@@ -234,9 +234,6 @@ class _ReferenceEngine(lp._Engine):
     this one to the last bit."""
 
     def run(self, c: np.ndarray) -> LpStatus:
-        # the bases met in the current run of zero steps, and how many of
-        # those steps returned to one
-        seen, revisits = set(), 0
         since_refactor = 0
         fixed = (self.hi - self.lo) <= 0.0
         while self.iterations < self.max_iters:
@@ -245,15 +242,9 @@ class _ReferenceEngine(lp._Engine):
             d = c - self.A.T @ y
             eff = np.where(self.pos == _AT_LO, d, np.where(self.pos == _AT_UP, -d, -np.abs(d)))
             eff[(self.pos == _BASIC) | fixed] = 0.0
-            if revisits >= lp._BLAND_AFTER:
-                eligible = np.flatnonzero(eff < -lp.OPT_TOL)
-                if eligible.size == 0:
-                    return LpStatus.OPTIMAL
-                q = int(eligible[0])
-            else:
-                q = int(np.argmin(eff))
-                if eff[q] >= -lp.OPT_TOL:
-                    return LpStatus.OPTIMAL
+            q = int(np.argmin(eff))
+            if eff[q] >= -lp.OPT_TOL:
+                return LpStatus.OPTIMAL
 
             if self.pos[q] == _AT_LO:
                 dirn = 1.0
@@ -278,7 +269,7 @@ class _ReferenceEngine(lp._Engine):
                 return LpStatus.NUMERICAL
 
             if theta_basic <= theta_flip:
-                # ties resolved toward the lowest variable index: anti-cycling aid
+                # ties resolved toward the lowest variable index
                 tied = np.flatnonzero(ratios <= theta_basic)
                 leave = int(tied[np.argmin(self.basis[tied])])
                 lv = int(self.basis[leave])
@@ -305,20 +296,11 @@ class _ReferenceEngine(lp._Engine):
                     since_refactor = 0
                     if not self.factor():
                         return LpStatus.NUMERICAL
-                step = theta_basic
             else:
                 # the entering variable rides to its other bound; basis unchanged
                 self.val[q] = self.hi[q] if dirn > 0 else self.lo[q]
                 self.pos[q] = _AT_UP if dirn > 0 else _AT_LO
                 self.xB -= theta_flip * delta
-                step = theta_flip
-
-            if step <= _DEGENERATE_STEP:
-                key = frozenset(self.basis.tolist())
-                revisits += key in seen
-                seen.add(key)
-            else:
-                seen, revisits = set(), 0
         return LpStatus.ITERATION_LIMIT
 
 
@@ -466,18 +448,13 @@ def test_beale_example_matches_reference_bit_for_bit():
     assert pivots == 7
 
 
-def test_bland_switch_matches_reference_bit_for_bit():
+def test_degenerate_primal_matches_reference_bit_for_bit():
+    # every one of the primal's 158 basis changes here is a zero step
     problem = _degenerate_cone(0, 60, 40)
-    start = _from_the_origin(problem)
     # the warm start may take as many pivots as the primal needs
     with mock.patch.object(lp, "_WARM_SHARE", 100.0):
-        # at 0 the switch holds from the first pivot, as if the primal had cycled
-        with mock.patch.object(lp, "_BLAND_AFTER", 0):
-            mine = _assert_same_bits(problem, start)
-        # the switch does change the path: without it the pivots differ
-        plain = _fingerprint(problem, start)
-    assert plain[0] == mine[0] == LpStatus.OPTIMAL
-    assert plain[1] != mine[1]
+        mine = _assert_same_bits(problem, _from_the_origin(problem))
+    assert mine[0] == LpStatus.OPTIMAL
 
 
 def test_refactor_crossing_matches_reference_bit_for_bit():
@@ -908,34 +885,53 @@ def _covering(seed: int, m: int, n: int) -> LpProblem:
                      np.where(c < 0, 6.0, 1.0))
 
 
-def test_dual_bland_switch_keeps_the_answer():
+def test_degenerate_dual_matches_scipy():
+    # the dual starts with half the rows broken, over many zero reduced
+    # costs, and keeps its one pricing rule to the optimum
     problem = _covering(0, 60, 40)
-    dual_pivots = []
-
-    class Recording(lp._Engine):
-        def dual(self, c):
-            before = self.iterations
-            status = super().dual(c)
-            dual_pivots.append(self.iterations - before)
-            return status
-
-    # at 0 the switch holds from the first pivot, as if the dual had cycled
-    runs = []
-    for after in (_BLAND_AFTER, 0):
-        dual_pivots.clear()
-        with mock.patch.object(lp, "_Engine", Recording), \
-                mock.patch.object(lp, "_BLAND_AFTER", after):
-            runs.append((solve_lp(problem), list(dual_pivots)))
-    (plain, plain_pivots), (bland, bland_pivots) = runs
-    # the switch fires: the dual takes another path
-    assert plain_pivots != bland_pivots
+    res = solve_lp(problem)
     status, obj, _ = scipy_lp(problem.c, problem.a, [_SENSE_CHAR[int(s)] for s in problem.senses],
                               problem.rhs, problem.lo, problem.hi)
     assert status == "optimal"
-    for res in (plain, bland):
-        assert res.status == LpStatus.OPTIMAL
-        assert res.objective == pytest.approx(obj, rel=1e-9)
-        assert point_violation(problem, res.x) <= lp.FEAS_TOL
+    assert res.status == LpStatus.OPTIMAL
+    assert res.objective == pytest.approx(obj, rel=1e-9)
+    assert point_violation(problem, res.x) <= lp.FEAS_TOL
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 16")
+def test_the_flagship_elastic_completion_lp_does_not_stall():
+    # the flagship at power -12: its cold root LP's rate columns seed the
+    # completion targets, and the realized rates of the first elastic LP
+    # seed a second one. That one is a zero-ratio dual from start to end:
+    # every pivot is degenerate, no basis repeats, and the pivot cap ends it
+    obs = biased_synthetic()
+    stats = compute_bin_stats(obs, quantile_bin(obs, 10))
+    model = build_model(stats, FLAGSHIP_CONFIG)
+    nm = build_milp(model, tighten(model), power=-12)
+    root = solve_lp(nm.problem.lp)
+    assert root.status == LpStatus.OPTIMAL
+
+    def rates(rate):
+        out = np.zeros((stats.ngroups, stats.nbins))
+        for link in model.links:
+            out[link.group, link.dest] = rate(link)
+        return out
+
+    targets = _feasible_rate_targets(nm, rates(lambda link: root.x[link.t_col]))
+    first = solve_lp(_completion_lp(nm, targets, elastic=True))
+    assert first.status == LpStatus.OPTIMAL
+    assert first.objective == pytest.approx(3.5267996868983, rel=1e-12)
+    x = first.x
+    # the realized rates, as `completion_start` computes them between rounds
+    realized = rates(lambda link: float(x[link.x_cols] @ link.npos)
+                     / max(float(x[link.v_col]), 1e-12))
+    problem = _completion_lp(nm, _feasible_rate_targets(nm, realized), elastic=True)
+    status, obj, _ = scipy_lp(problem.c, problem.a, [_SENSE_CHAR[int(s)] for s in problem.senses],
+                              problem.rhs, problem.lo, problem.hi)
+    assert status == "optimal"
+    res = solve_lp(problem)
+    assert res.status == LpStatus.OPTIMAL
+    assert res.objective == pytest.approx(obj, abs=1e-9)
 
 
 def test_warm_node_lps_agree_with_cold_ones():
