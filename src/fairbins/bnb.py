@@ -2,13 +2,13 @@
 
 A node is its column box, the `lo`/`hi` handed to `LpProblem`: the LP's
 own box at the root, with binaries pinned (`lo == hi`) below it; a binary
-is open while `lo < hi`. All node LPs of one MILP share one simplex
-matrix, built once (`lp._Shared`). The root LP is solved cold, or warm
-from `root_start`: the optimal root basis of a MILP with the same matrix
-and costs, which `SolveReport.root_basis` hands back. Every other node
-warm-starts from its parent's optimal basis, factored afresh; `solve_lp`
-checks each warm answer and falls back to a cold solve when it cannot.
-Each popped node costs one LP. A node whose LP
+is open while `lo < hi`. Node LPs go through the public `solve_lp`
+alone. The root LP is solved cold, or warm from `root_start`: the
+optimal root basis of a MILP with the same matrix and costs, which
+`SolveReport.root_basis` hands back. Every other node warm-starts from
+its parent's optimal basis, factored afresh; `solve_lp` checks each warm
+answer and falls back to a cold solve when it cannot. Each popped node
+costs one LP. A node whose LP
 leaves any open binary off 0/1 branches on the one farthest from 0/1; one
 whose open binaries all come out exactly 0 or 1 is a leaf. A leaf's point,
 like `initial`, becomes the incumbent only with every binary rounded and
@@ -31,8 +31,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .lp import (FEAS_TOL, OPT_TOL, LpBasis, LpProblem, LpStatus, _Shared, point_violation,
-                 solve_lp)
+from .lp import FEAS_TOL, OPT_TOL, LpBasis, LpProblem, LpStatus, point_violation, solve_lp
 
 __all__ = ["MilpStatus", "MilpProblem", "SolveReport", "solve_milp"]
 
@@ -99,7 +98,6 @@ def solve_milp(
     best_obj = np.inf if incumbent is None else float(lp.c @ incumbent)
 
     nodes = 0
-    shared = _Shared(lp)
 
     # heap entries: (bound, insertion counter, the node's column box lo and
     # hi, the parent's optimal basis to warm-start from or None)
@@ -157,7 +155,7 @@ def solve_milp(
         bound, _, lo, hi, start = heapq.heappop(heap)
         nodes += 1
         res = solve_lp(LpProblem(lp.c, lp.a, lp.senses, lp.rhs, lo, hi), deadline=deadline,
-                       start=start, _shared=shared)
+                       start=start)
         if nodes == 1:  # the root
             root_basis = res.basis
             if res.status == LpStatus.INFEASIBLE and incumbent is not None:

@@ -371,6 +371,10 @@ def parse_frontier_csv(text: str) -> list[FrontierPoint]:
         raise ValueError(f"frontier CSV is missing columns {sorted(missing)}")
     points = []
     for row in reader:
+        if None in row.values():  # a short row: csv fills its missing fields with None
+            given = sum(value is not None for value in row.values())
+            raise ValueError(f"frontier CSV line {reader.line_num} has {given} of "
+                             f"{len(reader.fieldnames)} fields")
         opt = lambda key: None if row[key] == "" else float(row[key])
         points.append(FrontierPoint(
             configured=(

@@ -4,26 +4,28 @@ Every linear program in this package funnels through `solve_lp`, including
 each branch-and-bound node. The pivot rules are fully deterministic:
 identical inputs produce identical pivot sequences, values, and statuses.
 
-Each pivot does three matrix-vector products: the duals `Binv.T @ c_B`,
-the reduced costs through `A.T @ y`, and the entering column
-`Binv @ A[:, q]`. The dense basis inverse then takes a rank-1 update on
-the rows where that column is nonzero, and is factored afresh every 100
-basis changes, counted across the dual and primal loops of a solve. A
-singular basis there, a pivot too small to take, or a ratio test with no
-finite step (every column has a finite box, so only roundoff can find a
-ray) ends the solve with status NUMERICAL. The matrix `A` depends on the
-constraint matrix `a` alone (`_Shared`): `a` row-scaled, then one
-identity block of slack columns. Every engine over the same `a`, cold or
-warm, reads one such matrix, and none writes to it.
+Each solve's engine holds one matrix, the constraint matrix row-scaled
+(`a / scale`, m x n). The slack of row `i`, engine column `n + i`, is the
+unit vector `e_i` and is never stored, so every product reads `a` and
+adds the slack part by hand. Each pivot does three matrix-vector
+products: the duals `y = Binv.T @ c_B`, the reduced costs
+`c - [a.T @ y, y]`, and the entering column `Binv @ a[:, q]`, which for a
+slack is the column `Binv[:, q - n]`. The dual's pivot row is
+`[Binv[r] @ a, Binv[r]]`. The dense basis inverse then takes a rank-1
+update on the rows where the entering column is nonzero, and is factored
+afresh every 100 basis changes, counted across the dual and primal loops
+of a solve. A singular basis there, a pivot too small to take, or a ratio
+test with no finite step (every column has a finite box, so only roundoff
+can find a ray) ends the solve with status NUMERICAL.
 
 A factorization inverts only the structural block of the basis. Let `x`
 be the basis slots holding structural columns, `s` those holding slacks,
 `S` the rows whose slack is basic and `T` the other rows; a nonsingular
-basis has as many rows in `T` as slots in `x`. With `M = A[T, basis[x]]`,
-the inverse is `M^-1` on `(x, T)`, `-A[S, basis[x]] @ M^-1` on `(s, T)`,
-a unit entry at each `(s_i, S_i)`, and zero elsewhere. A repeated slack
-makes `M` non-square and a repeated structural column makes it singular,
-so either is refused like any singular basis.
+basis has as many rows in `T` as slots in `x`. With `M = a[T, basis[x]]`
+(row-scaled), the inverse is `M^-1` on `(x, T)`, `-a[S, basis[x]] @ M^-1`
+on `(s, T)`, a unit entry at each `(s_i, S_i)`, and zero elsewhere. A
+repeated slack makes `M` non-square and a repeated structural column
+makes it singular, so either is refused like any singular basis.
 
 Every solve runs one path: a bounded dual simplex from a dual feasible
 basis restores primal feasibility (Koberstein, *The dual simplex method*,
@@ -61,10 +63,6 @@ cold or warm, must satisfy the problem's own rows and bounds to
 `FEAS_TOL` (1e-7). A warm answer that cannot vouch for itself (a pivot
 cap, a failed check, a singular basis) falls back to the cold solve, the
 same routine from the slack basis; a cold answer that cannot is NUMERICAL.
-
-Branch and bound hands every node LP of one MILP the same `_Shared`
-object, so its node LPs build the engine matrix once; each warm start
-factors its basis afresh.
 
 `LpBasis` and `LpResult` are named tuples; `LpProblem` is a plain class.
 """
@@ -203,31 +201,13 @@ def point_violation(problem: LpProblem, x: np.ndarray) -> float:
     return worst
 
 
-class _Shared:
-    """What the LPs over one constraint matrix share: the row scale and
-    the read-only engine matrix `[a / scale | I]` (row-scaled structural
-    columns, then one slack column per row)."""
-
-    def __init__(self, problem: LpProblem):
-        a = self.a = problem.a
-        m, n = a.shape
-        # row equilibration only; column scaling would distort the bounds
-        scale = np.abs(a).max(axis=1) if n else np.zeros(m)
-        self.scale = np.where(scale > 1e-12, scale, 1.0)
-        self.A = np.zeros((m, n + m))
-        self.A[:, :n] = a / self.scale[:, None]
-        rows = np.arange(m)
-        self.A[rows, n + rows] = 1.0
-        self.A.flags.writeable = False
-
-
 class _Engine:
-    """Simplex state over the shared matrix: bounds, basis and a dense
-    basis inverse. `slack_start` sets the cold start, `install` a warm
-    one; `dual` then restores primal feasibility and `run` optimizes."""
+    """Simplex state over the row-scaled matrix `a`, whose slack columns
+    stay implicit: bounds, basis and a dense basis inverse. `slack_start`
+    sets the cold start, `install` a warm one; `dual` then restores
+    primal feasibility and `run` optimizes."""
 
-    def __init__(self, problem: LpProblem, max_iters: int, deadline: float | None,
-                 shared: _Shared | None = None):
+    def __init__(self, problem: LpProblem, max_iters: int, deadline: float | None):
         self.problem = problem
         self.pivot_tol = _DUAL_PIVOT_TOL
         self.max_iters = max_iters
@@ -236,8 +216,10 @@ class _Engine:
 
         m, n = problem.a.shape
         self.m, self.nstruct = m, n
-        shared = _Shared(problem) if shared is None else shared
-        self.scale, self.A = shared.scale, shared.A
+        # row equilibration only; column scaling would distort the bounds
+        scale = np.abs(problem.a).max(axis=1) if n else np.zeros(m)
+        self.scale = np.where(scale > 1e-12, scale, 1.0)
+        self.a = problem.a / self.scale[:, None]
         self.rhs = problem.rhs / self.scale
 
         ge, le = problem.senses == SENSE_GE, problem.senses == SENSE_LE
@@ -298,7 +280,7 @@ class _Engine:
         other = np.ones(self.m, dtype=bool)
         other[S] = False
         T = other.nonzero()[0]
-        cols = self.A[:, basis[x]]
+        cols = self.a[:, basis[x]]
         try:
             inner = np.linalg.inv(cols[T])
         except np.linalg.LinAlgError:  # singular, or not square: a slack repeats
@@ -314,7 +296,23 @@ class _Engine:
         """Basic values from the current inverse and nonbasic values."""
         nb = self.val.copy()
         nb[self.basis] = 0.0
-        self.xB = self.Binv @ (self.rhs - self.A @ nb)
+        n = self.nstruct
+        self.xB = self.Binv @ (self.rhs - (self.a @ nb[:n] + nb[n:]))
+
+    def reduced(self, c: np.ndarray) -> np.ndarray:
+        """Reduced costs of costs `c` at the current basis."""
+        y = self.Binv.T @ self.cB
+        return c - np.concatenate([self.a.T @ y, y])
+
+    def price(self, y: np.ndarray) -> np.ndarray:
+        """`y @ [a | I]`: a row of the inverse priced over every column."""
+        return np.concatenate([y @ self.a, y])
+
+    def column(self, q: int) -> np.ndarray:
+        """The entering column `Binv @ [a | I][:, q]`; for a slack a copy of
+        the inverse's column, not a view of the array `exchange` rewrites."""
+        n = self.nstruct
+        return self.Binv @ self.a[:, q] if q < n else self.Binv[:, q - n].copy()
 
     def begin(self, c: np.ndarray) -> None:
         """Pricing state of a pivot loop over costs `c`: a weight per column
@@ -330,7 +328,7 @@ class _Engine:
         self.cB, self.blo, self.bhi = c[basis], self.lo[basis], self.hi[basis]
 
     def exchange(self, r: int, q: int, step: float, w: np.ndarray, up: bool) -> bool:
-        """Column `q`, the entering column `w = Binv @ A[:, q]`, takes basic
+        """Column `q`, the entering column `w` (`column(q)`), takes basic
         slot `r` after moving by `step` (the basic values move by
         `-step * w`); the leaving column rests at its upper bound when
         `up`, else at its lower one. The inverse takes a rank-1 update and
@@ -379,10 +377,10 @@ class _Engine:
         factorization; the row is left in `proof_row`. NUMERICAL means a
         pivot too small to take or a singular factorization."""
         self.begin(c)
-        A, sign, cB, blo, bhi = self.A, self.sign, self.cB, self.blo, self.bhi
+        sign, blo, bhi = self.sign, self.blo, self.bhi
         xB, Binv = self.xB, self.Binv
         deadline, tol = self.deadline, self.pivot_tol
-        d = c - A.T @ (Binv.T @ cB)
+        d = self.reduced(c)
         while True:
             below = blo - xB
             viol = np.maximum(below, xB - bhi)
@@ -398,7 +396,7 @@ class _Engine:
             # x_j, so column j helps when s * alpha_j opposes its direction.
             rises = bool(below[r] > 0.0)
             s = 1.0 if rises else -1.0
-            alpha = s * (Binv[r] @ A)
+            alpha = s * self.price(Binv[r])
             cand = (sign * alpha < -tol).nonzero()[0]
             if cand.size == 0:
                 if self.fresh:
@@ -409,7 +407,7 @@ class _Engine:
                 if not self.factor():
                     return LpStatus.NUMERICAL
                 xB, Binv = self.xB, self.Binv
-                d = c - A.T @ (Binv.T @ cB)
+                d = self.reduced(c)
                 continue
             self.iterations += 1
             size = np.abs(alpha[cand])
@@ -418,7 +416,7 @@ class _Engine:
             near = (ratios <= ((dj + _HARRIS_TOL) / size).min()).nonzero()[0]
             q = int(cand[near[size[near].argmax()]])
 
-            w = Binv @ A[:, q]
+            w = self.column(q)
             if abs(w[r]) <= tol:
                 return LpStatus.NUMERICAL
             target = blo[r] if rises else bhi[r]
@@ -430,7 +428,7 @@ class _Engine:
                 return LpStatus.NUMERICAL
             xB, Binv = self.xB, self.Binv
             if self.fresh:
-                d = c - A.T @ (Binv.T @ cB)
+                d = self.reduced(c)
 
     def certifies(self, r: int) -> bool:
         """Whether row slot `r`, re-derived from a fresh factorization,
@@ -455,7 +453,7 @@ class _Engine:
         if not short * unit > FEAS_TOL:
             return False
         y = self.Binv[r]
-        alpha = y @ self.A
+        alpha = self.price(y)
         e_r = np.zeros(self.m)
         e_r[r] = 1.0
         if np.abs(alpha[self.basis] - e_r).max() > 1e-9 * max(1.0, np.abs(y).max()):
@@ -472,9 +470,8 @@ class _Engine:
 
     def run(self, c: np.ndarray) -> LpStatus:
         self.begin(c)
-        A, lo, hi, val, pos, sign = self.A, self.lo, self.hi, self.val, self.pos, self.sign
-        cB, blo, bhi, basis = self.cB, self.blo, self.bhi, self.basis
-        xB, Binv = self.xB, self.Binv
+        lo, hi, val, pos, sign = self.lo, self.hi, self.val, self.pos, self.sign
+        blo, bhi, basis, xB = self.blo, self.bhi, self.basis, self.xB
         opt_tol, deadline = OPT_TOL, self.deadline
         # multiplying by the +-1 weights is exact, so eff equals a
         # per-position select of d, -d and 0 (up to the sign of a zero) and
@@ -485,15 +482,14 @@ class _Engine:
             if deadline is not None and time.monotonic() > deadline:
                 return LpStatus.TIME_LIMIT
             self.iterations += 1
-            y = Binv.T @ cB
-            d = c - A.T @ y
+            d = self.reduced(c)
             eff = sign * d
             q = int(eff.argmin())
             if eff[q] >= -opt_tol:
                 return LpStatus.OPTIMAL
 
             dirn = float(sign[q])
-            w = Binv @ A[:, q]
+            w = self.column(q)
             delta = w if dirn > 0 else -w
             dec = (delta > _PIVOT_TOL).nonzero()[0]
             inc = (delta < -_PIVOT_TOL).nonzero()[0]
@@ -512,7 +508,7 @@ class _Engine:
                 leave = int(tied[0]) if tied.size == 1 else int(tied[basis[tied].argmin()])
                 if not self.exchange(leave, q, dirn * theta_basic, w, not delta[leave] > 0):
                     return LpStatus.NUMERICAL
-                xB, Binv = self.xB, self.Binv
+                xB = self.xB
             else:
                 # the entering variable rides to its other bound; basis unchanged
                 val[q] = hi[q] if dirn > 0 else lo[q]
@@ -527,7 +523,6 @@ def solve_lp(
     *,
     deadline: float | None = None,
     start: LpBasis | None = None,
-    _shared: _Shared | None = None,
 ) -> LpResult:
     """Minimize over the boxed polyhedron: dual, then primal, simplex.
 
@@ -545,9 +540,7 @@ def solve_lp(
     either the same costs or the same rows, right-hand sides and bounds, a
     verified warm start is tried first; when it cannot vouch for its
     answer, the cold solve runs as if there were no start, and the result
-    counts the pivots of both. `_shared`, built by branch and bound over
-    the MILP's own LP, lends both solves its matrix; it is ignored unless
-    `problem.a` is the matrix it was built from.
+    counts the pivots of both.
     """
     m, n = problem.a.shape
     if np.any(problem.lo > problem.hi + FEAS_TOL):
@@ -556,22 +549,18 @@ def solve_lp(
         x = np.where(problem.c < 0, problem.hi, problem.lo)
         return LpResult(LpStatus.OPTIMAL, float(problem.c @ x), x, 0)
     max_iters = 5000 + 25 * (m + n)
-    if _shared is None or problem.a is not _shared.a:
-        _shared = _Shared(problem)
     spent = 0
     if start is not None:
-        warm = _solve(problem, start, min(max_iters, int(_WARM_SHARE * (m + n))), deadline,
-                      _shared)
+        warm = _solve(problem, start, min(max_iters, int(_WARM_SHARE * (m + n))), deadline)
         if warm.status in (LpStatus.OPTIMAL, LpStatus.INFEASIBLE, LpStatus.TIME_LIMIT):
             return warm
         spent = warm.iterations
-    res = _solve(problem, None, max_iters, deadline, _shared)
+    res = _solve(problem, None, max_iters, deadline)
     return res._replace(iterations=res.iterations + spent) if spent else res
 
 
 def _solve(
-    problem: LpProblem, start: LpBasis | None, max_iters: int, deadline: float | None,
-    shared: _Shared,
+    problem: LpProblem, start: LpBasis | None, max_iters: int, deadline: float | None
 ) -> LpResult:
     """Dual simplex from `start`, or from the slack basis without one, then
     a primal polish on the true costs, within `max_iters` pivots. An
@@ -581,7 +570,7 @@ def _solve(
     pivot tolerance `_PIVOT_TOL`. NUMERICAL when the start does not fit
     or is singular, or the answer cannot be vouched for."""
     m, n = problem.a.shape
-    eng = _Engine(problem, max_iters, deadline, shared)
+    eng = _Engine(problem, max_iters, deadline)
     cost = np.concatenate([problem.c, np.zeros(m)])
     if start is None:
         eng.slack_start(cost)

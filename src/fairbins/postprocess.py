@@ -73,6 +73,10 @@ class TransitionPlan:
         return BinSpec(edges=self.edges)
 
     def validate(self, *, retention: float | None = None, window: int | None = None) -> None:
+        try:
+            BinSpec(self.edges)
+        except ValueError as e:  # edges that are not finite, ordered and over [0, 1]
+            raise PlanError(f"plan {e}") from None
         # every comparison with NaN is False, so the checks below would pass it
         if not np.isfinite(self.groups).all():
             raise PlanError("plan entries must be finite numbers")

@@ -164,7 +164,7 @@ def test_lp_keeps_no_basis_inverses():
     assert "deque" not in imported
     p = lp.LpProblem(np.ones(2), np.ones((1, 2)), np.zeros(1, np.int8), np.ones(1),
                      np.zeros(2), np.ones(2))
-    assert not hasattr(lp._Shared(p), "inverses")
+    assert not hasattr(lp._Engine(p, 0, None), "inverses")
     assert list(inspect.signature(lp._Engine.install).parameters) == ["self", "start"]
 
 
@@ -224,16 +224,33 @@ def test_bin_stats_loads_no_masked_arrays(tmp_path):
 
 
 def test_every_lp_starts_from_a_basis():
-    # the engine matrix is [a / scale | I]: one slack per row and no
-    # artificial column, and no crash basis or phase-1 cost stands in for
-    # the slack start
+    # the engine holds the row-scaled a alone, m x n, and its columns are
+    # those n and one implicit slack per row, with no artificial column;
+    # no crash basis or phase-1 cost stands in for the slack start
     rng = np.random.default_rng(0)
     m, n = 5, 7
     p = lp.LpProblem(rng.normal(size=n), rng.normal(size=(m, n)), np.zeros(m, np.int8),
                      np.zeros(m), np.zeros(n), np.ones(n))
-    assert lp._Shared(p).A.shape == (m, n + m)
+    eng = lp._Engine(p, 0, None)
+    assert eng.a.shape == (m, n)
+    eng.slack_start(np.concatenate([p.c, np.zeros(m)]))
+    assert np.array_equal(eng.basis, n + np.arange(m)) and eng.pos.shape == (n + m,)
+    assert not hasattr(lp, "_Shared")
     tree = ast.parse(inspect.getsource(lp))
     defined = {node.name for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)}
     names = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     assert "crash" not in defined
     assert not {name for name in names if "phase" in name.lower()}
+
+
+def test_the_layers_above_the_simplex_use_only_its_public_names():
+    # bnb, bounds and nmdt reach the simplex through `solve_lp` and its
+    # records: none imports a private name of `fairbins.lp`
+    for module in (bnb, bounds, nmdt):
+        tree = ast.parse(inspect.getsource(module))
+        names = [alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+                 and (node.module, node.level) in (("lp", 1), ("fairbins.lp", 0))
+                 for alias in node.names]
+        assert "LpProblem" in names, module.__name__
+        assert [name for name in names if name.startswith("_")] == [], module.__name__
+    assert "_shared" not in inspect.signature(lp.solve_lp).parameters

@@ -329,33 +329,24 @@ def test_apply_group_mismatch_is_exit_6(tmp_path, capsys):
     ([1.7, -0.7], "entries must lie in"),
     ([0.6, 0.3], "rows sum to 1"),
     ([np.nan, np.nan], "entries must be finite"),
+    # a tuple stands for the plan's edges, framing identity rows
+    pytest.param((0.0, np.nan, 1.0), "edges must be finite", id="edges-nan"),
+    pytest.param((0.0, 0.7, 0.5, 1.0), "strictly increasing", id="edges-unordered"),
+    pytest.param((0.0, 0.5, 0.9), "must span [0, 1]", id="edges-short-of-1"),
+    pytest.param((-0.1, 0.5, 1.0), "must span [0, 1]", id="edges-below-0"),
 ])
 def test_apply_rejects_an_invalid_plan_with_exit_6(row, message, tmp_path, capsys):
-    groups = np.tile(np.eye(2), (2, 1, 1))
-    groups[0, 0] = row
+    if isinstance(row, tuple):
+        edges, groups = row, np.tile(np.eye(len(row) - 1), (2, 1, 1))
+    else:
+        edges, groups = (0.0, 0.5, 1.0), np.tile(np.eye(2), (2, 1, 1))
+        groups[0, 0] = row
     plan_path = tmp_path / "bad.json"
-    plan_path.write_text(TransitionPlan(edges=(0.0, 0.5, 1.0), groups=groups).to_json())
+    plan_path.write_text(TransitionPlan(edges=edges, groups=groups).to_json())
     out = tmp_path / "out.csv"
     rc = main(["apply", TINY, "--plan", str(plan_path), "--mode", "expected",
                "--output", str(out)])
     assert rc == 6
-    assert message in capsys.readouterr().err
-    assert not out.exists()
-
-
-@pytest.mark.parametrize("edges, message", [
-    ((0.0, np.nan, 1.0), "edges must be finite"),
-    ((0.0, 0.7, 0.5, 1.0), "strictly increasing"),
-])
-def test_apply_rejects_bad_plan_edges_with_exit_2(edges, message, tmp_path, capsys):
-    B = len(edges) - 1
-    plan_path = tmp_path / "bad_edges.json"
-    plan = TransitionPlan(edges=edges, groups=np.tile(np.eye(B), (2, 1, 1)))
-    plan_path.write_text(plan.to_json())
-    out = tmp_path / "out.csv"
-    rc = main(["apply", TINY, "--plan", str(plan_path), "--mode", "expected",
-               "--output", str(out)])
-    assert rc == 2
     assert message in capsys.readouterr().err
     assert not out.exists()
 
@@ -434,6 +425,23 @@ def test_tradeoff_and_compare_commands(tmp_path, capsys):
     rc = main(["tradeoff", "--frontier", str(front), "--operating", "bad",
                "--cost", "auc", "--benefit", "prp"])
     assert rc == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["tradeoff", "--operating", "0.7,0.1,0.3,0.3", "--cost", "auc", "--benefit", "prp",
+     "--frontier"],
+    ["compare", "--auc-min", "0.5", "--frontier-a"],
+], ids=["tradeoff", "compare"])
+def test_a_short_frontier_row_is_exit_2(argv, tmp_path, capsys):
+    # csv fills a short row's missing fields with None, which once reached
+    # float() and ended in a TypeError traceback
+    front = tmp_path / "front.csv"
+    front.write_text("auc,epsDP,epsEOdds,epsPRP,configured_dp,configured_eodds,"
+                     "configured_prp,status,gap,seconds,nondominated\n"
+                     "0.9,0.05,0.05,0.05,0.06\n")
+    extra = ["--frontier-b", str(front)] if argv[0] == "compare" else []
+    assert main([*argv, str(front), *extra]) == 2
+    assert "line 2 has 5 of 11 fields" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("argv, flag", [

@@ -227,11 +227,36 @@ def test_random_lp_optimum_never_beats_scipy(seed):
     assert abs(mine.objective - obj) < 1e-6
 
 
+def _padded(eng: lp._Engine) -> np.ndarray:
+    """The engine matrix with its slack columns written out: `[a / scale | I]`."""
+    return np.hstack([eng.a, np.eye(eng.m)])
+
+
 class _ReferenceEngine(lp._Engine):
-    """The engine with the plain form of its pivot loop: a per-position
-    pricing select, per-pivot gathers and a full outer-product update. The
-    production loop does the same arithmetic, so every result must match
-    this one to the last bit."""
+    """The engine over the padded matrix `[a / scale | I]`, with the plain
+    form of its pivot loop: a per-position pricing select, per-pivot
+    gathers and a full outer-product update. The dual's reduced costs,
+    pivot rows and entering columns read the padded matrix too. The
+    production engine keeps its slack columns implicit and does the same
+    arithmetic, so every result must match this one to the last bit.
+
+    The basic values are the one product left to the production engine:
+    `a @ nb[:n]` and the padded `A @ nb` sum the same terms, but BLAS
+    groups a sum of n terms differently from one of n + m, and the last
+    bits differ on about one small LP in twelve."""
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.A = _padded(self)
+
+    def reduced(self, c: np.ndarray) -> np.ndarray:
+        return c - self.A.T @ (self.Binv.T @ self.cB)
+
+    def price(self, y: np.ndarray) -> np.ndarray:
+        return y @ self.A
+
+    def column(self, q: int) -> np.ndarray:
+        return self.Binv @ self.A[:, q]
 
     def run(self, c: np.ndarray) -> LpStatus:
         since_refactor = 0
@@ -419,7 +444,7 @@ def test_the_slack_start_is_dual_feasible():
     assert np.array_equal(eng.basis, n + np.arange(m))
     assert np.array_equal(eng.Binv, np.eye(m))
     # the reduced costs of the true costs have the sign each position needs
-    d = cost - eng.A.T @ (eng.Binv.T @ cost[eng.basis])
+    d = cost - _padded(eng).T @ (eng.Binv.T @ cost[eng.basis])
     movable = eng.hi > eng.lo
     assert np.all(d[(eng.pos == _AT_LO) & movable] >= 0.0)
     assert np.all(d[(eng.pos == _AT_UP) & movable] <= 0.0)
@@ -510,36 +535,37 @@ def test_a_cold_optimum_that_breaks_a_row_ends_numerical():
     assert np.isnan(res.objective) and res.basis is None
 
 
-def test_the_padded_matrix_depends_on_a_alone():
-    # other right-hand sides, bounds and costs leave the slack columns as
-    # they are: the matrix holds no start residual and no cost
+def test_the_engine_matrix_depends_on_a_alone():
+    # the engine holds the row-scaled constraint matrix and no slack column:
+    # other right-hand sides, bounds and costs leave it as it is
     p = _random_bounded(np.random.default_rng(5))
     other = LpProblem(-p.c, p.a, p.senses, -p.rhs - 1.0, p.lo - 1.0, p.hi + 2.0)
-    assert lp._Shared(p).A.tobytes() == lp._Shared(other).A.tobytes()
+    eng = lp._Engine(p, 0, None)
+    assert eng.a.shape == p.a.shape
+    assert eng.a.tobytes() == (p.a / np.abs(p.a).max(axis=1)[:, None]).tobytes()
+    assert eng.a.tobytes() == lp._Engine(other, 0, None).a.tobytes()
+    assert not hasattr(eng, "A")
 
     config = ModelConfig(eps_dp=0.1, eps_eodds=0.1, eps_prp=0.1, retention=0.5, window=2)
     model = build_model(tiny_stats(), config)
     milp = build_milp(model, tighten(model), power=-3).problem
-    shares, engines = [], []
-
-    def sharing(problem):
-        shares.append(lp._Shared(problem))
-        return shares[-1]
+    given, scaled = milp.lp.a.tobytes(), lp._Engine(milp.lp, 0, None).a.tobytes()
+    engines = []
 
     class Recording(lp._Engine):
         def __init__(self, *args):
             super().__init__(*args)
             engines.append(self)
 
-    with mock.patch.object(bnb, "_Shared", sharing), mock.patch.object(lp, "_Engine", Recording):
+    with mock.patch.object(lp, "_Engine", Recording):
         report = solve_milp(milp, time_limit=120, gap_target=0.0)
-    [shared] = shares
     assert report.nodes_explored > 5
-    assert not shared.A.flags.writeable
-    assert shared.A.tobytes() == lp._Shared(milp.lp).A.tobytes()
-    # every engine, cold or warm, read that one matrix
+    # every engine, cold or warm, holds the same m x n matrix, and none
+    # writes to the MILP's own
     assert len(engines) >= report.nodes_explored
-    assert all(eng.A is shared.A for eng in engines)
+    assert all(eng.a.shape == milp.lp.a.shape for eng in engines)
+    assert all(eng.a.tobytes() == scaled for eng in engines)
+    assert milp.lp.a.tobytes() == given
 
 
 def test_fixed_column_leaving_the_basis_matches_reference_bit_for_bit():
@@ -706,12 +732,12 @@ def test_factor_matches_the_full_inverse():
     for basis in bases:
         eng.basis = basis.astype(np.intp)
         assert eng.factor()
-        B = eng.A[:, basis]
-        full = np.linalg.inv(B)
+        A = _padded(eng)
+        full = np.linalg.inv(A[:, basis])
         assert np.abs(eng.Binv - full).max() <= 1e-10 * np.abs(full).max()
         nb = eng.val.copy()
         nb[basis] = 0.0
-        xB = full @ (eng.rhs - eng.A @ nb)
+        xB = full @ (eng.rhs - A @ nb)
         assert np.abs(eng.xB - xB).max() <= 1e-10 * max(1.0, np.abs(xB).max())
 
 
