@@ -3,8 +3,8 @@
 A node is its column box, the `lo`/`hi` handed to `LpProblem`: the LP's
 own box at the root, with binaries pinned (`lo == hi`) below it; a binary
 is open while `lo < hi`. Node LPs go through the public `solve_lp`
-alone. The root LP is solved cold, or warm from `root_start`: the
-optimal root basis of a MILP with the same matrix and costs, which
+alone. The root LP is solved cold, or warm from `root_start`: a basis
+of any MILP with as many rows and columns, such as the one
 `SolveReport.root_basis` hands back. Every other node warm-starts from
 its parent's optimal basis, factored afresh; `solve_lp` checks each warm
 answer and falls back to a cold solve when it cannot. Each popped node

@@ -22,19 +22,18 @@ fairness coefficient written here:
 Without step 2's transport rows or step 3's floors the scaled polytope
 would admit rate values no real plan can produce.
 
-The LPs run as a warm chain: where two LPs share their rows, right-hand
-sides and bounds and differ only in the objective, the later one passes
-the earlier one's optimal basis to `solve_lp` as `start=`. That basis is
-still feasible, so the primal simplex re-optimizes from it instead of
-restoring feasibility from the slack basis. All 2·G·B mass LPs share one polytope, so each starts
-from the one before it. The rate LPs of different (group, dest) pairs
-differ in their norm row, so each pair's min LP is solved cold and its
-max LP starts from it. `solve_lp` verifies every warm answer and falls
-back to a cold solve otherwise, so the bounds are those of cold solves up
-to roundoff. A padded rate box whose min exceeds its max is numerical
-trouble, not a point, and raises `BoundsError`; so does one no wider than
-`MIN_RATE_SPAN`, which the linearization cannot split into digits. The
-padding makes every box that does not cross at least 1e-7 wide.
+Each family runs as one warm chain: every LP but the first passes the
+optimal basis of the one before it to `solve_lp` as `start=`. All 2·G·B
+mass LPs share one polytope, so each start is still feasible and the
+primal simplex only re-optimizes the new objective. The rate LPs of two
+(group, dest) pairs also differ in their norm row and their box, and the
+start restores feasibility in a few dual pivots. `solve_lp` verifies
+every warm answer and falls back to a cold solve otherwise, so the
+bounds are those of cold solves up to roundoff. A padded rate box whose
+min exceeds its max is numerical trouble, not a point, and raises
+`BoundsError`; so does one no wider than `MIN_RATE_SPAN`, which the
+linearization cannot split into digits. The padding makes every box that
+does not cross at least 1e-7 wide.
 `TightBounds` is a named tuple.
 """
 
@@ -81,8 +80,8 @@ def _min_max(
     kind: str, link: RateLink, c: np.ndarray, rows: LinearRows, lo: np.ndarray, hi: np.ndarray,
     start: LpBasis | None,
 ) -> tuple[float, float, LpBasis | None]:
-    """Min and max of `c` over `rows` and the box, the max LP started from
-    the min LP's basis; also returns the max LP's basis for the next chain."""
+    """Min and max of `c` over `rows` and the box, and the max LP's basis;
+    the min LP starts from `start`, the max LP from the min LP's basis."""
     values = []
     for sign in (1.0, -1.0):
         res = solve_lp(LpProblem(sign * c, rows.a, rows.senses, rows.rhs, lo, hi), start=start)
@@ -165,6 +164,7 @@ def tighten_rate_bounds(
 
     t_lo = np.zeros((G, B))
     t_hi = np.zeros((G, B))
+    start = None
     for link in model.links:
         g, bp = link.group, link.dest
         norm = np.zeros((1, width))
@@ -176,7 +176,7 @@ def tighten_rate_bounds(
         lo[phi] = 1.0 / v_hi[g, bp]
         c = np.zeros(width)
         c[link.x_cols] = link.npos
-        t_lo[g, bp], t_hi[g, bp], _ = _min_max("rate", link, c, rows, lo, hi, None)
+        t_lo[g, bp], t_hi[g, bp], start = _min_max("rate", link, c, rows, lo, hi, start)
 
     t_lo = np.clip(t_lo - _PAD, 0.0, 1.0)
     t_hi = np.clip(t_hi + _PAD, 0.0, 1.0)

@@ -108,8 +108,9 @@ def solve_once(
 ) -> SolveOutcome:
     """Model, tighten, linearize, branch; hand back the plan if one exists.
 
-    `root_start` is the optimal root basis of a MILP with the same matrix
-    and costs (`SolveReport.root_basis`); the root LP warm-starts from it.
+    `root_start` is a basis of any MILP with as many rows and columns,
+    such as another solve's `SolveReport.root_basis`; the root LP
+    warm-starts from it.
     """
     model = build_model(stats, config)
     if bounds is None:
@@ -152,10 +153,9 @@ def sweep(
     a time limit of `budget_per_solve` seconds.
 
     Bound tightening depends only on the DP and EOdds tolerances, so it is
-    computed once per (dp, eodds) pair and shared across the PRP axis. The
-    MILPs of one pair differ only in the right-hand sides of the PRP
-    rate-gap rows, so each root LP after the pair's first warm-starts from
-    the previous root's optimal basis.
+    computed once per (dp, eodds) pair and shared across the PRP axis.
+    Every MILP of the sweep has the same shape, so each root LP after the
+    first warm-starts from the last optimal root basis.
     """
     if not (dp_grid and eodds_grid and prp_grid):
         raise ValueError("every tolerance grid axis needs at least one value")
@@ -167,7 +167,7 @@ def sweep(
     ]
 
     cache: dict[tuple[float, float], TightBounds | None] = {}
-    roots: dict[tuple[float, float], LpBasis | None] = {}
+    root: LpBasis | None = None
     points: list[FrontierPoint] = []
     for config in configs:
         key = (config.eps_dp, config.eps_eodds)
@@ -185,9 +185,9 @@ def sweep(
         if cache[key] is not None:
             out = solve_once(
                 stats, config, power=power, time_limit=budget_per_solve,
-                gap_target=gap_target, bounds=cache[key], root_start=roots.get(key),
+                gap_target=gap_target, bounds=cache[key], root_start=root,
             )
-            roots[key] = out.report.root_basis
+            root = out.report.root_basis or root
             report, plan = out.report, out.plan
         elapsed = time.monotonic() - t0
         auc, dp, eodds, prp = (None,) * 4 if plan is None else _evaluate(plan, stats)
@@ -365,16 +365,17 @@ def frontier_csv(points: Sequence[FrontierPoint]) -> str:
 
 
 def parse_frontier_csv(text: str) -> list[FrontierPoint]:
-    reader = csv.DictReader(io.StringIO(text))
-    missing = set(_CSV_COLUMNS) - set(reader.fieldnames or [])
+    reader = csv.reader(io.StringIO(text))
+    header = next(reader, [])
+    missing = set(_CSV_COLUMNS) - set(header)
     if missing:
         raise ValueError(f"frontier CSV is missing columns {sorted(missing)}")
     points = []
-    for row in reader:
-        if None in row.values():  # a short row: csv fills its missing fields with None
-            given = sum(value is not None for value in row.values())
-            raise ValueError(f"frontier CSV line {reader.line_num} has {given} of "
-                             f"{len(reader.fieldnames)} fields")
+    for fields in filter(None, reader):  # blank lines are skipped
+        if len(fields) != len(header):
+            raise ValueError(f"frontier CSV line {reader.line_num} has {len(fields)} of "
+                             f"{len(header)} fields")
+        row = dict(zip(header, fields))
         opt = lambda key: None if row[key] == "" else float(row[key])
         points.append(FrontierPoint(
             configured=(

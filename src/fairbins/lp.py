@@ -44,17 +44,17 @@ counted across its dual and primal loops (a warm start gets one pivot
 per row and column before the cold solve takes over), and a capped
 solve is reported as ITERATION_LIMIT, never as an answer.
 
-A solve may also start from an earlier optimal basis (`LpResult.basis`) of
-a problem with the same matrix, and either the same costs or the same
-rows, right-hand sides and bounds. With the same costs, the column bounds
-and right-hand sides may differ, as a branch-and-bound child differs from
-its parent or one frontier point's root LP from the next one's. Such
-changes leave that basis dual feasible, so the dual simplex restores
-primal feasibility in a few pivots. With the same constraints and new
-costs, as in bound tightening, the basis stays primal feasible: the dual
-simplex has nothing to do, and the primal loop re-optimizes the new
-objective from it. The dual keeps its reduced costs up to date from the
-pivot row it already computes, and recomputes them at each factorization.
+A solve may also start from any basis (`LpResult.basis`) of a problem
+with the same number of rows and columns; nothing else need match. The
+optimal basis of a problem that differs in its costs alone stays primal
+feasible, so the primal loop re-optimizes from it; that of one that
+differs in its bounds or right-hand sides alone stays dual feasible, so
+the dual simplex restores primal feasibility in a few pivots. A basis of
+a problem with another matrix may be neither: the dual's ratio test
+prices each dual infeasible reduced cost as a zero ratio, and the primal
+loop repairs the costs once the basis is primal feasible. The dual
+keeps its reduced costs up to date from the pivot row it already
+computes, and recomputes them at each factorization.
 
 An infeasibility verdict of the dual must survive a fresh factorization
 and be certified by `_Engine.certifies`; one that is not is looked at
@@ -536,11 +536,11 @@ def solve_lp(
     status TIME_LIMIT; without one, only the cap of 5000 + 25 * (rows +
     columns) pivots bounds the work, and status ITERATION_LIMIT reports
     reaching it.
-    With `start`, the optimal basis of a problem with the same matrix, and
-    either the same costs or the same rows, right-hand sides and bounds, a
-    verified warm start is tried first; when it cannot vouch for its
-    answer, the cold solve runs as if there were no start, and the result
-    counts the pivots of both.
+    With `start`, a basis of any problem with the same number of rows and
+    columns, a warm start is tried first. Its answer is kept only when it
+    checks out, a verified optimum or a certified infeasibility, or when
+    the deadline stops it; otherwise the cold solve runs as if there were
+    no start, and the result counts the pivots of both.
     """
     m, n = problem.a.shape
     if np.any(problem.lo > problem.hi + FEAS_TOL):

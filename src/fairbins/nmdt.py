@@ -247,32 +247,25 @@ def _feasible_rate_targets(nm: NmdtMilp, seed: np.ndarray) -> np.ndarray:
     return np.clip(r, box_lo, box_hi)
 
 
-def _completion_lp(nm: NmdtMilp, rates: np.ndarray, *, elastic: bool) -> LpProblem:
-    """LP over the plan block with every link's rate pinned to `rates`.
+def _completion_lp(nm: NmdtMilp, rates: np.ndarray) -> LpProblem:
+    """Elastic LP over the plan block with every link's rate pinned to
+    `rates`, minimizing the signed slack added to each balance row.
 
     The rates sit both in the balance equalities and in the rate-column
-    bounds. Elastic form adds signed slack per balance row and minimizes
-    it; the hard form minimizes the movement objective. Each slack of a
-    link is boxed by its `v_hi`, which cuts no point: npos.x and rate * v
-    both lie in [0, v], so their difference is at most v_hi.
+    bounds. Each slack of a link is boxed by its `v_hi`, which cuts no
+    point: npos.x and rate * v both lie in [0, v], so their difference is
+    at most v_hi.
     """
-    model = nm.model
-    tb = nm.bounds
-    extra = 2 * len(model.links) if elastic else 0
-    balance = _RowBag(model.ncols + extra)
+    model, tb = nm.model, nm.bounds
+    n, extra = model.ncols, 2 * len(model.links)
+    balance = _RowBag(n + extra)
     for i, link in enumerate(model.links):
         coeffs = dict(zip(link.x_cols.tolist(), link.npos.tolist()))
-        if elastic:
-            coeffs[model.ncols + 2 * i] = -1.0
-            coeffs[model.ncols + 2 * i + 1] = 1.0
-        balance.add(coeffs, SENSE_EQ, 0.0)
-    rows = concat_rows(
-        model.ncols + extra, [model.linear_rows(include_rate_rows=False), balance.freeze()]
-    )
+        balance.add({**coeffs, n + 2 * i: -1.0, n + 2 * i + 1: 1.0}, SENSE_EQ, 0.0)
+    rows = concat_rows(n + extra, [model.linear_rows(include_rate_rows=False), balance.freeze()])
     first = rows.nrows - len(model.links)
     lo = np.concatenate([model.lo, np.zeros(extra)])
-    slack_hi = np.repeat([tb.v_hi[link.group, link.dest] for link in model.links], 2)
-    hi = np.concatenate([model.hi, slack_hi if elastic else np.zeros(0)])
+    hi = np.concatenate([model.hi, np.repeat([tb.v_hi[k.group, k.dest] for k in model.links], 2)])
     for i, link in enumerate(model.links):
         # written, not added: `+=` on a zero row would turn the -0.0 of a
         # rate pinned at exactly 0 into +0.0
@@ -280,10 +273,7 @@ def _completion_lp(nm: NmdtMilp, rates: np.ndarray, *, elastic: bool) -> LpProbl
         lo[link.v_col] = tb.v_lo[link.group, link.dest]
         hi[link.v_col] = tb.v_hi[link.group, link.dest]
         lo[link.t_col] = hi[link.t_col] = rates[link.group, link.dest]
-    if elastic:
-        c = np.concatenate([np.zeros(model.ncols), np.ones(extra)])
-    else:
-        c = np.concatenate([model.objective, np.zeros(extra)])
+    c = np.concatenate([np.zeros(n), np.ones(extra)])
     return LpProblem(c=c, a=rows.a, senses=rows.senses, rhs=rows.rhs, lo=lo, hi=hi)
 
 
@@ -294,9 +284,11 @@ def completion_start(nm: NmdtMilp) -> np.ndarray | None:
     staying put breaks a fairness row, per-link rates are pinned instead:
     targets start at the empirical positive fractions, get repaired into
     the rate rows, and an elastic LP loop moves them onto rates the mass
-    constraints can actually realize. The hard completion then picks the
-    cheapest plan at those rates, and `_lift` writes its digits, digit
-    products and remainders as it does for the identity.
+    constraints can actually realize. The hard completion, the last
+    elastic LP with its slacks boxed to [0, 0] and the movement costs,
+    picks the cheapest plan at those rates, and `_lift` writes its digits,
+    digit products and remainders as it does for the identity. Each LP
+    starts from the optimal basis of the one before.
     """
     lp = nm.problem.lp
     x0 = initial_point(nm)
@@ -312,10 +304,13 @@ def completion_start(nm: NmdtMilp) -> np.ndarray | None:
         where=stats.n > 0,
     )
     targets = _feasible_rate_targets(nm, seed)
+    start = None
     for _ in range(_COMPLETION_ROUNDS):
-        res = solve_lp(_completion_lp(nm, targets, elastic=True))
+        elastic = _completion_lp(nm, targets)
+        res = solve_lp(elastic, start=start)
         if res.status != LpStatus.OPTIMAL:
             return None
+        start = res.basis
         if res.objective <= 1e-9:
             break
         x = res.x
@@ -327,7 +322,10 @@ def completion_start(nm: NmdtMilp) -> np.ndarray | None:
     else:
         return None
 
-    res = solve_lp(_completion_lp(nm, targets, elastic=False))
+    hi = np.where(elastic.c > 0.0, 0.0, elastic.hi)  # slacks boxed to [0, 0]
+    c = np.concatenate([model.objective, np.zeros(elastic.ncols - model.ncols)])
+    res = solve_lp(LpProblem(c, elastic.a, elastic.senses, elastic.rhs, elastic.lo, hi),
+                   start=start)
     if res.status != LpStatus.OPTIMAL:
         return None
 

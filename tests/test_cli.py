@@ -433,8 +433,7 @@ def test_tradeoff_and_compare_commands(tmp_path, capsys):
     ["compare", "--auc-min", "0.5", "--frontier-a"],
 ], ids=["tradeoff", "compare"])
 def test_a_short_frontier_row_is_exit_2(argv, tmp_path, capsys):
-    # csv fills a short row's missing fields with None, which once reached
-    # float() and ended in a TypeError traceback
+    # a malformed row is a usage error that names its line, not a traceback
     front = tmp_path / "front.csv"
     front.write_text("auc,epsDP,epsEOdds,epsPRP,configured_dp,configured_eodds,"
                      "configured_prp,status,gap,seconds,nondominated\n"

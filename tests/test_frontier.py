@@ -193,6 +193,16 @@ def test_csv_round_trip_including_infeasible_rows():
         parse_frontier_csv("auc,gap\n0.5,0.0\n")
 
 
+@pytest.mark.parametrize("fields", [5, 13])
+def test_a_row_with_too_few_or_too_many_fields_names_its_line(fields):
+    # a long row is as malformed as a short one; blank lines are skipped
+    header, row = frontier_csv([point(0.9, 0.01, 0.02, 0.03)]).splitlines()
+    bad = ",".join((row.split(",") * 2)[:fields])
+    assert parse_frontier_csv(f"{header}\n{row}\n\n{row}\n")[1] == point(0.9, 0.01, 0.02, 0.03)
+    with pytest.raises(ValueError, match=f"line 3 has {fields} of 11 fields"):
+        parse_frontier_csv(f"{header}\n{row}\n{bad}\n")
+
+
 def test_single_cell_sweep_matches_direct_solve():
     stats = tiny_stats()
     config = ModelConfig(eps_dp=0.1, eps_eodds=0.1, eps_prp=0.1,
@@ -280,8 +290,9 @@ def test_sweep_raises_bound_trouble_that_proves_nothing(trouble, message):
 
 
 def test_multi_cell_sweep_matches_independent_solves():
-    # roots after a (dp, eodds) pair's first warm-start from the previous
-    # root's basis; every point must still match a solve of its own
+    # every root after the sweep's first warm-starts from the previous
+    # root's basis, across (dp, eodds) pairs too; every point must still
+    # match a solve of its own
     stats = tiny_stats()
     grid = ([0.25], [0.1, 0.25], [0.1, 0.15, 0.25])
     calls = []
@@ -296,9 +307,9 @@ def test_multi_cell_sweep_matches_independent_solves():
                     budget_per_solve=60.0)
     assert [p.configured for p in pts] == list(product(*grid))
     assert len(calls) == len(pts)
-    # the first root of each pair starts cold, the rest from the root before
+    # only the first root starts cold, the rest from the root before
     starts = [start for start, _ in calls]
-    assert [s is None for s in starts] == [True, False, False] * 2
+    assert [s is None for s in starts] == [True] + [False] * 5
     assert all(s is calls[i - 1][1].root_basis for i, s in enumerate(starts) if s is not None)
     for p, (_, report) in zip(pts, calls):
         dp, eodds, prp = p.configured

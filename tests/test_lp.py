@@ -625,8 +625,8 @@ def _warm_cases(draw):
     cols = draw(st.permutations(range(problem.ncols)))
     k = draw(st.integers(0, min(3, problem.ncols)))
     wheres = draw(st.lists(st.sampled_from(["lo", "hi", "mid"]), min_size=k, max_size=k))
-    # a start is only promised the same matrix and costs, so the
-    # right-hand sides may move too
+    # a start is promised any problem of its shape, so the right-hand
+    # sides may move too
     shift = draw(st.lists(st.sampled_from([0.0, 0.0, 0.5, -0.5, 1.5]),
                           min_size=problem.nrows, max_size=problem.nrows))
     return problem, list(zip(cols[:k], wheres)), np.array(shift)
@@ -670,6 +670,32 @@ def test_warm_start_after_changing_the_costs_matches_the_cold_answer(problem, se
         assert warm.objective == pytest.approx(cold.objective, abs=1e-9)
         assert point_violation(other, warm.x) <= 1e-7
         assert warm.basis is not None
+
+
+@st.composite
+def _same_shape_pairs(draw):
+    """Two LPs of one shape that share nothing else: the second has its own
+    matrix, costs, right-hand sides, senses and box (some columns fixed),
+    so it may well be infeasible."""
+    m, n = draw(st.integers(1, 10)), draw(st.integers(1, 8))
+    seeds = draw(st.lists(st.integers(0, 2**32 - 1), min_size=2, max_size=2))
+    first, second = (_random_bounded(np.random.default_rng(seed), m, n) for seed in seeds)
+    lo = np.array(draw(st.lists(st.integers(-2, 0), min_size=n, max_size=n)), dtype=float)
+    width = np.array(draw(st.lists(st.integers(0, 2), min_size=n, max_size=n)), dtype=float)
+    return first, LpProblem(second.c, second.a, second.senses, second.rhs, lo, lo + width)
+
+
+@settings(max_examples=200, deadline=None)
+@given(pair=_same_shape_pairs())
+def test_a_start_from_another_lp_of_the_same_shape_gives_the_cold_answer(pair):
+    first, other = pair
+    parent = solve_lp(first)
+    assume(parent.status == LpStatus.OPTIMAL)
+    warm, cold = solve_lp(other, start=parent.basis), solve_lp(other)
+    assert warm.status == cold.status
+    if cold.status == LpStatus.OPTIMAL:
+        assert warm.objective == pytest.approx(cold.objective, abs=1e-9)
+        assert point_violation(other, warm.x) <= lp.FEAS_TOL
 
 
 def _branched_lp(m: int | None = None, n: int | None = None) -> tuple[LpProblem, lp.LpBasis]:
@@ -944,14 +970,14 @@ def test_the_flagship_elastic_completion_lp_does_not_stall():
         return out
 
     targets = _feasible_rate_targets(nm, rates(lambda link: root.x[link.t_col]))
-    first = solve_lp(_completion_lp(nm, targets, elastic=True))
+    first = solve_lp(_completion_lp(nm, targets))
     assert first.status == LpStatus.OPTIMAL
     assert first.objective == pytest.approx(3.5267996868983, rel=1e-12)
     x = first.x
     # the realized rates, as `completion_start` computes them between rounds
     realized = rates(lambda link: float(x[link.x_cols] @ link.npos)
                      / max(float(x[link.v_col]), 1e-12))
-    problem = _completion_lp(nm, _feasible_rate_targets(nm, realized), elastic=True)
+    problem = _completion_lp(nm, _feasible_rate_targets(nm, realized))
     status, obj, _ = scipy_lp(problem.c, problem.a, [_SENSE_CHAR[int(s)] for s in problem.senses],
                               problem.rhs, problem.lo, problem.hi)
     assert status == "optimal"

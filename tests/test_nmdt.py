@@ -2,12 +2,15 @@
 
 from __future__ import annotations
 
+from unittest import mock
+
 import numpy as np
 import pytest
 
+from fairbins import nmdt
 from fairbins.bnb import MilpStatus, solve_milp
 from fairbins.bounds import tighten
-from fairbins.lp import point_violation
+from fairbins.lp import LpProblem, LpStatus, point_violation, solve_lp
 from fairbins.model import ModelConfig, build_model, plan_matrices
 from fairbins.nmdt import (
     completion_start,
@@ -21,6 +24,7 @@ from fairbins.nmdt import (
 
 from .conftest import tiny_stats
 from .oracle_helpers import enumerate_milp, scipy_milp
+from .test_bounds import _bench_file_stats
 
 TIGHT = ModelConfig(eps_dp=0.1, eps_eodds=0.1, eps_prp=0.1, retention=0.5, window=2)
 LOOSE = ModelConfig(eps_dp=0.25, eps_eodds=0.25, eps_prp=0.25, retention=0.5, window=2)
@@ -211,3 +215,33 @@ def test_completion_start_plan_meets_the_configured_tolerances():
 def tight_parts_direct():
     m = build_model(tiny_stats(), TIGHT)
     return m, tighten(m)
+
+
+@pytest.mark.parametrize("stats, config, power", [
+    (tiny_stats, TIGHT, -6),
+    (lambda: _bench_file_stats(1, 0, 4),
+     ModelConfig(eps_dp=0.06, eps_eodds=0.06, eps_prp=0.06, retention=0.5, window=3), -2),
+], ids=["tiny", "bench-seed-1-file-0"])
+def test_the_reboxed_hard_completion_lp_reaches_the_slack_free_optimum(stats, config, power):
+    # the hard completion LP is the last elastic LP with its slacks boxed to
+    # [0, 0] and the movement costs, started from that LP's basis; without
+    # the slack columns it is the plan-block LP of the same rates, solved cold
+    m = build_model(stats(), config)
+    nm = build_milp(m, tighten(m), power=power)
+    calls = []
+
+    def recording(problem, **kwargs):
+        res = solve_lp(problem, **kwargs)
+        calls.append((problem, kwargs.get("start"), res))
+        return res
+
+    with mock.patch.object(nmdt, "solve_lp", recording):
+        assert completion_start(nm) is not None
+    (elastic, _, last), (hard, start, res) = calls[-2:]
+    n = m.ncols
+    assert start is last.basis and hard.a is elastic.a
+    assert np.all(hard.hi[n:] == 0.0) and np.all(hard.c[:n] == m.objective)
+    cold = solve_lp(LpProblem(hard.c[:n], hard.a[:, :n], hard.senses, hard.rhs, hard.lo[:n],
+                              hard.hi[:n]))
+    assert res.status == cold.status == LpStatus.OPTIMAL
+    assert res.objective == pytest.approx(cold.objective, abs=1e-9)
